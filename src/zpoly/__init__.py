@@ -24,9 +24,9 @@ from .families import (BRAID, TYPE_B, NiceFamily, WhitneyTables, binomial,
                        stirling2, uniform_family, whitney_multi_family,
                        z_family)
 from .roots import (InterlaceKind, InterlaceVerdict, SturmCertificate,
-                    certify_roots, conjecture_sweep, count_negative_real_roots,
-                    interlaces, is_log_concave, is_negative_real_rooted,
-                    isolate_roots, squarefree_part)
+                    certify_roots, check_certificate, conjecture_sweep,
+                    count_negative_real_roots, interlaces, is_log_concave,
+                    is_negative_real_rooted, isolate_roots, squarefree_part)
 from .equivariant import (ClassFunctionTable, PermGroup, SymFunction,
                           dimension, equivariant_c_character,
                           equivariant_c_uniform, equivariant_whitney_character,

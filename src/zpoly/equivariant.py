@@ -201,7 +201,8 @@ def _hook_length_dimension(lam: tuple, n: int) -> int:
         for j in range(part):
             hooks *= part - j + conj[j] - i - 1
     num, rem = divmod(factorial(n), hooks)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"hook length formula gives no integer for {lam}")
     return num
 
 

@@ -69,9 +69,10 @@ def narayana(n: int, k: int) -> int:
     """Narayana number N(n, k) = C(n,k) C(n,k-1) / n; 0 out of range."""
     if not 1 <= k <= n:
         return 0
-    num = binomial(n, k) * binomial(n, k - 1)
-    assert num % n == 0
-    return num // n
+    num, rem = divmod(binomial(n, k) * binomial(n, k - 1), n)
+    if rem:
+        raise ArithmeticError(f"N({n}, {k}) is not an integer")
+    return num
 
 
 def _is_prime_power(q: int) -> bool:

@@ -104,8 +104,9 @@ def _p_table(lat: FlatLattice):
         R_F(t) = sum over G > F of chi_{[F,G]}(t) * P_G(t)
     and read the coefficients of P_F off the high-degree tail of R_F.
     The Mobius values mu(F, .) and the chi contributions are accumulated in
-    one fused sweep over chains F <= H <= G, which is what makes the large
-    partition lattices tractable.
+    one fused sweep over chains F <= H <= G.  That sweep grows with the
+    number of 3-chains and dominates the cost on large lattices such as the
+    partition lattice of braid d=8.
     """
     table = lat._cache.get("ptable")
     if table is not None:
@@ -144,7 +145,8 @@ def _p_table(lat: FlatLattice):
                         R[base + j] += m * c
         for h in ups_f:
             acc[h] = 0
-        assert R[crk] == 1, "functional equation must have leading tail 1"
+        if R[crk] != 1:
+            raise RuntimeError("functional equation must have leading tail 1")
         coeffs = [1]
         for i in range(1, (crk + 1) // 2):
             coeffs.append(R[crk - i])

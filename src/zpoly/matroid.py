@@ -499,7 +499,8 @@ def bareiss_rank(rows) -> int:
             for c in range(col + 1, ncols):
                 num = row[c] * pivot - factor * top[c]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division not exact"
+                if rem:
+                    raise ArithmeticError("Bareiss division not exact")
                 row[c] = q
             row[col] = 0
         prev = pivot

@@ -2,10 +2,32 @@
 negative-real-rootedness, isolating-interval certificates, interlacing, and
 log-concavity.
 
-Sturm chains are kept as primitive integer polynomials: each pseudo-remainder
-is divided by its content (a positive rational factor never changes a sign),
-which stops the coefficient blowup that plain rational chains suffer at
-degree 20-40.  All interval endpoints are dyadic rationals.
+Every decision reads sign variations of a signed remainder sequence
+S_0 = f, S_1 = g, S_{k+1} = -(S_{k-1} mod S_k), whose last member is
+gcd(f, g) up to a nonzero factor.  At a point x with f(x) != 0 the count
+V(x) of sign changes along the sequence gives the Cauchy index of g/f as
+V(a) - V(b) over (a, b) (Sturm-Hermite; Basu-Pollack-Roy, Algorithms in
+Real Algebraic Geometry, ch. 2), and V(-inf), V(0) need only the leading
+and constant coefficients.
+
+* Root counts: with g = f' the index over (-inf, 0) is the number of
+  distinct negative roots of f; deflating by the sequence's gcd and
+  repeating recovers multiplicities.
+* Interlacing: for deg f = n, deg g = n - 1 and f(0) != 0, the index of
+  g/f over (-inf, 0) is +-n exactly when f has n distinct negative roots
+  and the roots of g strictly separate them.  One sequence per pair so
+  certifies both polynomials and STRICT interlacing with no bisection.
+  Every other pair goes to the isolation route: gcd deflation gives WEAK,
+  and Sturm-guided bisection of dyadic intervals gives the witness of NONE.
+* Certificates: isolating intervals from bisection; check_certificate
+  re-checks one with its own sign evaluation and division, sharing no code
+  with the sequence routines.
+
+Sequence members are kept as primitive integer polynomials: each
+pseudo-remainder is divided by its content (a positive rational factor never
+changes a sign), which stops the coefficient blowup that plain rational
+sequences suffer at degree 20-40.  All interval endpoints are dyadic
+rationals.
 """
 
 from __future__ import annotations
@@ -43,6 +65,14 @@ def _primitive(cs):
     return [c // g for c in cs]
 
 
+def _normalized(cs):
+    """Primitive, with positive leading coefficient."""
+    out = _primitive(cs)
+    if out and out[-1] < 0:
+        out = [-c for c in out]
+    return out
+
+
 def _derivative(cs):
     return [i * c for i, c in enumerate(cs)][1:]
 
@@ -71,18 +101,22 @@ def _neg_prem_primitive(f, g):
     return r
 
 
+def _remainder_sequence(f, g):
+    """Signed remainder sequence f, g, -(f mod g), ... (g nonzero), up to
+    its last nonzero member, which is gcd(f, g) up to a nonzero factor."""
+    seq = [f, g]
+    while True:
+        r = _neg_prem_primitive(seq[-2], seq[-1])
+        if not r:
+            return seq
+        seq.append(r)
+
+
 def _sturm_chain(cs):
     """Sturm chain of a (square-free) integer polynomial."""
-    chain = [_primitive(list(cs))]
-    d = _strip(_derivative(chain[0]))
-    if d:
-        chain.append(_primitive(d))
-        while True:
-            nxt = _neg_prem_primitive(chain[-2], chain[-1])
-            if not nxt:
-                break
-            chain.append(nxt)
-    return chain
+    p = _primitive(list(cs))
+    d = _strip(_derivative(p))
+    return _remainder_sequence(p, _primitive(d)) if d else [p]
 
 
 def _sign_at(cs, num: int, den: int) -> int:
@@ -112,8 +146,12 @@ def _variations_at(chain, point: Fraction) -> int:
     return _variations([_sign_at(cs, num, den) for cs in chain])
 
 
-def _variations_at_neg_inf(chain) -> int:
-    return _variations([(1 if cs[-1] > 0 else -1) * (-1) ** (len(cs) - 1) for cs in chain])
+def _negative_index(seq) -> int:
+    """V(-inf) - V(0), the Cauchy index of seq[1]/seq[0] over (-inf, 0)
+    when seq[0](0) != 0, read off the leading and constant coefficients."""
+    at_neg_inf = [(1 if cs[-1] > 0 else -1) * (-1) ** (len(cs) - 1) for cs in seq]
+    at_zero = [(cs[0] > 0) - (cs[0] < 0) for cs in seq]
+    return _variations(at_neg_inf) - _variations(at_zero)
 
 
 def _count_in(chain, lo: Fraction, hi: Fraction) -> int:
@@ -124,50 +162,43 @@ def _count_in(chain, lo: Fraction, hi: Fraction) -> int:
 def _rat_gcd(f, g):
     """Primitive gcd of two integer polynomials (positive leading coeff)."""
     a, b = _primitive(list(f)), _primitive(list(g))
-    while b:
-        a, b = b, _neg_prem_primitive(a, b)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
+    return _normalized(_remainder_sequence(a, b)[-1] if b else a)
+
 
 def _exact_div(f, h):
-    """f / h for integer polynomials with h | f; result has integer coeffs."""
-    out = []
-    r = [Fraction(c) for c in f]
+    """f / h for integer polynomials; ValueError unless h divides f with an
+    integer quotient."""
+    r = _strip(list(f))
     dh = len(h) - 1
-    lead = Fraction(h[-1])
-    while len(r) - 1 >= dh and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dh:
-            break
-        q = r[-1] / lead
-        k = len(r) - 1 - dh
-        out.append((k, q))
+    lead = h[-1]
+    q = [0] * max(len(r) - dh, 0)
+    for k in range(len(q) - 1, -1, -1):
+        # a step that is not exact leaves its remainder in r[k + dh]
+        c = q[k] = r[k + dh] // lead
         for i, hc in enumerate(h):
-            r[i + k] -= q * hc
-    while r and r[-1] == 0:
-        r.pop()
-    if r:
+            r[i + k] -= c * hc
+    if any(r):
         raise ValueError("division is not exact")
-    deg = max(k for k, _ in out) if out else 0
-    cs = [Fraction(0)] * (deg + 1)
-    for k, q in out:
-        cs[k] = q
-    assert all(c.denominator == 1 for c in cs)
-    return [int(c) for c in cs]
+    return q
 
 
 def _squarefree(cs):
     g = _rat_gcd(cs, _derivative(cs))
-    if len(g) == 1:
-        out = _primitive(list(cs))
-    else:
-        out = _exact_div(cs, g)
-        out = _primitive(out)
-    if out and out[-1] < 0:
-        out = [-c for c in out]
-    return out
+    return _normalized(cs if len(g) == 1 else _exact_div(cs, g))
+
+
+def _cauchy_strict(f, g):
+    """One remainder sequence decides STRICT interlacing.
+
+    f, g are integer coefficient lists with deg f = deg g + 1 and f(0) != 0.
+    Returns (strict, h).  strict is True iff the Cauchy index of g/f over
+    (-inf, 0) is +-deg f, that is iff f has deg f distinct negative roots
+    and the roots of g strictly separate them (so g is negative-real-rooted
+    and coprime to f too).  h is gcd(f, g), primitive with positive leading
+    coefficient.
+    """
+    seq = _remainder_sequence(f, g)
+    return abs(_negative_index(seq)) == len(f) - 1, _normalized(seq[-1])
 
 
 # --- public surface
@@ -209,21 +240,23 @@ def squarefree_part(p: IntPolynomial) -> RatPolynomial:
 def count_negative_real_roots(p: IntPolynomial) -> tuple:
     """(distinct, with multiplicity) count of roots in (-inf, 0).
 
-    Requires p(0) != 0; repeated gcd deflation recovers multiplicities.
+    Requires p(0) != 0.  One remainder sequence of (p, p') per deflation
+    level: its index counts the distinct roots (every member shares the
+    factor gcd(p, p'), which does not vanish at 0), and its last member is
+    that gcd, whose roots are those of p of multiplicity >= 2, one less each.
     """
     if p.is_zero() or p.coefficient(0) == 0:
         raise ValueError("polynomial must not vanish at 0")
     distinct = None
     total = 0
-    cs = list(p.coeffs)
+    cs = _primitive(list(p.coeffs))
     while len(cs) > 1:
-        sf = _squarefree(cs)
-        chain = _sturm_chain(sf)
-        cnt = _variations_at_neg_inf(chain) - _variations_at(chain, Fraction(0))
+        seq = _remainder_sequence(cs, _primitive(_derivative(cs)))
+        cnt = _negative_index(seq)
         if distinct is None:
             distinct = cnt
         total += cnt
-        cs = _rat_gcd(cs, _derivative(cs))
+        cs = _normalized(seq[-1])
     return (distinct or 0, total)
 
 
@@ -244,13 +277,14 @@ def _cauchy_bound(cs) -> int:
 def _isolate(chain, sf) -> list:
     """Disjoint dyadic intervals (lo, hi], one distinct root each, covering
     (-B, 0); Sturm-count guided bisection."""
-    total = _variations_at_neg_inf(chain) - _variations_at(chain, Fraction(0))
+    total = _negative_index(chain)
     if total == 0:
         return []
     bound = Fraction(-_cauchy_bound(sf))
     v_lo = _variations_at(chain, bound)
     v_hi = _variations_at(chain, Fraction(0))
-    assert v_lo - v_hi == total
+    if v_lo - v_hi != total:
+        raise RuntimeError(f"root bound {bound} misses roots: {v_lo - v_hi} of {total}")
     out = []
     stack = [(bound, Fraction(0), v_lo, v_hi)]
     while stack:
@@ -277,7 +311,7 @@ def certify_roots(p: IntPolynomial) -> SturmCertificate:
     sf = _squarefree(list(p.coeffs))
     chain = _sturm_chain(sf)
     deg = len(sf) - 1
-    total = _variations_at_neg_inf(chain) - _variations_at(chain, Fraction(0))
+    total = _negative_index(chain)
     if total != deg:
         raise ValueError(
             f"expected {deg} distinct negative real roots, Sturm counts {total}")
@@ -292,6 +326,60 @@ def certify_roots(p: IntPolynomial) -> SturmCertificate:
 def isolate_roots(p: IntPolynomial) -> list:
     """Isolating intervals for the distinct roots of p; see certify_roots."""
     return list(certify_roots(p).isolating)
+
+
+def _horner_sign(cs, x) -> int:
+    value = 0
+    for c in reversed(cs):
+        value = value * x + c
+    return (value > 0) - (value < 0)
+
+
+def _divides(d, p) -> bool:
+    """Whether the nonzero polynomial d divides p, by rational long division."""
+    r = [Fraction(c) for c in p]
+    while len(r) >= len(d):
+        q = r[-1] / d[-1]
+        k = len(r) - len(d)
+        for i, c in enumerate(d):
+            r[i + k] -= q * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return not r
+
+
+def check_certificate(p: IntPolynomial, cert: SturmCertificate) -> bool:
+    """Check a certify_roots certificate for p with code of its own: sign
+    evaluation by Horner at the dyadic endpoints and rational division.
+
+    True iff p(0) != 0; the intervals (lo, hi] are sorted, disjoint and
+    inside (-inf, 0]; the square-free part s changes sign on each one: s(hi)
+    is 0 or differs in sign from s just right of lo (the sign of s(lo), or
+    of s'(lo) where lo is a root); there are deg s of them; and s divides p
+    while p divides s^(deg p - deg s + 1).  Then each interval holds exactly
+    one root of s, and the roots of p are exactly those of s, all negative
+    reals.
+    """
+    s = cert.squarefree.coeffs
+    cs = p.coeffs
+    if not s or not cs or cs[0] == 0 or len(cert.isolating) != len(s) - 1:
+        return False
+    ds = [i * c for i, c in enumerate(s)][1:]
+    prev_hi = None
+    for lo, hi in cert.isolating:
+        if not lo < hi <= 0 or (prev_hi is not None and lo < prev_hi):
+            return False
+        sign_lo = _horner_sign(s, lo) or _horner_sign(ds, lo)
+        if sign_lo == 0 or _horner_sign(s, hi) == sign_lo:
+            return False
+        prev_hi = hi
+    if not _divides(s, cs):
+        return False
+    power = RatPolynomial([1])
+    for _ in range(len(cs) - len(s) + 1):
+        power = power * cert.squarefree
+    return _divides(cs, power.coeffs)
 
 
 def _halve(chain, interval):
@@ -316,15 +404,32 @@ def _overlaps(a, b) -> bool:
 def interlaces(f: IntPolynomial, g: IntPolynomial) -> InterlaceVerdict:
     """Decide whether the roots of g separate the roots of f.
 
-    Requires deg f = deg g + 1 and both inputs negative-real-rooted.  Shared
-    roots are factored out by gcd and the deflated pair decided; any shared
-    root downgrades a success to WEAK.
+    Requires deg f = deg g + 1 and both inputs negative-real-rooted.  One
+    remainder sequence of (f, g) decides STRICT (Cauchy index +-deg f), with
+    no bisection.  Any other pair takes the isolation route: shared roots
+    are factored out by gcd and the deflated pair decided, any shared root
+    downgrading a success to WEAK; NONE carries a witness from isolating
+    intervals.
     """
     if g.is_zero() or f.degree != g.degree + 1:
         raise ValueError("need deg f = deg g + 1 with g nonzero")
+    h = None
+    if f.coefficient(0) != 0:
+        strict, h = _cauchy_strict(f.coeffs, g.coeffs)
+        if strict:
+            return InterlaceVerdict(InterlaceKind.STRICT)
+    return _interlaces_by_isolation(f, g, h)
+
+
+def _interlaces_by_isolation(f: IntPolynomial, g: IntPolynomial,
+                             h=None) -> InterlaceVerdict:
+    """The isolation route of interlaces, and the reference the Cauchy-index
+    decision is tested against.  h, when given, is the primitive gcd(f, g)
+    with positive leading coefficient."""
     if not is_negative_real_rooted(f) or not is_negative_real_rooted(g):
         raise ValueError("interlacing requires negative-real-rooted inputs")
-    h = _rat_gcd(list(f.coeffs), list(g.coeffs))
+    if h is None:
+        h = _rat_gcd(list(f.coeffs), list(g.coeffs))
     if len(h) > 1:
         sub = interlaces(IntPolynomial(_exact_div(list(f.coeffs), h)),
                          IntPolynomial(_exact_div(list(g.coeffs), h)))
@@ -402,16 +507,21 @@ def _sweep_cell(args):
     family_str, d, z_coeffs, z_prev_coeffs, want_cert = args
     start = time.perf_counter()
     zd = IntPolynomial(z_coeffs)
-    rooted = is_negative_real_rooted(zd)
-    verdict = None
-    if z_prev_coeffs is not None and rooted:
-        zprev = IntPolynomial(z_prev_coeffs)
-        if is_negative_real_rooted(zprev):
-            verdict = interlaces(zd, zprev).kind.value
-        else:
+    if (z_prev_coeffs and len(z_coeffs) == len(z_prev_coeffs) + 1 and z_coeffs[0] != 0
+            and _cauchy_strict(z_coeffs, z_prev_coeffs)[0]):
+        # one sequence certified both polynomials and strict interlacing
+        rooted, verdict = True, "strict"
+    else:
+        rooted = is_negative_real_rooted(zd)
+        verdict = None
+        if z_prev_coeffs is not None and rooted:
+            zprev = IntPolynomial(z_prev_coeffs)
+            if is_negative_real_rooted(zprev):
+                verdict = interlaces(zd, zprev).kind.value
+            else:
+                verdict = "none"
+        elif z_prev_coeffs is not None:
             verdict = "none"
-    elif z_prev_coeffs is not None:
-        verdict = "none"
     row = {
         "family": family_str,
         "d": d,
@@ -423,11 +533,14 @@ def _sweep_cell(args):
     if want_cert or not rooted or verdict == "none":
         try:
             cert = certify_roots(zd)
+        except ValueError as exc:
+            row["certificate"] = {"error": str(exc)}
+        else:
+            if not check_certificate(zd, cert):
+                raise RuntimeError(f"{family_str} d={d}: root certificate fails its check")
             row["certificate"] = {
                 "isolating": [[str(lo), str(hi)] for lo, hi in cert.isolating],
             }
-        except ValueError as exc:
-            row["certificate"] = {"error": str(exc)}
     return row
 
 

@@ -165,3 +165,24 @@ def test_worker_env_var(capsys, monkeypatch):
                        "--dmax", "4")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_verify_under_optimize_flag():
+    # python -O strips asserts; the library's invariant checks must not rely on them
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import zpoly
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(zpoly.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+    env.pop("ZPOLY_THREADS", None)
+    code = ("import sys; from zpoly.cli import main; sys.exit(main(["
+            "'verify', 'interlace', '--family', 'uniform:1', '--dmax', '6']))")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["pass"] is True

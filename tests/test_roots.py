@@ -5,11 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (interlace_by_sorted_roots, poly_from_roots,
                      sign_changes_on_grid)
-from zpoly import (BRAID, TYPE_B, IntPolynomial, InterlaceKind, build_tables,
-                   certify_roots, conjecture_sweep, count_negative_real_roots,
-                   interlaces, is_log_concave, is_negative_real_rooted,
-                   isolate_roots, qvec_family, squarefree_part,
-                   uniform_family, z_family)
+from zpoly import (BRAID, TYPE_B, IntPolynomial, InterlaceKind, SturmCertificate,
+                   build_tables, certify_roots, check_certificate,
+                   conjecture_sweep, count_negative_real_roots, interlaces,
+                   is_log_concave, is_negative_real_rooted, isolate_roots,
+                   qvec_family, squarefree_part, uniform_family, z_family)
+from zpoly import roots
 
 # distinct small negative integer roots
 neg_root_sets = st.sets(st.integers(-20, -1), min_size=1, max_size=5)
@@ -160,6 +161,129 @@ def test_strict_implies_trivial_gcd():
     g = poly_from_roots([-2, -5])
     assert interlaces(f, g).kind is InterlaceKind.STRICT
     assert len(_rat_gcd(list(f.coeffs), list(g.coeffs))) == 1
+
+
+def _pair_roots(draw):
+    """Root lists for f (n roots) and g (n - 1 roots): alternating, touching
+    or scrambled, or drawn freely with shared and repeated roots."""
+    pool = draw(st.lists(st.integers(-12, -1), min_size=1, max_size=4))
+    root = st.one_of(st.sampled_from(pool), st.integers(-12, -1))
+    f_roots = draw(st.lists(root, min_size=1, max_size=6))
+    if draw(st.booleans(), label="alternate"):
+        f_roots = fs = sorted(2 * r for r in set(f_roots))  # room between roots
+        inside = draw(st.booleans(), label="inside")
+        g_roots = [draw(st.integers(a + 1, b - 1) if inside and b - a >= 2 else
+                        st.integers(a, b)) for a, b in zip(fs, fs[1:])]
+        if draw(st.booleans(), label="scramble") and len(g_roots) >= 2:
+            g_roots[0], g_roots[-1] = g_roots[-1] - 1, g_roots[0]
+    else:
+        g_roots = draw(st.lists(st.one_of(st.sampled_from(f_roots), root),
+                                min_size=len(f_roots) - 1, max_size=len(f_roots) - 1))
+    return f_roots, g_roots
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_cauchy_index_against_isolation_route(data):
+    f_roots, g_roots = _pair_roots(data.draw)
+    flip = data.draw(st.sampled_from([1, -1]), label="sign of g")
+    f = poly_from_roots(f_roots)
+    g = poly_from_roots(g_roots) * IntPolynomial([flip])
+    strict, h = roots._cauchy_strict(f.coeffs, g.coeffs)
+    reference = roots._interlaces_by_isolation(f, g)
+    assert strict == (reference.kind is InterlaceKind.STRICT)
+    assert h == roots._rat_gcd(list(f.coeffs), list(g.coeffs))
+    assert interlaces(f, g) == reference
+    assert reference.kind.value == interlace_by_sorted_roots(sorted(f_roots),
+                                                             sorted(g_roots))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cauchy_index_never_strict_off_the_negative_axis(data):
+    f_roots, g_roots = _pair_roots(data.draw)
+    # a non-real pair or a positive root in f or in g
+    bad = data.draw(st.sampled_from(["complex f", "complex g", "positive f", "positive g"]))
+    c = data.draw(st.integers(1, 9), label="c")
+    b = data.draw(st.sampled_from([b for b in range(-5, 6) if b * b < 4 * c]), label="b")
+    other = IntPolynomial([c, b, 1])
+    if bad == "complex f":
+        f, g = poly_from_roots(f_roots) * other, poly_from_roots(g_roots + [-1, -2])
+    elif bad == "complex g":
+        f, g = poly_from_roots(f_roots + [-1, -2]), poly_from_roots(g_roots) * other
+    elif bad == "positive f":
+        f, g = poly_from_roots(f_roots[1:] + [data.draw(st.integers(1, 9))]), \
+            poly_from_roots(g_roots)
+    else:
+        f, g = poly_from_roots(f_roots + [-1]), \
+            poly_from_roots(g_roots + [data.draw(st.integers(1, 9))])
+    assert not roots._cauchy_strict(f.coeffs, g.coeffs)[0]
+    with pytest.raises(ValueError, match="negative-real-rooted"):
+        interlaces(f, g)
+
+
+def test_sweep_cell_falls_back(monkeypatch):
+    calls = []
+    real = roots._cauchy_strict
+    monkeypatch.setattr(roots, "_cauchy_strict",
+                        lambda f, g: calls.append((f, g)) or real(f, g))
+    cell = lambda z, prev: roots._sweep_cell(("test", 2, z, prev, False))
+    # degree mismatch: the old route runs, and interlaces rejects the pair
+    with pytest.raises(ValueError, match="deg f = deg g"):
+        cell((1, 3, 1), (1, 3, 1))
+    row = cell((1, 1, 1), (1, 3, 1))
+    assert (row["negative_real_rooted"], row["interlace"]) == (False, "none")
+    assert "error" in row["certificate"]
+    # f(0) = 0: the old route raises as before
+    with pytest.raises(ValueError, match="vanish at 0"):
+        cell((0, 3, 1), (1, 1))
+    assert calls == []
+    # a non-strict index also falls back, to the isolation route's verdict
+    row = cell(poly_from_roots([-1, -2]).coeffs, (1, 1))
+    assert (row["negative_real_rooted"], row["interlace"]) == (True, "weak")
+    assert calls[0] == (poly_from_roots([-1, -2]).coeffs, (1, 1))
+    calls.clear()
+    row = cell(poly_from_roots([-1, -2]).coeffs, (3, 2))
+    assert (row["negative_real_rooted"], row["interlace"]) == (True, "strict")
+    assert len(calls) == 1
+
+
+def test_exact_div_integer_only():
+    assert roots._exact_div([2, 3, 1], [1, 1]) == [2, 1]
+    with pytest.raises(ValueError):
+        roots._exact_div([1, 3, 1], [1, 1])
+    with pytest.raises(ValueError):
+        roots._exact_div([1, 1], [1, 2])  # (1+t)/(1+2t) is not a polynomial
+    with pytest.raises(ValueError):
+        roots._exact_div([1, 1], [2, 2])  # the quotient 1/2 is not integral
+
+
+def test_check_certificate():
+    for p in (poly_from_roots([-1, -2, -5]), poly_from_roots([-1, -1, -3]),
+              IntPolynomial([1, 7, 7, 1]), IntPolynomial([1]),
+              z_family(build_tables(TYPE_B, 12), 12)):
+        assert check_certificate(p, certify_roots(p)), p
+    p = poly_from_roots([-1, -2, -5, -9])
+    cert = certify_roots(p)
+    iso = list(cert.isolating)
+    tamper = lambda intervals, sf=cert.squarefree: SturmCertificate(sf, cert.chain,
+                                                                   tuple(intervals))
+    overlap = [iso[0], (iso[1][0] - 1, iso[1][1])] + iso[2:]
+    assert iso[1][0] - 1 < iso[0][1]
+    assert not check_certificate(p, tamper(overlap))
+    assert not check_certificate(p, tamper(iso[:-1]))
+    assert not check_certificate(p, tamper(iso[::-1]))
+    F = Fraction
+    by_hand = [(F(-10), F(-8)), (F(-6), F(-4)), (F(-3), F(-3, 2)), (F(-3, 2), F(-1, 2))]
+    assert check_certificate(p, tamper(by_hand))
+    by_hand[2] = (F(-4), F(-3))  # no root of p in (-4, -3]
+    assert not check_certificate(p, tamper(by_hand))
+    # same intervals for a polynomial with an extra complex pair
+    q = p * IntPolynomial([1, 0, 1])
+    assert not check_certificate(q, tamper(iso))
+    # every root of p is a root of s, but s has one more: s does not divide p
+    p = poly_from_roots([-1, -1, -2, -2])
+    assert not check_certificate(p, certify_roots(poly_from_roots([-1, -2, -3])))
 
 
 def test_log_concave():
