@@ -3,9 +3,11 @@
 For an arbitrary finite permutation group acting on the ground set and
 preserving flats, the multichain counts refine to permutation characters
 (fixed-point counts), and the closed formula for Kazhdan-Lusztig coefficients
-refines to a virtual character.  For uniform matroids with the full symmetric
-group the characters are written exactly in the h-basis of symmetric
-functions, with Schur expansion through Kostka numbers.
+refines to a virtual character.  Characters are class functions, so the
+fixed chains are counted once per conjugacy class, at its representative.
+For uniform matroids with the full symmetric group the characters are
+written exactly in the h-basis of symmetric functions, with Schur expansion
+through Kostka numbers.
 """
 
 from __future__ import annotations
@@ -292,6 +294,7 @@ class PermGroup:
         identity = tuple(range(n))
         if identity not in set(self.elements):
             raise ValueError("identity missing from group closure")
+        self._classes = None
 
     def __len__(self):
         return len(self.elements)
@@ -334,6 +337,38 @@ class PermGroup:
     def trivial(cls, n: int) -> "PermGroup":
         return cls(n, [tuple(range(n))])
 
+    def classes(self) -> tuple:
+        """The conjugacy classes, each a tuple of this group's own element
+        tuples with its representative first; computed once and cached.
+        A class is an orbit under conjugation by the generators, which
+        generate the group, so the orbit is the whole class."""
+        if self._classes is None:
+            elements = self.elements
+            index = {h: k for k, h in enumerate(elements)}
+            conjugators = []
+            for g in self.generators:
+                inv = [0] * self.n
+                for x, gx in enumerate(g):
+                    inv[gx] = x
+                conjugators.append((g, inv))
+            seen = [False] * len(elements)
+            classes = []
+            for start in range(len(elements)):
+                if seen[start]:
+                    continue
+                seen[start] = True
+                orbit = [start]
+                for k in orbit:
+                    h = elements[k]
+                    for g, inv in conjugators:
+                        c = index[tuple(g[h[inv[x]]] for x in range(self.n))]
+                        if not seen[c]:
+                            seen[c] = True
+                            orbit.append(c)
+                classes.append(tuple(elements[k] for k in orbit))
+            self._classes = tuple(classes)
+        return self._classes
+
     def conjugacy_respects(self, values: dict) -> bool:
         """True iff the table is constant on conjugacy classes (it suffices
         to test conjugation by the generators)."""
@@ -351,7 +386,9 @@ class PermGroup:
 @dataclass
 class ClassFunctionTable:
     """Integer-valued function on group elements (a virtual character given
-    by its values); constant on conjugacy classes."""
+    by its values); constant on conjugacy classes.  `values` holds every
+    element, but the character functions below evaluate one representative
+    per class and copy its value to the rest of the class."""
     group: PermGroup
     values: dict = field(default_factory=dict)
 
@@ -387,10 +424,13 @@ def _flat_permutation(lat: FlatLattice, g) -> list:
 
 
 def _check_action(lat: FlatLattice, group: PermGroup):
-    # verifying the generators would suffice; elements are cheap enough here
-    # that each is checked as its flat permutation is built
+    """Raise unless the group acts on the ground set by flat-preserving
+    permutations.  Checking the generators suffices: flat-preserving
+    permutations are closed under composition."""
     if group.n != lat.n_ground:
         raise ValueError("group degree does not match ground set size")
+    for g in group.generators:
+        _flat_permutation(lat, g)
 
 
 def _fixed_chain_count(lat: FlatLattice, fixed, anchors, profile: tuple,
@@ -432,19 +472,30 @@ def _fixed_flags(lat: FlatLattice, g):
     return fixed, anchors
 
 
+def _chain_character(lat: FlatLattice, group: PermGroup,
+                     terms) -> ClassFunctionTable:
+    """The class function g -> sum of sign * (number of g-fixed multichains
+    with the given corank profile) over the (sign, profile) terms, counted
+    once per conjugacy class at its representative."""
+    _check_action(lat, group)
+    values = {}
+    for cls in group.classes():
+        fixed, anchors = _fixed_flags(lat, cls[0])
+        memo = {}
+        total = 0
+        for sign, profile in terms:
+            total += sign * _fixed_chain_count(lat, fixed, anchors, profile,
+                                               memo)[lat.bottom_id]
+        values.update(dict.fromkeys(cls, total))
+    return ClassFunctionTable(group, values)
+
+
 def equivariant_whitney_character(lat: FlatLattice, group: PermGroup,
                                   profile) -> ClassFunctionTable:
     """Permutation character of the group action on corank-profile
     multichains: each element maps to its number of fixed multichains."""
-    _check_action(lat, group)
     profile = tuple(int(i) for i in profile)
-    values = {}
-    for g in group.elements:
-        fixed, anchors = _fixed_flags(lat, g)
-        memo = {}
-        values[g] = _fixed_chain_count(lat, fixed, anchors, profile,
-                                       memo)[lat.bottom_id]
-    return ClassFunctionTable(group, values)
+    return _chain_character(lat, group, [(1, profile)])
 
 
 def equivariant_c_character(lat: FlatLattice, group: PermGroup,
@@ -454,15 +505,6 @@ def equivariant_c_character(lat: FlatLattice, group: PermGroup,
     value at the identity is the plain coefficient."""
     if i < 1:
         raise ValueError("equivariant coefficient needs i >= 1")
-    _check_action(lat, group)
     tuples = enumerate_index_tuples(i, lat.rk_total)
-    values = {}
-    for g in group.elements:
-        fixed, anchors = _fixed_flags(lat, g)
-        memo = {}
-        total = 0
-        for tup in tuples:
-            total += tup.sign * _fixed_chain_count(
-                lat, fixed, anchors, tup.profile(), memo)[lat.bottom_id]
-        values[g] = total
-    return ClassFunctionTable(group, values)
+    return _chain_character(lat, group,
+                            [(tup.sign, tup.profile()) for tup in tuples])

@@ -5,9 +5,9 @@ from zpoly import (BRAID, GraphSpec, PermGroup, SymFunction, UniformSpec,
                    build_tables, dimension, enumerate_flats,
                    equivariant_c_character, equivariant_c_uniform,
                    equivariant_whitney_character, equivariant_whitney_uniform,
-                   h_product, h_to_schur, is_schur_positive, kl_coeff_closed,
-                   kl_family, kostka_number, lattice_spec, uniform_family,
-                   whitney_multi)
+                   enumerate_index_tuples, h_product, h_to_schur,
+                   is_schur_positive, kl_coeff_closed, kl_family, kostka_number,
+                   lattice_spec, uniform_family, whitney_multi)
 
 
 def test_h_product():
@@ -289,3 +289,81 @@ def test_whitney_character_matches_young_induction():
             for g in group.elements:
                 assert table.values[g] == young_character_value(g, blocks), \
                     (m, d, profile, g)
+
+
+def test_c_character_non_preserving_action_errors():
+    lat = enumerate_flats(GraphSpec(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+    bad = PermGroup.from_generators(4, [(3, 1, 2, 0)])
+    with pytest.raises(ValueError, match="off the lattice"):
+        equivariant_c_character(lat, bad, 1)
+
+
+def klein_group():
+    return PermGroup.from_generators(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+
+
+def conjugate(g, h):
+    inv = [0] * len(g)
+    for x, gx in enumerate(g):
+        inv[gx] = x
+    return tuple(g[h[inv[x]]] for x in range(len(g)))
+
+
+def test_classes_partition_the_group():
+    groups = [PermGroup.symmetric(n) for n in range(1, 6)] + [
+        klein_group(), PermGroup(4, klein_group().elements),
+        edge_action_group(4), PermGroup.trivial(4),
+        PermGroup.from_generators(5, [(1, 2, 3, 4, 0)])]
+    for group in groups:
+        classes = group.classes()
+        assert group.classes() is classes
+        members = [h for cls in classes for h in cls]
+        assert sorted(members) == list(group.elements)
+        # the group's own tuples, not copies
+        assert {id(h) for h in members} == {id(h) for h in group.elements}
+        for cls in classes:
+            assert len(group) % len(cls) == 0
+            for g in group.generators:
+                assert {conjugate(g, h) for h in cls} == set(cls)
+
+
+def test_class_counts():
+    # S_n has one class per partition of n
+    for n, p_n in zip(range(1, 8), (1, 2, 3, 5, 7, 11, 15)):
+        assert len(PermGroup.symmetric(n).classes()) == p_n, n
+    assert len(klein_group().classes()) == 4
+    assert len(edge_action_group(4).classes()) == 5
+    assert len(PermGroup.trivial(4).classes()) == 1
+    assert PermGroup.symmetric(5).classes()[0] == ((0, 1, 2, 3, 4),)
+
+
+def test_c_character_against_per_element_brute_force():
+    # groups whose classes are not S_n cycle types
+    cases = [
+        (enumerate_flats(UniformSpec(1, 3)), klein_group()),
+        (enumerate_flats(lattice_spec(BRAID, 3)), edge_action_group(4)),
+        (enumerate_flats(UniformSpec(2, 3)),
+         PermGroup.from_generators(5, [(1, 2, 3, 4, 0)])),
+    ]
+    for lat, group in cases:
+        tuples = enumerate_index_tuples(1, lat.rk_total)
+        assert tuples
+        table = equivariant_c_character(lat, group, 1)
+        for g in group.elements:
+            want = sum(tup.sign * brute_fixed_chains(lat, g, tup.profile())
+                       for tup in tuples)
+            assert table.values[g] == want, g
+
+
+def test_c_character_matches_uniform_h_formula_at_every_class():
+    for m, d in ((1, 3), (2, 3), (1, 4), (2, 4), (1, 5)):
+        lat = enumerate_flats(UniformSpec(m, d))
+        group = PermGroup.symmetric(m + d)
+        for i in range(1, (d + 1) // 2):
+            table = equivariant_c_character(lat, group, i)
+            f = equivariant_c_uniform(m, d, i)
+            for cls in group.classes():
+                g = cls[0]
+                want = sum(c * young_character_value(g, lam)
+                           for lam, c in f.terms.items())
+                assert table.values[g] == want, (m, d, i, g)
