@@ -41,10 +41,10 @@ class UsageError(Exception):
 
 
 def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ZPOLY_THREADS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("ZPOLY_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise UsageError(f"ZPOLY_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _poly_json(p: IntPolynomial):

@@ -425,8 +425,10 @@ def lattice_spec(family: NiceFamily, d: int) -> MatroidSpec:
 
 def qvec_flats(q: int, d: int):
     """(ground size, flats) of the matroid of all nonzero vectors of F_q^d,
-    with flats the subspaces.  Implemented for prime q (vector arithmetic is
-    mod q); the Whitney tables cover general prime powers."""
+    with flats the subspaces.  Element i is the vector whose base-q digits,
+    least significant first, are those of i + 1.  Implemented for prime q
+    (vector arithmetic is mod q); the Whitney tables cover general prime
+    powers."""
     if any(q % p == 0 for p in range(2, q)) or q < 2:
         raise ValueError("lattice realization needs q prime")
     if d == 0:
@@ -440,33 +442,25 @@ def qvec_flats(q: int, d: int):
             c //= q
         vectors.append(tuple(v))
     index = {v: i for i, v in enumerate(vectors)}
+    zero = (0,) * d
 
-    def span_closure(subspace: frozenset, extra) -> frozenset:
-        # subspace is a set of vectors closed under the field operations
-        # (zero omitted); adding a vector spans q^k new combinations
-        members = set(subspace) | {extra}
-        changed = True
-        while changed:
-            changed = False
-            for a in list(members):
-                for b in list(members):
-                    for c in range(1, q):
-                        s = tuple((x + c * y) % q for x, y in zip(a, b))
-                        if any(s) and s not in members:
-                            members.add(s)
-                            changed = True
-        return frozenset(members)
+    def span(sub: frozenset, v) -> frozenset:
+        # span(S, v) = {s + c v : s in S + {0}, c in F_q} - {0}
+        return frozenset(w for s in (zero, *sub) for c in range(q)
+                         for w in [tuple((x + c * y) % q for x, y in zip(s, v))] if any(w))
 
-    subspaces = {frozenset()}
+    subspaces = {frozenset(): None}
     frontier = [frozenset()]
     while frontier:
         nxt = []
         for sub in frontier:
+            placed = set(sub)    # the covers of sub partition the other vectors
             for v in vectors:
-                if v not in sub:
-                    bigger = span_closure(sub, v)
+                if v not in placed:
+                    bigger = span(sub, v)
+                    placed |= bigger
                     if bigger not in subspaces:
-                        subspaces.add(bigger)
+                        subspaces[bigger] = None
                         nxt.append(bigger)
         frontier = nxt
     flats = tuple(frozenset(index[v] for v in sub) for sub in subspaces)

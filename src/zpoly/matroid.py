@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 from .polyarith import IntPolynomial
@@ -266,19 +267,17 @@ def enumerate_flats(spec: MatroidSpec, flat_cap: int | None = None) -> FlatLatti
         return _enumerate_graph(spec, flat_cap)
     if isinstance(spec, ExplicitBases):
         _check_basis_exchange(spec)
-        rank_fn = _bases_rank_fn(spec)
-        return _enumerate_by_closure(spec.ground, rank_fn, flat_cap)
+        return _enumerate_by_covers(spec.ground, *_bases_oracle(spec), flat_cap)
     if isinstance(spec, LinearVectors):
-        rank_fn = _vectors_rank_fn(spec)
-        return _enumerate_by_closure(len(spec.vectors), rank_fn, flat_cap)
+        return _enumerate_by_covers(len(spec.vectors), *_vectors_oracle(spec), flat_cap)
     if isinstance(spec, ExplicitFlats):
         return _lattice_from_explicit_flats(spec)
     raise TypeError(f"not a matroid spec: {spec!r}")
 
 
-def _check_cap(count: int, flat_cap: int | None):
+def _check_cap(count: int, flat_cap: int | None, rank: int):
     if flat_cap is not None and count > flat_cap:
-        raise FlatCapExceeded(f"flat count exceeds cap {flat_cap}")
+        raise FlatCapExceeded(f"flat count exceeds cap {flat_cap}: {count} flats up to rank {rank}")
 
 
 def _enumerate_uniform(spec: UniformSpec, flat_cap: int | None) -> FlatLattice:
@@ -298,13 +297,13 @@ def _enumerate_uniform(spec: UniformSpec, flat_cap: int | None) -> FlatLattice:
             ranks.append(size)
             covers.append([])
             count += 1
-            _check_cap(count, flat_cap)
+            _check_cap(count, flat_cap, size)
     top = len(flats)
     index[full] = top
     flats.append(full)
     ranks.append(d)
     covers.append([])
-    _check_cap(count + 1, flat_cap)
+    _check_cap(count + 1, flat_cap, d)
     for m, i in index.items():
         if i == top:
             continue
@@ -375,44 +374,31 @@ def _enumerate_graph(spec: GraphSpec, flat_cap: int | None) -> FlatLattice:
                         covers.append([])
                         partitions.append(new_blocks)
                         new_frontier.append(cid)
-                        _check_cap(len(flats), flat_cap)
+                        _check_cap(len(flats), flat_cap, ranks[cid])
                     covers[fid].append(cid)
         frontier = new_frontier
     covers = [sorted(set(cs)) for cs in covers]
     return FlatLattice(flats, ranks, covers, ne)
 
 
-def _enumerate_by_closure(n: int, rank_fn, flat_cap: int | None) -> FlatLattice:
-    """Generic closure-algorithm enumeration from a rank oracle on bitmasks."""
-    def closure(mask: int, rank: int) -> int:
-        out = mask
-        for e in range(n):
-            b = 1 << e
-            if not mask & b and rank_fn(mask | b) == rank:
-                out |= b
-        return out
+def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None) -> FlatLattice:
+    """Breadth-first enumeration from a cover oracle.
 
-    bottom = closure(0, rank_fn(0))
-    flats = [bottom]
-    ranks = [rank_fn(bottom)]
-    covers = [[]]
-    index = {bottom: 0}
-    frontier = [0]
+    bottom is (mask, state) for the bottom flat; covers_of(mask, state)
+    yields one (cover_mask, make_state) pair per cover of the flat, and
+    make_state() is called only the first time that cover is reached.  The
+    covers of a flat F partition E - F, so an oracle needs one closure per
+    cover, not one per element.
+    """
+    bmask, bstate = bottom
+    flats, ranks, covers = [bmask], [0], [[]]
+    index = {bmask: 0}
+    _check_cap(1, flat_cap, 0)
+    frontier = [(0, bstate)]
     while frontier:
         new_frontier = []
-        for fid in frontier:
-            fmask = flats[fid]
-            seen_here = set()
-            for e in range(n):
-                b = 1 << e
-                if fmask & b:
-                    continue
-                g = fmask | b
-                gmask = closure(g, rank_fn(g))
-                if gmask in seen_here:
-                    covers[fid].append(index[gmask])
-                    continue
-                seen_here.add(gmask)
+        for fid, state in frontier:
+            for gmask, make_state in covers_of(flats[fid], state):
                 cid = index.get(gmask)
                 if cid is None:
                     cid = len(flats)
@@ -420,11 +406,10 @@ def _enumerate_by_closure(n: int, rank_fn, flat_cap: int | None) -> FlatLattice:
                     flats.append(gmask)
                     ranks.append(ranks[fid] + 1)
                     covers.append([])
-                    new_frontier.append(cid)
-                    _check_cap(len(flats), flat_cap)
+                    _check_cap(len(flats), flat_cap, ranks[cid])
+                    new_frontier.append((cid, make_state()))
                 covers[fid].append(cid)
         frontier = new_frontier
-    covers = [sorted(set(cs)) for cs in covers]
     return FlatLattice(flats, ranks, covers, n)
 
 
@@ -432,47 +417,87 @@ def _check_basis_exchange(spec: ExplicitBases):
     sizes = {len(b) for b in spec.bases}
     if len(sizes) != 1:
         raise ValueError(f"bases have unequal cardinalities {sorted(sizes)}")
-    for b in spec.bases:
-        for e in b:
-            if not 0 <= e < spec.ground:
-                raise ValueError(f"basis element {e} outside ground set")
-    basis_set = set(spec.bases)
-    for b1 in basis_set:
-        for b2 in basis_set:
-            for x in b1 - b2:
-                if not any(b1 - {x} | {y} in basis_set for y in b2 - b1):
+    masks = {_mask(b, spec.ground) for b in spec.bases}
+    full = (1 << spec.ground) - 1
+    for b1 in masks:
+        # (x, every y with B1 - x + y a basis), as bitmasks
+        swaps = [(1 << x, sum(1 << y for y in _bits(full & ~b1)
+                              if b1 & ~(1 << x) | 1 << y in masks)) for x in _bits(b1)]
+        for b2 in masks:
+            for xb, ys in swaps:
+                if b1 & ~b2 & xb and not ys & b2:
                     raise ValueError(
                         "basis exchange fails: B1=%s B2=%s x=%s"
-                        % (sorted(b1), sorted(b2), x))
+                        % (sorted(_bits(b1)), sorted(_bits(b2)), xb.bit_length() - 1))
 
 
-def _bases_rank_fn(spec: ExplicitBases):
+def _bases_oracle(spec: ExplicitBases):
+    """Covers from a basis B of each flat.  An element outside cl(B) extends
+    B to an independent set and so to a basis; hence cl(B) is B together
+    with every element that no basis containing B contains.  The state of a
+    flat is (B, the bases containing B)."""
     n = spec.ground
+    full = (1 << n) - 1
+
+    def closure(b: int, above) -> int:
+        union = 0
+        for bm in above:
+            union |= bm
+        return b | (full & ~union)
+
+    def covers_of(fmask: int, state):
+        b, above = state
+        rest = full & ~fmask
+        while rest:
+            e = rest & -rest
+            be = b | e
+            sub = [bm for bm in above if bm & e]
+            gmask = closure(be, sub)
+            rest &= ~gmask
+            yield gmask, lambda be=be, sub=sub: (be, sub)
+
     base_masks = [_mask(b, n) for b in spec.bases]
-    memo = {}
+    return (closure(0, base_masks), (0, base_masks)), covers_of
 
-    def rank(mask: int) -> int:
-        r = memo.get(mask)
+
+def _primitive(v: tuple):
+    """v over the gcd of its entries with its first nonzero entry positive;
+    None for the zero vector."""
+    g = gcd(*v)
+    if g and next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v) if g else None
+
+
+def _vectors_oracle(spec: LinearVectors):
+    """Covers by residual directions.  The state of a flat F maps every
+    element outside F to its primitive residual modulo span(F), the image
+    under a fraction-free elimination map whose kernel is span(F).  So x
+    lies in cl(F + e) iff x and e have the same residual, and the covers of
+    F are the classes of equal residual."""
+    bottom, res = 0, {}
+    for e, v in enumerate(spec.vectors):
+        r = _primitive(v)
         if r is None:
-            r = max((mask & bm).bit_count() for bm in base_masks)
-            memo[mask] = r
-        return r
+            bottom |= 1 << e
+        else:
+            res[e] = r
 
-    return rank
+    def eliminate(res: dict, p: tuple) -> dict:
+        # one fraction-free step on the first nonzero column c of p (p[c] > 0)
+        c = next(i for i, x in enumerate(p) if x)
+        pc = p[c]
+        return {e: r if not r[c] else _primitive(tuple(pc * a - r[c] * b for a, b in zip(r, p)))
+                for e, r in res.items() if r != p}
 
+    def covers_of(fmask: int, res: dict):
+        classes = {}
+        for e, r in res.items():
+            classes[r] = classes.get(r, 0) | 1 << e
+        for p, members in classes.items():
+            yield fmask | members, lambda p=p: eliminate(res, p)
 
-def _vectors_rank_fn(spec: LinearVectors):
-    vectors = spec.vectors
-    memo = {}
-
-    def rank(mask: int) -> int:
-        r = memo.get(mask)
-        if r is None:
-            r = bareiss_rank([vectors[e] for e in _bits(mask)])
-            memo[mask] = r
-        return r
-
-    return rank
+    return (bottom, res), covers_of
 
 
 def bareiss_rank(rows) -> int:

@@ -5,7 +5,7 @@ enumeration) and shares no code path with the library internals it checks.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from zpoly import IntPolynomial
 
@@ -104,6 +104,69 @@ def chain_count_naive(lat, profile):
         if all(chain[j] <= chain[j + 1] for j in range(len(chain) - 1)):
             count += 1
     return count
+
+
+# --- flat enumeration oracles
+
+
+def rank_by_fractions(vectors):
+    """Rank over Q by Gauss-Jordan elimination on Fractions."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def bases_by_fractions(vectors):
+    """Every maximal independent subset of the vectors, as index tuples."""
+    r = rank_by_fractions(vectors)
+    return [s for s in combinations(range(len(vectors)), r)
+            if rank_by_fractions([vectors[e] for e in s]) == r]
+
+
+def satisfies_basis_exchange(bases):
+    """The basis exchange axiom, checked directly on frozensets."""
+    bs = {frozenset(b) for b in bases}
+    return all(any(b1 - {x} | {y} in bs for y in b2 - b1)
+               for b1 in bs for b2 in bs for x in b1 - b2)
+
+
+def flats_by_naive_closure(n, rank):
+    """(flats, ranks, covers) in FlatLattice's id order, from a rank function
+    on frozensets: the flats are cl(S) = {x : rank(S + x) = rank(S)} for
+    every subset S, and G covers F when F < G and rank(G) = rank(F) + 1."""
+    subsets = [frozenset(s) for k in range(n + 1) for s in combinations(range(n), k)]
+    rk = {s: rank(s) for s in subsets}
+    flats = {frozenset(x for x in range(n) if rk[s | {x}] == rk[s]) for s in subsets}
+    order = sorted(flats, key=lambda f: (rk[f], sum(1 << e for e in f)))
+    covers = tuple(tuple(j for j, g in enumerate(order) if f < g and rk[g] == rk[f] + 1)
+                   for f in order)
+    return (tuple(sum(1 << e for e in f) for f in order), tuple(rk[f] for f in order), covers)
+
+
+def subspaces_by_brute_force(q, d):
+    """Every subset of F_q^d - {0} closed under addition and scaling (q
+    prime).  Such a set is a union of scaling classes {cv : c != 0}, so the
+    search runs over every union of classes."""
+    vectors = [v for v in product(range(q), repeat=d) if any(v)]
+    classes = list({frozenset(tuple(c * x % q for x in v) for c in range(1, q))
+                    for v in vectors})
+    out = set()
+    for pick in product((False, True), repeat=len(classes)):
+        s = frozenset().union(*(cl for cl, p in zip(classes, pick) if p))
+        sums = (tuple((a + b) % q for a, b in zip(x, y)) for x in s for y in s)
+        if all(w in s or not any(w) for w in sums):
+            out.add(s)
+    return out
 
 
 # --- combinatorial number oracles

@@ -167,6 +167,15 @@ def test_worker_env_var(capsys, monkeypatch):
     assert json.loads(out)["pass"] is True
 
 
+def test_invalid_threads_env_var_is_usage_error(capsys, monkeypatch):
+    for raw in ("x", "0"):
+        monkeypatch.setenv("ZPOLY_THREADS", raw)
+        code, _, err = run(capsys, "verify", "roots", "--family", "qvec:2",
+                           "--dmax", "4")
+        assert code == 2
+        assert "ZPOLY_THREADS" in err
+
+
 def test_verify_under_optimize_flag():
     # python -O strips asserts; the library's invariant checks must not rely on them
     import os

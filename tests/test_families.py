@@ -1,13 +1,14 @@
 import pytest
 
 from oracles import (gaussian_by_product, narayana_by_dyck_paths,
-                     stirling1_by_polynomial, stirling2_by_enumeration)
+                     stirling1_by_polynomial, stirling2_by_enumeration,
+                     subspaces_by_brute_force)
 from zpoly import (BRAID, TYPE_B, IntPolynomial, NiceFamily, binomial,
                    build_tables, characteristic_polynomial, enumerate_flats,
                    gaussian_binomial, is_palindromic, kl_closed_family,
                    kl_defining, kl_family, lattice_spec, narayana,
                    p_from_z_inversion, parse_family, q_shift_check,
-                   qvec_family, series_identity_check, stirling1_signed,
+                   qvec_family, qvec_flats, series_identity_check, stirling1_signed,
                    stirling2, uniform_family, whitney_multi,
                    whitney_multi_family, z_family, z_polynomial)
 
@@ -245,3 +246,25 @@ def test_series_identities_small():
         series_identity_check(BRAID, 17)
     with pytest.raises(ValueError):
         series_identity_check(uniform_family(1), 4)
+
+
+def _qvec_vector(q, d, i):
+    """Element i of qvec_flats(q, d): the base-q digits of i + 1, least
+    significant first."""
+    return tuple((i + 1) // q ** k % q for k in range(d))
+
+
+@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_qvec_flats_against_brute_force(q, d):
+    ground, flats = qvec_flats(q, d)
+    assert ground == q ** d - 1
+    got = {frozenset(_qvec_vector(q, d, i) for i in f) for f in flats}
+    assert len(got) == len(flats)
+    assert got == subspaces_by_brute_force(q, d)
+
+
+@pytest.mark.parametrize("q,d", [(2, 4), (3, 3)])
+def test_qvec_flats_gaussian_counts(q, d):
+    _, flats = qvec_flats(q, d)
+    for k in range(d + 1):
+        assert sum(1 for f in flats if len(f) == q ** k - 1) == gaussian_binomial(d, k, q)

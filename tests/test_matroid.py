@@ -1,6 +1,11 @@
-import pytest
+from itertools import combinations
 
-from oracles import chain_count_naive, lattice_as_sets, mobius_naive
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import (bases_by_fractions, chain_count_naive,
+                     flats_by_naive_closure, lattice_as_sets, mobius_naive,
+                     rank_by_fractions, satisfies_basis_exchange)
 from zpoly import (ExplicitBases, ExplicitFlats, FlatCapExceeded, GraphSpec,
                    IntPolynomial, LinearVectors, UniformSpec, bareiss_rank,
                    characteristic_polynomial, contraction, enumerate_flats,
@@ -191,6 +196,79 @@ def test_whitney_contraction_recursion():
 def test_flat_cap():
     with pytest.raises(FlatCapExceeded):
         enumerate_flats(UniformSpec(0, 9), flat_cap=100)
+
+
+def test_flat_cap_message_says_how_far():
+    k4_vectors = LinearVectors([[1 if k == i else -1 if k == j else 0 for k in range(4)]
+                                for i in range(4) for j in range(i + 1, 4)])
+    k4_bases = ExplicitBases(6, bases_by_fractions(k4_vectors.vectors))
+    # (spec, cap, rank of the flat that passes the cap)
+    cases = [(UniformSpec(0, 9), 100, 3),     # ranks hold 1, 9, 36, 84, ... flats
+             (k_complete(5), 20, 2),          # 1, 10, 25, 15, 1
+             (k4_vectors, 10, 2),             # 1, 6, 7, 1
+             (k4_bases, 7, 2),
+             (LinearVectors([[0], [0]]), 0, 0)]
+    for spec, cap, rank in cases:
+        with pytest.raises(FlatCapExceeded,
+                           match=rf"cap {cap}: {cap + 1} flats up to rank {rank}$"):
+            enumerate_flats(spec, flat_cap=cap)
+
+
+@st.composite
+def vector_configurations(draw):
+    """Up to 9 integer vectors of dimension 1-4: arbitrary vectors,
+    combinations of fewer generators than the dimension (rank-deficient
+    sets), zero vectors and scaled duplicates.  Drawn from a seeded random
+    source: Hypothesis's own size draws leave most examples with under two
+    vectors."""
+    rnd = draw(st.randoms(use_true_random=False))
+    dim = rnd.randint(1, 4)
+
+    def vector():
+        return [rnd.randint(-3, 3) for _ in range(dim)]
+
+    gens = [vector() for _ in range(rnd.randint(1, max(1, dim - 1)))]
+    vectors = []
+    for _ in range(rnd.randint(0, 9)):
+        kind = rnd.choice(["arbitrary", "combination", "scaled", "zero"])
+        if kind == "arbitrary":
+            vectors.append(vector())
+        elif kind == "combination":
+            cs = [rnd.randint(-2, 2) for _ in gens]
+            vectors.append([sum(c * g[i] for c, g in zip(cs, gens)) for i in range(dim)])
+        elif kind == "scaled" and vectors:
+            vectors.append([rnd.choice([1, -1, 2, -3]) * x for x in rnd.choice(vectors)])
+        else:
+            vectors.append([0] * dim)
+    return vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_configurations())
+def test_closure_enumerators_against_naive_closure(vectors):
+    n = len(vectors)
+    want = flats_by_naive_closure(n, lambda s: rank_by_fractions([vectors[e] for e in s]))
+    for spec in (LinearVectors(vectors), ExplicitBases(n, bases_by_fractions(vectors))):
+        lat = enumerate_flats(spec)
+        assert (lat.flats, lat.ranks, lat.covers) == want
+        with pytest.raises(FlatCapExceeded):
+            enumerate_flats(spec, flat_cap=lat.n - 1)
+        assert enumerate_flats(spec, flat_cap=lat.n).n == lat.n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_basis_exchange_check_against_naive(rnd):
+    n = rnd.randint(1, 6)
+    subsets = list(combinations(range(n), rnd.randint(0, n)))
+    bases = rnd.sample(subsets, rnd.randint(1, len(subsets)))
+    try:
+        enumerate_flats(ExplicitBases(n, bases))
+        accepted = True
+    except ValueError as exc:
+        assert "exchange" in str(exc)
+        accepted = False
+    assert accepted == satisfies_basis_exchange(bases)
 
 
 def test_json_round_trip():
