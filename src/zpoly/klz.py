@@ -1,10 +1,16 @@
 """Kazhdan-Lusztig polynomials P(t) and Z-polynomials of a lattice of flats,
-by four independent routes that must agree:
+by four routes that must agree:
 
   * the defining functional equation (read coefficients off its tail),
   * Mobius inversion of the Z-polynomial assembly,
   * the palindromicity recursion expressing c(i) through contractions,
   * the closed alternating sum of multi-indexed Whitney numbers.
+
+One cached table, built by the palindromicity recursion in a single pass
+over pairs of flats, holds P and Z of every upper interval; z_polynomial,
+kl_via_mobius and kl_coeff_new_recursion read it.  kl_defining never does:
+it solves the functional equation with its own per-flat P and Z, using
+mu(F, H) on every interval, and checks the equation in full.
 
 All arithmetic is exact big-integer.
 """
@@ -94,154 +100,145 @@ def closed_formula_terms(lat: FlatLattice, i: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# method 1: the defining functional equation
+# the P/Z table: palindromicity of every Z_F, one pass over pairs F < G
 
 
 def _p_table(lat: FlatLattice):
-    """P of every upper interval [F, top], keyed by flat id.
+    """(P, Z) of every upper interval [F, top], keyed by flat id, cached.
 
-    For each flat F, working down the lattice, form
-        R_F(t) = sum over G > F of chi_{[F,G]}(t) * P_G(t)
-    and read the coefficients of P_F off the high-degree tail of R_F.
-    The Mobius values mu(F, .) and the chi contributions are accumulated in
-    one fused sweep over chains F <= H <= G.  That sweep grows with the
-    number of 3-chains and dominates the cost on large lattices such as the
-    partition lattice of braid d=8.
+    Z_F = P_F + S_F with S_F = sum over G > F of t^{rk G - rk F} P_G, and
+    deg P_F < crk F / 2; so palindromicity of Z_F fixes
+        P_F[j] = S_F[crk - j] - S_F[j]    for 1 <= j < crk / 2,
+    which is the recursion of kl_coeff_new_recursion at every flat.  One
+    sweep by decreasing rank over the pairs F < G fills both tables.
+    z_polynomial, kl_via_mobius and kl_coeff_new_recursion read it;
+    kl_defining does not.
     """
-    table = lat._cache.get("ptable")
+    table = lat._cache.get("pz")
     if table is not None:
         return table
-    n = lat.n
     ranks = lat.ranks
     rk_total = lat.rk_total
     ups = lat.uppers()
-    P = [None] * n
-    acc = [0] * n
-    for f in sorted(range(n), key=lambda x: -ranks[x]):
-        crk = rk_total - ranks[f]
-        if crk == 0:
-            P[f] = (1,)
-            continue
-        ups_f = ups[f]
-        R = [0] * (crk + 1)
+    P = [None] * lat.n
+    Z = [None] * lat.n
+    for f in reversed(range(lat.n)):    # ids are in rank order
         rank_f = ranks[f]
-        # H = F contributes mu = 1 to every chain starting at F.
-        for g in ups_f:
-            acc[g] += 1
+        crk = rk_total - rank_f
+        S = [0] * (crk + 1)
+        for g in ups[f]:
             base = ranks[g] - rank_f
             for j, c in enumerate(P[g]):
-                R[base + j] += c
-        # H > F: by increasing rank, so acc[h] is complete when read.
-        for h in ups_f:
-            m = -acc[h]
-            if m:
-                rank_h = ranks[h]
-                for j, c in enumerate(P[h]):
-                    R[j] += m * c
-                for g in ups[h]:
-                    acc[g] += m
-                    base = ranks[g] - rank_h
-                    for j, c in enumerate(P[g]):
-                        R[base + j] += m * c
-        for h in ups_f:
-            acc[h] = 0
-        if R[crk] != 1:
-            raise RuntimeError("functional equation must have leading tail 1")
-        coeffs = [1]
-        for i in range(1, (crk + 1) // 2):
-            coeffs.append(R[crk - i])
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        P[f] = tuple(coeffs)
-    table = tuple(P)
-    lat._cache["ptable"] = table
+                S[base + j] += c
+        p = [1] + [S[crk - j] - S[j] for j in range(1, (crk + 1) // 2)]
+        while p[-1] == 0:
+            p.pop()
+        for j, c in enumerate(p):
+            S[j] += c
+        P[f] = tuple(p)
+        Z[f] = tuple(S)
+    table = (tuple(P), tuple(Z))
+    lat._cache["pz"] = table
     return table
-
-
-def kl_defining(lat: FlatLattice) -> IntPolynomial:
-    """P(t) characterized by P = 1 in rank 0, deg P < rk/2, and the
-    chi-twisted functional equation over all flats."""
-    return IntPolynomial(_p_table(lat)[lat.bottom_id])
 
 
 def z_polynomial(lat: FlatLattice) -> IntPolynomial:
     """Z(t) = sum over flats F of t^{rk F} P_{M^F}(t)."""
-    P = _p_table(lat)
-    out = [0] * (lat.rk_total + 1)
-    for f in range(lat.n):
-        base = lat.ranks[f]
-        for j, c in enumerate(P[f]):
-            out[base + j] += c
-    return IntPolynomial(out)
-
-
-def _z_of_interval(lat: FlatLattice, fid: int, P) -> list:
-    rank_f = lat.ranks[fid]
-    out = [0] * (lat.rk_total - rank_f + 1)
-    for g in [fid] + list(lat.uppers()[fid]):
-        base = lat.ranks[g] - rank_f
-        for j, c in enumerate(P[g]):
-            out[base + j] += c
-    return out
+    return IntPolynomial(_p_table(lat)[1][lat.bottom_id])
 
 
 def kl_via_mobius(lat: FlatLattice) -> IntPolynomial:
     """P(t) assembled as sum_F mu(bottom,F) t^{rk F} Z_{M^F}(t); exact
     inverse of the Z-polynomial definition."""
-    P = _p_table(lat)
+    Z = _p_table(lat)[1]
     mu = mobius_from_bottom(lat)
     out = [0] * (lat.rk_total + 1)
-    for f in range(lat.n):
-        m = mu[f]
-        if not m:
-            continue
-        base = lat.ranks[f]
-        for j, c in enumerate(_z_of_interval(lat, f, P)):
-            out[base + j] += m * c
+    for f, m in enumerate(mu):
+        if m:
+            base = lat.ranks[f]
+            for j, c in enumerate(Z[f]):
+                out[base + j] += m * c
     return IntPolynomial(out)
-
-
-# ---------------------------------------------------------------------------
-# method 3: the recursion extracted from palindromicity
 
 
 def kl_coeff_new_recursion(lat: FlatLattice, i: int) -> int:
     """c(i) via c(i) = sum_{F>bottom} c_{M^F}(crk F - i) - sum_{F>bottom}
     c_{M^F}(i - rk F), grounded only in c(0) = 1 and the degree bound.
 
-    Out-of-range inner requests return 0; the descent is strict in both rank
-    and coefficient index, so memoization over (flat, i) terminates.
+    The P/Z table applies exactly this recursion at every flat, bottom last.
     """
     if i < 0:
         raise ValueError("coefficient index must be nonnegative")
-    memo = lat._cache.setdefault("c_recursion", {})
-    ranks = lat.ranks
-    rk_total = lat.rk_total
-    ups = lat.uppers()
-
-    def c(fid: int, j: int) -> int:
-        if j == 0:
-            return 1
-        crk = rk_total - ranks[fid]
-        if j < 0 or 2 * j >= crk:
-            return 0
-        key = (fid, j)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        rank_f = ranks[fid]
-        total = 0
-        for g in ups[fid]:
-            crk_g = rk_total - ranks[g]
-            total += c(g, crk_g - j) - c(g, j - (ranks[g] - rank_f))
-        memo[key] = total
-        return total
-
-    return c(lat.bottom_id, i)
+    p = _p_table(lat)[0][lat.bottom_id]
+    return p[i] if i < len(p) else 0
 
 
 # ---------------------------------------------------------------------------
-# method 4: the closed formula over Whitney numbers
+# the defining functional equation, as an independent verifier
+
+
+def _defining_table(lat: FlatLattice):
+    """(P, Z) of every upper interval from the defining equation alone.
+
+    For each flat F, working down the lattice,
+        R_F = sum over G >= F of chi_{[F,G]} P_G = sum over H >= F of mu(F,H) Z_H
+    must equal t^{crk} P_F(1/t).  Its tail gives
+        P_F[i] = S_F[crk - i] + sum over H > F of mu(F,H) Z_H[crk - i],
+    and its low half (degrees <= crk/2) must vanish.  mu(F, .) comes from a
+    scalar sweep over chains F <= H <= G; the polynomial work is two sums
+    over pairs.  Shares nothing with _p_table and is not cached.
+    """
+    n = lat.n
+    ranks = lat.ranks
+    rk_total = lat.rk_total
+    ups = lat.uppers()
+    P = [None] * n
+    Z = [None] * n
+    acc = [0] * n
+    for f in reversed(range(n)):
+        rank_f = ranks[f]
+        crk = rk_total - rank_f
+        if crk == 0:
+            P[f] = Z[f] = (1,)
+            continue
+        ups_f = ups[f]
+        S = [0] * (crk + 1)         # sum over G > F of t^{rk G - rk F} P_G
+        T = [0] * (crk + 1)         # sum over H > F of mu(F, H) Z_H
+        for g in ups_f:
+            acc[g] += 1
+            base = ranks[g] - rank_f
+            for j, c in enumerate(P[g]):
+                S[base + j] += c
+        for h in ups_f:             # by increasing rank: acc[h] is complete
+            m = -acc[h]
+            acc[h] = 0
+            if m:
+                for g in ups[h]:
+                    acc[g] += m
+                for j, c in enumerate(Z[h]):
+                    T[j] += m * c
+        if S[crk] + T[crk] != 1:
+            raise RuntimeError("functional equation must have leading tail 1")
+        p = [1] + [S[crk - i] + T[crk - i] for i in range(1, (crk + 1) // 2)]
+        while p[-1] == 0:
+            p.pop()
+        for j, c in enumerate(p):
+            S[j] += c
+        if any(S[j] + T[j] for j in range(crk // 2 + 1)):
+            raise RuntimeError("functional equation fails in low degrees")
+        P[f] = tuple(p)
+        Z[f] = tuple(S)
+    return P, Z
+
+
+def kl_defining(lat: FlatLattice) -> IntPolynomial:
+    """P(t) characterized by P = 1 in rank 0, deg P < rk/2, and the
+    chi-twisted functional equation over all flats."""
+    return IntPolynomial(_defining_table(lat)[0][lat.bottom_id])
+
+
+# ---------------------------------------------------------------------------
+# the closed formula over Whitney numbers
 
 
 def kl_coeff_closed(lat: FlatLattice, i: int) -> int:

@@ -11,6 +11,7 @@ elements need no special handling.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -549,27 +550,25 @@ def _lattice_from_explicit_flats(spec: ExplicitFlats) -> FlatLattice:
             raise ValueError(
                 f"explicit flats not closed under intersection: "
                 f"{sorted(_bits(a))} ^ {sorted(_bits(b))}")
-    # Longest-chain ranks; then check the poset is graded.
-    order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
-    ranks = [0] * len(masks)
-    for i in order:
-        best = -1
-        for j in range(len(masks)):
-            if j != i and masks[j] & masks[i] == masks[j]:
-                best = max(best, ranks[j])
-        ranks[i] = best + 1
+    # Covers are the minimal strict supersets.  By size order every strict
+    # superset comes later, and one that contains no cover found so far is
+    # itself a cover (a flat in between would contain one).
+    masks.sort(key=int.bit_count)
     covers = [[] for _ in masks]
-    for i in range(len(masks)):
-        for j in range(len(masks)):
-            if i == j or masks[i] & masks[j] != masks[i]:
-                continue
-            if not any(k not in (i, j)
-                       and masks[i] & masks[k] == masks[i]
-                       and masks[k] & masks[j] == masks[k]
-                       for k in range(len(masks))):
-                if ranks[j] != ranks[i] + 1:
-                    raise ValueError("explicit flats do not form a graded lattice")
-                covers[i].append(j)
+    for i, a in enumerate(masks):
+        found = covers[i]
+        for j in range(i + 1, len(masks)):
+            b = masks[j]
+            if b & a == a and not any(masks[c] & b == masks[c] for c in found):
+                found.append(j)
+    # Ranks from the covers in size order; graded means every lower cover of
+    # a flat gets it the same rank.
+    ranks = [0] * len(masks)
+    for i, found in enumerate(covers):
+        for j in found:
+            ranks[j] = ranks[i] + 1
+    if any(ranks[j] != ranks[i] + 1 for i, found in enumerate(covers) for j in found):
+        raise ValueError("explicit flats do not form a graded lattice")
     if sum(1 for r in ranks if r == 0) != 1:
         raise ValueError("explicit flats must have a unique bottom")
     return FlatLattice(masks, ranks, covers, n)
@@ -622,19 +621,17 @@ def _whitney_vector(lat: FlatLattice, profile: tuple):
     else:
         head, rest = profile[0], profile[1:]
         prev = _whitney_vector(lat, rest)
+        target = lat.rk_total - head    # rank of flats with corank == head
+        # ids are in rank order, so the target rank is an id range [lo, hi)
+        # and every up-set meets it in one slice
+        lo = bisect_left(lat.ranks, target)
+        hi = bisect_left(lat.ranks, target + 1)
         ups = lat.uppers()
-        cr = lat.rk_total
-        ranks = lat.ranks
         out = [0] * n
-        target = cr - head          # rank of flats with corank == head
-        for f in range(n):
-            total = 0
-            if ranks[f] == target:
-                total += prev[f]
-            for g in ups[f]:
-                if ranks[g] == target:
-                    total += prev[g]
-            out[f] = total
+        for f in range(lo):
+            ups_f = ups[f]
+            out[f] = sum(prev[g] for g in ups_f[bisect_left(ups_f, lo):bisect_left(ups_f, hi)])
+        out[lo:hi] = prev[lo:hi]
         vec = tuple(out)
     memo[profile] = vec
     return vec

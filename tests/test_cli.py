@@ -84,6 +84,29 @@ def test_verify_narayana(capsys):
     assert len(report["checks"]) == 9
 
 
+def test_verify_palindrome_reads_the_defining_route(capsys, monkeypatch):
+    # z_polynomial is palindromic by construction, so the lattice checks
+    # read Z from the defining equation; a wrong Z there must fail them
+    import zpoly.cli as cli
+
+    def shifted(lat):
+        P, Z = defining(lat)
+        Z = list(Z)
+        Z[lat.bottom_id] = (0,) + Z[lat.bottom_id]
+        return P, Z
+
+    defining = cli._defining_table
+    code, out, _ = run(capsys, "verify", "palindrome", "--dmax", "4")
+    assert code == 0 and json.loads(out)["pass"] is True
+    monkeypatch.setattr(cli, "_defining_table", shifted)
+    code, out, _ = run(capsys, "verify", "palindrome", "--dmax", "4")
+    checks = json.loads(out)["checks"]
+    lattices = [c["pass"] for c in checks if "d<=" not in c["name"]]
+    families = [c["pass"] for c in checks if "d<=" in c["name"]]
+    assert code == 1
+    assert lattices and not any(lattices)
+    assert families and all(families)
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2

@@ -4,11 +4,12 @@ matroids, not just the named corpus."""
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import chain_count_naive
+from oracles import chain_count_naive, z_naive
 from zpoly import (BRAID, TYPE_B, GraphSpec, IntPolynomial, KlMethod, LinearVectors,
                    conjecture_sweep, contraction, enumerate_flats,
                    is_palindromic, kl_by_method, kl_defining, localization,
                    uniform_family, whitney_multi, z_polynomial)
+from zpoly.klz import _defining_table, _p_table
 
 
 def random_multigraph(draw):
@@ -68,6 +69,20 @@ def test_interval_computations_compose(spec):
     assert IntPolynomial(out) == z_polynomial(lat)
     assert localization(lat, lat.top_id).n == lat.n
 
+
+@given(random_spec())
+@settings(max_examples=60, deadline=None)
+def test_pz_table_at_every_flat(spec):
+    # the palindromic P/Z table against the defining route and the naive
+    # oracle on every contraction; the defining route's own Z is palindromic
+    lat = enumerate_flats(spec)
+    P, Z = _p_table(lat)
+    P_def, Z_def = _defining_table(lat)
+    for f in range(lat.n):
+        sub = contraction(lat, f)
+        assert P[f] == P_def[f] == kl_defining(sub).coeffs, (spec, f)
+        assert Z[f] == Z_def[f] == z_naive(sub).coeffs, (spec, f)
+        assert is_palindromic(IntPolynomial(Z_def[f]), lat.corank(f)), (spec, f)
 
 def test_sweep_stretch_range_d30():
     # the desk-scale criterion stops at d = 20; the full range stays green

@@ -155,3 +155,37 @@ def test_closed_formula_terms_recorded():
     lat = braid(3)
     terms = closed_formula_terms(lat, 1)
     assert [(s, v) for s, _, v in terms] == [(1, 7), (-1, 6)]
+
+
+def test_defining_route_never_reads_the_table():
+    # a poisoned P/Z table changes the table routes but not kl_defining,
+    # and kl_defining leaves no per-flat table behind
+    for spec in SMALL_SPECS:
+        lat = enumerate_flats(spec)
+        lat.uppers()
+        before = set(lat._cache)
+        p = kl_defining(lat)
+        assert set(lat._cache) == before, spec
+        lat._cache["pz"] = (((7,),) * lat.n, ((7,),) * lat.n)
+        assert kl_defining(lat) == p == kl_naive(lat), spec
+        assert z_polynomial(lat) == IntPolynomial([7])
+
+
+def test_defining_route_checks_tail_and_low_half():
+    # dropping one pair from the up-sets breaks the chains the defining
+    # equation sums over; both of its checks must catch some of these
+    lat = enumerate_flats(UniformSpec(2, 4))
+    ups = [list(u) for u in lat.uppers()]
+    messages = set()
+    for f in range(lat.n):
+        for g in ups[f]:
+            broken = [list(u) for u in ups]
+            broken[f].remove(g)
+            lat._cache.clear()
+            lat._cache["uppers"] = broken
+            try:
+                kl_defining(lat)
+            except RuntimeError as exc:
+                messages.add(str(exc))
+    assert any("leading tail" in m for m in messages), messages
+    assert any("low degrees" in m for m in messages), messages

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +47,26 @@ def test_explicit_flats_validation():
     with pytest.raises(ValueError):
         enumerate_flats(ExplicitFlats(3, [[], [0, 1], [1, 2], [0, 1, 2]]))  # no meet
 
+
+def test_explicit_flats_partition_lattices_match_graph():
+    for nv in (6, 7):
+        graph = enumerate_flats(k_complete(nv))
+        lat = enumerate_flats(ExplicitFlats(
+            graph.n_ground, [graph.flat_elements(i) for i in range(graph.n)]))
+        assert (lat.flats, lat.ranks, lat.covers) == \
+            (graph.flats, graph.ranks, graph.covers), nv
+
+
+def test_explicit_flats_error_messages():
+    with pytest.raises(ValueError, match="full ground set"):
+        enumerate_flats(ExplicitFlats(2, [[], [0], [1]]))
+    with pytest.raises(ValueError, match="closed under intersection"):
+        enumerate_flats(ExplicitFlats(3, [[], [0, 1], [1, 2], [0, 1, 2]]))
+    with pytest.raises(ValueError, match="graded lattice"):
+        # [] < [0] < [0, 1] < [0, 1, 2] beside [] < [2] < [0, 1, 2]
+        enumerate_flats(ExplicitFlats(3, [[], [0], [2], [0, 1], [0, 1, 2]]))
+    with pytest.raises(ValueError, match="duplicate"):
+        enumerate_flats(ExplicitFlats(1, [[], [0], [0]]))
 
 def test_bases_spec():
     # U_{1,2} as explicit bases
@@ -163,6 +183,16 @@ def test_whitney_against_chain_enumeration():
         for profile in ([1], [2], [1, 1], [2, 1], [2, 2], [3, 2, 1], [1, 2]):
             assert whitney_multi(lat, profile) == chain_count_naive(lat, profile)
 
+
+def test_whitney_with_impossible_coranks():
+    # coranks below 0 or above the rank select no flat, wherever they sit
+    for spec in (k_complete(5), UniformSpec(1, 3), LinearVectors(((1, 0), (0, 1), (1, 1)))):
+        lat = enumerate_flats(spec)
+        coranks = range(-2, lat.rk_total + 3)
+        for length in (1, 2, 3):
+            for profile in product(coranks, repeat=length):
+                assert whitney_multi(lat, profile) == chain_count_naive(lat, profile), \
+                    (spec, profile)
 
 def test_whitney_counts_flats_per_corank():
     lat = enumerate_flats(UniformSpec(2, 3))
