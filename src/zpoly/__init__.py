@@ -3,9 +3,8 @@ matroids, with fast recursions for contraction-closed families, certified
 real-root isolation, and equivariant refinements."""
 
 from .polyarith import (IntPolynomial, RatPolynomial, TruncatedSeries,
-                        format_polynomial, is_palindromic, poly_add, poly_mul,
-                        poly_scale_shift, reverse, series_exp, series_inv,
-                        series_log, series_sqrt_inv)
+                        format_polynomial, is_palindromic, reverse, series_exp,
+                        series_inv, series_log, series_sqrt_inv)
 from .matroid import (ExplicitBases, ExplicitFlats, FlatCapExceeded,
                       FlatLattice, GraphSpec, LinearVectors, MatroidSpec,
                       UniformSpec, bareiss_rank, characteristic_polynomial,

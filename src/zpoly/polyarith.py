@@ -142,19 +142,6 @@ def format_polynomial(coeffs, var: str = "t") -> str:
     return " + ".join(terms)
 
 
-def poly_add(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p + q
-
-
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p * q
-
-
-def poly_scale_shift(p: IntPolynomial, power: int) -> IntPolynomial:
-    """Multiply p by t**power; power must be nonnegative."""
-    return p.shift(power)
-
-
 def reverse(p: IntPolynomial, d: int) -> IntPolynomial:
     """Return t**d * p(1/t).  Requires deg p <= d."""
     if p.degree > d:

@@ -19,6 +19,14 @@ and constant coefficients.
   certifies both polynomials and STRICT interlacing with no bisection.
   Every other pair goes to the isolation route: gcd deflation gives WEAK,
   and Sturm-guided bisection of dyadic intervals gives the witness of NONE.
+* Half degree: Z-polynomials are palindromic (Proudfoot-Xu-Young), so
+  Z_d = t^m Q_d(s) for d = 2m and (1 + t) t^m Q_d(s) for d = 2m + 1, with
+  s = t + 1/t.  s increases on (-inf, -1), so (Z_d, Z_{d-1}) interlaces
+  strictly exactly when (Q_d, Q_{d-1}) does left of s = -2, the roots
+  t = -1 of the odd one lying in between; one sequence of degree about
+  d/2 decides it.  interlaces and the sweep try this first when both
+  inputs are palindromic of their own degrees d, d - 1 and Q_d(-2) != 0;
+  other pairs, and answers short of STRICT, take the full-degree route.
 * Certificates: isolating intervals from bisection; check_certificate
   re-checks one with its own sign evaluation and division, sharing no code
   with the sequence routines.
@@ -199,6 +207,48 @@ def _cauchy_strict(f, g):
     """
     seq = _remainder_sequence(f, g)
     return abs(_negative_index(seq)) == len(f) - 1, _normalized(seq[-1])
+
+
+def _half_degree(cs):
+    """Q with cs = t^m Q(u) for d = 2m, or (1 + t) t^m Q(u) for d = 2m + 1,
+    where d = deg cs and u = t + 1/t + 2; None unless cs is palindromic of
+    degree d.  Q is the sum of the middle-out coefficients w_{m+j} of the
+    even part times the Dickson polynomials D_j(s) = t^j + t^-j (D_0 = 2,
+    D_1 = s, D_{j+1} = s D_j - D_{j-1}), run at s = u - 2."""
+    if tuple(cs) != tuple(reversed(cs)):
+        return None
+    w = list(cs) if len(cs) % 2 else _exact_div(cs, [1, 1])
+    m = (len(w) - 1) // 2
+    q = [w[m]]
+    prev, cur = [2], [-2, 1]
+    for c in w[m + 1:]:
+        q = [a + c * b for a, b in zip(q + [0], cur)]
+        prev, cur = cur, [a - 2 * b - e for a, b, e in
+                          zip([0] + cur, cur + [0], prev + [0, 0])]
+    return q
+
+
+def _half_degree_strict(f, g) -> bool:
+    """True iff f, g (integer lists of degrees d and d - 1, palindromic of
+    their own degrees, Q_f(0) != 0) interlace strictly, decided on Q_f, Q_g
+    over u < 0; False for every other pair.
+
+    Even d: deg Q_f = deg Q_g + 1, which is _cauchy_strict.  Odd d: both have
+    degree m, and |Ind(Q_g/Q_f)| = m says Q_f has m distinct negative roots,
+    a root of Q_g in each gap and one more real root x of Q_g outside them.
+    The jump at Q_f's largest root a counts sign(Q_g(a) Q_f'(a)), so x > a
+    iff Ind = -m sign(lc Q_f lc Q_g), and x < 0 iff sign Q_g(0) = sign lc Q_g.
+    """
+    if len(f) != len(g) + 1:
+        return False
+    qf, qg = _half_degree(f), _half_degree(g)
+    if qf is None or qg is None or qf[0] == 0:
+        return False
+    if len(qf) != len(qg):
+        return _cauchy_strict(qf, qg)[0]
+    index = _negative_index(_remainder_sequence(qf, qg))
+    lead = 1 if qf[-1] * qg[-1] > 0 else -1
+    return index * lead == 1 - len(qf) and qg[0] * qg[-1] > 0
 
 
 # --- public surface
@@ -404,15 +454,18 @@ def _overlaps(a, b) -> bool:
 def interlaces(f: IntPolynomial, g: IntPolynomial) -> InterlaceVerdict:
     """Decide whether the roots of g separate the roots of f.
 
-    Requires deg f = deg g + 1 and both inputs negative-real-rooted.  One
-    remainder sequence of (f, g) decides STRICT (Cauchy index +-deg f), with
-    no bisection.  Any other pair takes the isolation route: shared roots
-    are factored out by gcd and the deflated pair decided, any shared root
-    downgrading a success to WEAK; NONE carries a witness from isolating
-    intervals.
+    Requires deg f = deg g + 1 and both inputs negative-real-rooted.  For
+    palindromic inputs the half-degree reduction may decide STRICT first.
+    Otherwise one remainder sequence of (f, g) decides STRICT (Cauchy index
+    +-deg f), with no bisection.  Any other pair takes the isolation route:
+    shared roots are factored out by gcd and the deflated pair decided, any
+    shared root downgrading a success to WEAK; NONE carries a witness from
+    isolating intervals.
     """
     if g.is_zero() or f.degree != g.degree + 1:
         raise ValueError("need deg f = deg g + 1 with g nonzero")
+    if _half_degree_strict(f.coeffs, g.coeffs):
+        return InterlaceVerdict(InterlaceKind.STRICT)
     h = None
     if f.coefficient(0) != 0:
         strict, h = _cauchy_strict(f.coeffs, g.coeffs)
@@ -507,8 +560,9 @@ def _sweep_cell(args):
     family_str, d, z_coeffs, z_prev_coeffs, want_cert = args
     start = time.perf_counter()
     zd = IntPolynomial(z_coeffs)
-    if (z_prev_coeffs and len(z_coeffs) == len(z_prev_coeffs) + 1 and z_coeffs[0] != 0
-            and _cauchy_strict(z_coeffs, z_prev_coeffs)[0]):
+    if z_prev_coeffs and (_half_degree_strict(z_coeffs, z_prev_coeffs) or (
+            len(z_coeffs) == len(z_prev_coeffs) + 1 and z_coeffs[0] != 0
+            and _cauchy_strict(z_coeffs, z_prev_coeffs)[0])):
         # one sequence certified both polynomials and strict interlacing
         rooted, verdict = True, "strict"
     else:

@@ -218,3 +218,28 @@ def test_verify_under_optimize_flag():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["pass"] is True
+
+
+def test_verify_half_degree_route_under_optimize_flag():
+    # braid to d = 40 goes through the palindromic reduction; with asserts
+    # stripped every check must still pass
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import zpoly
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(zpoly.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep))
+    env.pop("ZPOLY_THREADS", None)
+    code = ("import sys; from zpoly.cli import main; sys.exit(main(["
+            "'verify', 'interlace', '--family', 'braid', '--dmax', '40']))")
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["pass"] is True
+    assert len(report["checks"]) == 40
+    assert all(check["pass"] for check in report["checks"])

@@ -91,3 +91,13 @@ def test_sweep_stretch_range_d30():
         for row in rows:
             assert row["negative_real_rooted"], (str(family), row["d"])
             assert row["interlace"] in ("strict", "weak"), (str(family), row["d"])
+
+
+def test_sweep_stretch_range_d40():
+    # past d = 30 the half-degree reduction keeps the sweep at about a second
+    for family in (BRAID, TYPE_B, uniform_family(2), uniform_family(10)):
+        rows = conjecture_sweep(family, 40)
+        assert len(rows) == 40
+        for row in rows:
+            assert row["negative_real_rooted"], (str(family), row["d"])
+            assert row["interlace"] in ("strict", "weak"), (str(family), row["d"])

@@ -8,8 +8,8 @@ from oracles import (interlace_by_sorted_roots, poly_from_roots,
 from zpoly import (BRAID, TYPE_B, IntPolynomial, InterlaceKind, SturmCertificate,
                    build_tables, certify_roots, check_certificate,
                    conjecture_sweep, count_negative_real_roots, interlaces,
-                   is_log_concave, is_negative_real_rooted, isolate_roots,
-                   qvec_family, squarefree_part, uniform_family, z_family)
+                   is_log_concave, is_negative_real_rooted, is_palindromic,
+                   isolate_roots, qvec_family, squarefree_part, uniform_family, z_family)
 from zpoly import roots
 
 # distinct small negative integer roots
@@ -220,6 +220,132 @@ def test_cauchy_index_never_strict_off_the_negative_axis(data):
     assert not roots._cauchy_strict(f.coeffs, g.coeffs)[0]
     with pytest.raises(ValueError, match="negative-real-rooted"):
         interlaces(f, g)
+
+
+def _reciprocal(r):
+    """(t - r)(t - 1/r) scaled to integers, positive leading coefficient:
+    palindromic of degree 2."""
+    r = Fraction(r)
+    pair = (IntPolynomial([-r.numerator, r.denominator])
+            * IntPolynomial([-r.denominator, r.numerator]))
+    return pair if pair.coefficient(2) > 0 else -pair
+
+
+def _palindromic_pair(draw):
+    """Palindromic f, g of degrees d and d - 1, built from reciprocal pairs
+    with roots r = k/2 <= -1 and the root t = -1 that odd degree forces.
+    Returns f, g and their root lists, or None for the lists when a factor
+    is non-real or positive.  The pairs of f and g alternate, touch, or are drawn freely
+    (shared pairs, repeated pairs, r = -1); for odd d the extra pair of g
+    sits right or wrong of f's, at t = -1, or is non-real or positive.  One
+    pair anywhere may also be non-real."""
+    m = draw(st.integers(0, 4), label="pairs of f")
+    odd = m == 0 or draw(st.booleans(), label="odd d")
+    n_g = m if odd else m - 1
+    extra = None
+    if m and draw(st.booleans(), label="alternate"):
+        f_keys = [2 * k for k in sorted(draw(st.sets(st.integers(-12, -2),
+                                                     min_size=m, max_size=m)))]
+        inside = draw(st.booleans(), label="inside")
+        g_keys = [draw(st.integers(a + 1, b - 1) if inside else st.integers(a, b))
+                  for a, b in zip(f_keys, f_keys[1:])]
+        if odd:
+            side = draw(st.sampled_from(
+                ["right", "touch", "wrong", "t = -1", "non-real", "positive"]))
+            if side == "right":
+                g_keys.append(draw(st.integers(f_keys[-1] + 1, -3)))
+            elif side == "touch":
+                g_keys.append(f_keys[-1])
+            elif side == "wrong":
+                g_keys.append(draw(st.integers(f_keys[0] - 6, f_keys[0] - 1)))
+            elif side == "t = -1":
+                g_keys.append(-2)
+            else:
+                extra = side
+    else:
+        pool = draw(st.lists(st.integers(-12, -2), min_size=1, max_size=3))
+        key = st.one_of(st.sampled_from(pool), st.integers(-12, -2))
+        f_keys = draw(st.lists(key, min_size=m, max_size=m))
+        g_keys = draw(st.lists(key, min_size=n_g, max_size=n_g))
+    f_pairs = [_reciprocal(Fraction(k, 2)) for k in f_keys]
+    g_pairs = [_reciprocal(Fraction(k, 2)) for k in g_keys]
+    real = True
+    if extra is None and draw(st.integers(0, 3), label="non-real anywhere") == 0:
+        pairs = f_pairs if draw(st.booleans(), label="in f") or not g_pairs else g_pairs
+        if pairs:
+            extra = "non-real"
+            pairs.pop(draw(st.integers(0, len(pairs) - 1), label="replaced"))
+    if extra == "non-real":
+        c = draw(st.integers(1, 5), label="c")
+        pair = IntPolynomial([c, draw(st.integers(1 - 2 * c, 2 * c - 1), label="b"), c])
+        (f_pairs if len(f_pairs) < m else g_pairs).append(pair)
+        real = False
+    elif extra == "positive":
+        g_pairs.append(_reciprocal(Fraction(draw(st.integers(2, 12)), 2)))
+        real = False
+    one_plus_t = IntPolynomial([1, 1])
+    f = one_plus_t if odd else IntPolynomial([1])
+    g = IntPolynomial([1]) if odd else one_plus_t
+    for pair in f_pairs:
+        f = f * pair
+    for pair in g_pairs:
+        g = g * pair
+    f = f * IntPolynomial([draw(st.sampled_from([1, -1]), label="sign of f")])
+    g = g * IntPolynomial([draw(st.sampled_from([1, -1]), label="sign of g")])
+    if not real:
+        return f, g, None
+    pair_roots = lambda keys: [x for k in keys for x in (Fraction(k, 2), Fraction(2, k))]
+    return f, g, (pair_roots(f_keys) + [-1] * odd, pair_roots(g_keys) + [-1] * (not odd))
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_half_degree_against_isolation_route(data):
+    f, g, known = _palindromic_pair(data.draw)
+    assert f.degree == g.degree + 1
+    assert is_palindromic(f, f.degree) and is_palindromic(g, g.degree)
+    half = roots._half_degree_strict(f.coeffs, g.coeffs)
+    if known is None:
+        # a non-real or positive pair: no STRICT, and interlaces rejects it
+        assert not half
+        with pytest.raises(ValueError, match="negative-real-rooted"):
+            interlaces(f, g)
+        return
+    reference = roots._interlaces_by_isolation(f, g)
+    assert half == (reference.kind is InterlaceKind.STRICT)
+    assert interlaces(f, g) == reference
+    assert reference.kind.value == interlace_by_sorted_roots(*known)
+
+
+def test_half_degree_even_root_at_minus_one_takes_the_old_route(monkeypatch):
+    # Z_d(-1) = 0 at even d puts a root of Q_d at u = 0: the reduction does
+    # not apply, and interlaces answers from the full-degree pair
+    f = _reciprocal(-1) * _reciprocal(-4)  # roots -4, -1, -1, -1/4
+    g = IntPolynomial([1, 1]) * _reciprocal(-2)  # roots -2, -1, -1/2
+    assert f(-1) == 0 and roots._half_degree(f.coeffs)[0] == 0
+    assert not roots._half_degree_strict(f.coeffs, g.coeffs)
+    calls = []
+    real = roots._cauchy_strict
+    monkeypatch.setattr(roots, "_cauchy_strict",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    assert interlaces(f, g) == roots._interlaces_by_isolation(f, g)
+    assert interlaces(f, g).kind is InterlaceKind.WEAK
+    assert calls[0] == (f.coeffs, g.coeffs)
+
+
+def test_half_degree_examples():
+    # braid Z_3 = 1 + 7t + 7t^2 + t^3 = (1 + t)(1 + 6t + t^2): Q = u + 4
+    assert roots._half_degree((1, 7, 7, 1)) == [4, 1]
+    assert roots._half_degree((1, 3, 1)) == [1, 1]  # t^2 + 3t + 1 = t(s + 3)
+    assert roots._half_degree((1, 2)) is None
+    tables = build_tables(BRAID, 12)
+    z = [z_family(tables, d).coeffs for d in range(13)]
+    for d in range(1, 13):
+        assert roots._half_degree_strict(z[d], z[d - 1]), d
+        qf, qg = roots._half_degree(z[d]), roots._half_degree(z[d - 1])
+        if d % 2:
+            # equal degrees m, positive leading coefficients: Ind = -m
+            assert roots._negative_index(roots._remainder_sequence(qf, qg)) == 1 - len(qf)
 
 
 def test_sweep_cell_falls_back(monkeypatch):
