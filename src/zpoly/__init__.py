@@ -27,7 +27,7 @@ from .roots import (InterlaceKind, InterlaceVerdict, SturmCertificate,
                     count_negative_real_roots, interlaces, is_log_concave,
                     is_negative_real_rooted, isolate_roots, squarefree_part)
 from .equivariant import (ClassFunctionTable, PermGroup, SymFunction,
-                          dimension, equivariant_c_character,
+                          character_value, dimension, equivariant_c_character,
                           equivariant_c_uniform, equivariant_whitney_character,
                           equivariant_whitney_uniform, h_product, h_to_schur,
                           is_schur_positive, kostka_number)

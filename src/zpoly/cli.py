@@ -16,9 +16,9 @@ import sys
 import time
 
 from . import corpus as corpus_mod
-from .equivariant import (PermGroup, dimension, equivariant_c_character,
-                          equivariant_c_uniform, h_to_schur,
-                          is_schur_positive)
+from .equivariant import (PermGroup, character_value, dimension,
+                          equivariant_c_character, equivariant_c_uniform,
+                          h_to_schur, is_schur_positive)
 from .families import (BRAID, TYPE_B, build_tables, gaussian_binomial,
                        kl_family, lattice_spec, narayana, parse_family,
                        q_shift_check, qvec_family, series_identity_check,
@@ -292,6 +292,13 @@ def _suite_schur(args):
     table = equivariant_c_character(lat, PermGroup.symmetric(4), 1)
     checks.append({"name": "schur:character-identity",
                    "pass": table.at_identity() == kl_coeff_closed(lat, 1)})
+    lat = enumerate_flats(lattice_spec(uniform_family(2), 5))
+    s7 = PermGroup.symmetric(7)
+    table = equivariant_c_character(lat, s7, 1)
+    f = equivariant_c_uniform(2, 5, 1)
+    checks.append({"name": "schur:character-classes(U_{2,5},S_7)",
+                   "pass": all(table.class_values[g] == character_value(f, g)
+                               for g in s7.class_representatives())})
     return checks
 
 

@@ -5,6 +5,8 @@ preserving flats, the multichain counts refine to permutation characters
 (fixed-point counts), and the closed formula for Kazhdan-Lusztig coefficients
 refines to a virtual character.  Characters are class functions, so the
 fixed chains are counted once per conjugacy class, at its representative.
+Generators of the full symmetric group are recognised (Jordan's theorem),
+and its classes are the cycle types, so Sym(n) needs no element list.
 For uniform matroids with the full symmetric group the characters are
 written exactly in the h-basis of symmetric functions, with Schur expansion
 through Kostka numbers.
@@ -13,7 +15,8 @@ through Kostka numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import permutations
 from math import factorial
 
 from .klz import enumerate_index_tuples, t_index
@@ -225,6 +228,23 @@ def dimension(f: SymFunction, n: int):
     return total
 
 
+def character_value(f: SymFunction, g) -> int:
+    """Value at the permutation g of the (virtual) character with h-basis
+    Frobenius characteristic f: h_lam counts the ways to share g's cycles
+    out among ordered blocks of sizes lam."""
+    if f.basis != "h" or f.degree != len(g):
+        raise ValueError("expected an h-basis function of degree len(g)")
+    cycles = _cycle_lengths(g)
+
+    def fill(k, room):
+        if k == len(cycles):
+            return 1
+        return sum(fill(k + 1, room[:b] + (r - cycles[k],) + room[b + 1:])
+                   for b, r in enumerate(room) if r >= cycles[k])
+
+    return sum(c * fill(0, lam) for lam, c in f.terms.items())
+
+
 def is_schur_positive(f: SymFunction) -> bool:
     g = f if f.basis == "s" else h_to_schur(f)
     return all(c >= 0 for c in g.terms.values())
@@ -283,25 +303,97 @@ def equivariant_c_uniform(m: int, d: int, i: int) -> SymFunction:
 # arbitrary permutation groups: fixed-point counting
 
 
-class PermGroup:
-    """A permutation group on {0..n-1}, stored as the full element list
-    closed under composition (breadth-first from the generators)."""
+def _cycle_lengths(g) -> list:
+    seen = [False] * len(g)
+    out = []
+    for start in range(len(g)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = g[x]
+            length += 1
+        if length:
+            out.append(length)
+    return out
 
-    def __init__(self, n: int, elements, generators=()):
+
+def _smallest_of_cycle_type(lam) -> tuple:
+    """The first permutation in sorted order with cycle type lam: cycles
+    over consecutive points, shortest first."""
+    perm = []
+    for part in sorted(lam):
+        start = len(perm)
+        perm.extend(range(start + 1, start + part))
+        perm.append(start)
+    return tuple(perm)
+
+
+def _generates_symmetric(n: int, gens) -> bool:
+    """True only if the generators generate Sym(n).  A generator with one
+    2-cycle (a b) and otherwise odd cycles has the transposition (a b) as a
+    power, so every conjugate (g(a) g(b)) is in the group too; transpositions
+    whose graph connects all n points generate Sym(n).  The components of
+    that graph form the finest generator-invariant partition joining a and
+    b, found by Atkinson's union-find; a primitive group containing a
+    transposition always gives the whole set (Jordan's theorem).  Sound, not
+    complete: False leaves the decision to the closure."""
+    if n <= 1:
+        return True
+    for g in gens:
+        lengths = _cycle_lengths(g)
+        if lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2):
+            break
+    else:
+        return False
+    a = next(x for x in range(n) if g[g[x]] == x != g[x])
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    parent = list(range(n))
+    parent[g[a]] = a
+    pairs = [(a, g[a])]
+    for x, y in pairs:          # grows while iterated: one pair per merge
+        for h in gens:
+            u, v = find(h[x]), find(h[y])
+            if u != v:
+                parent[v] = u
+                pairs.append((u, v))
+    return len(pairs) == n - 1
+
+
+class PermGroup:
+    """A permutation group on {0..n-1}.  A group given by its elements, or
+    by generators whose closure it is, stores the sorted element list; the
+    full symmetric group (elements None, or generators that
+    `from_generators` recognises) lists its elements only when asked."""
+
+    def __init__(self, n: int, elements=None, generators=()):
         self.n = n
-        self.elements = tuple(sorted(set(elements)))
-        self.generators = tuple(generators) or self.elements
-        identity = tuple(range(n))
-        if identity not in set(self.elements):
+        self.is_symmetric = elements is None
+        self._elements = None if elements is None else tuple(sorted(set(elements)))
+        if self._elements is not None and self.identity not in set(self._elements):
             raise ValueError("identity missing from group closure")
+        self.generators = tuple(generators) or self.elements
         self._classes = None
 
     def __len__(self):
-        return len(self.elements)
+        return factorial(self.n) if self.is_symmetric else len(self._elements)
 
     @property
     def identity(self):
         return tuple(range(self.n))
+
+    @property
+    def elements(self) -> tuple:
+        """All elements in sorted order (computed once for Sym(n))."""
+        if self._elements is None:
+            self._elements = tuple(permutations(range(self.n)))
+        return self._elements
 
     @classmethod
     def from_generators(cls, n: int, generators, cap: int = _GROUP_CAP) -> "PermGroup":
@@ -309,6 +401,10 @@ class PermGroup:
         for g in gens:
             if sorted(g) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
+        if _generates_symmetric(n, gens):
+            if factorial(n) > cap:
+                raise ValueError(f"group closure exceeds cap {cap}")
+            return cls(n, None, gens)
         identity = tuple(range(n))
         elements = {identity}
         frontier = [identity]
@@ -327,11 +423,9 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
-        if n <= 1:
-            return cls(n, [tuple(range(n))])
         swap = (1, 0) + tuple(range(2, n))
         cycle = tuple(range(1, n)) + (0,)
-        return cls.from_generators(n, [swap, cycle])
+        return cls.from_generators(n, [swap, cycle] if n > 1 else [])
 
     @classmethod
     def trivial(cls, n: int) -> "PermGroup":
@@ -369,6 +463,14 @@ class PermGroup:
             self._classes = tuple(classes)
         return self._classes
 
+    def class_representatives(self) -> tuple:
+        """The first member of each of `classes()`, in the same order (the
+        identity first); for Sym(n) the first permutation of each cycle
+        type, with no element list."""
+        if self.is_symmetric:
+            return tuple(sorted(map(_smallest_of_cycle_type, _partitions_of(self.n))))
+        return tuple(cls[0] for cls in self.classes())
+
     def conjugacy_respects(self, values: dict) -> bool:
         """True iff the table is constant on conjugacy classes (it suffices
         to test conjugation by the generators)."""
@@ -385,15 +487,22 @@ class PermGroup:
 
 @dataclass
 class ClassFunctionTable:
-    """Integer-valued function on group elements (a virtual character given
-    by its values); constant on conjugacy classes.  `values` holds every
-    element, but the character functions below evaluate one representative
-    per class and copy its value to the rest of the class."""
+    """Integer-valued class function on a group (a virtual character):
+    `class_values` maps each of the group's class representatives to its
+    value.  `values`, the table on every element in the order of
+    `group.classes()`, is expanded from it on first use."""
     group: PermGroup
-    values: dict = field(default_factory=dict)
+    class_values: dict = field(default_factory=dict)
+
+    @cached_property
+    def values(self) -> dict:
+        out = {}
+        for cls in self.group.classes():
+            out.update(dict.fromkeys(cls, self.class_values[cls[0]]))
+        return out
 
     def at_identity(self) -> int:
-        return self.values[self.group.identity]
+        return self.class_values[self.group.identity]
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunctionTable):
@@ -479,14 +588,14 @@ def _chain_character(lat: FlatLattice, group: PermGroup,
     once per conjugacy class at its representative."""
     _check_action(lat, group)
     values = {}
-    for cls in group.classes():
-        fixed, anchors = _fixed_flags(lat, cls[0])
+    for g in group.class_representatives():
+        fixed, anchors = _fixed_flags(lat, g)
         memo = {}
         total = 0
         for sign, profile in terms:
             total += sign * _fixed_chain_count(lat, fixed, anchors, profile,
                                                memo)[lat.bottom_id]
-        values.update(dict.fromkeys(cls, total))
+        values[g] = total
     return ClassFunctionTable(group, values)
 
 

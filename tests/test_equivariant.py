@@ -1,8 +1,11 @@
+import random
+from math import factorial
+
 import pytest
 
 from oracles import schur_expand_h_by_pieri
 from zpoly import (BRAID, GraphSpec, PermGroup, SymFunction, UniformSpec,
-                   build_tables, dimension, enumerate_flats,
+                   build_tables, character_value, dimension, enumerate_flats,
                    equivariant_c_character, equivariant_c_uniform,
                    equivariant_whitney_character, equivariant_whitney_uniform,
                    enumerate_index_tuples, h_product, h_to_schur,
@@ -367,3 +370,127 @@ def test_c_character_matches_uniform_h_formula_at_every_class():
                 want = sum(c * young_character_value(g, lam)
                            for lam, c in f.terms.items())
                 assert table.values[g] == want, (m, d, i, g)
+
+
+def closure_elements(n, gens):
+    """Every product of the generators, by breadth-first search."""
+    elements = {tuple(range(n))}
+    frontier = list(elements)
+    while frontier:
+        frontier = [tuple(g[x] for x in h) for g in gens for h in frontier]
+        frontier = [h for h in set(frontier) if h not in elements]
+        elements.update(frontier)
+    return elements
+
+
+def benchmark_style_generators(seed, n):
+    """A transposition of two points adjacent on an n-cycle, both conjugated
+    by a seeded random permutation."""
+    rng = random.Random(seed)
+    rho = list(range(n))
+    rng.shuffle(rho)
+    swap = list(range(n))
+    swap[rho[0]], swap[rho[1]] = rho[1], rho[0]
+    cycle = list(range(n))
+    for k in range(n):
+        cycle[rho[k]] = rho[(k + 1) % n]
+    return [tuple(swap), tuple(cycle)]
+
+
+def recognition_cases():
+    cases = [
+        (3, [(0, 2, 1)]),                           # intransitive transposition
+        (4, [(1, 0, 2, 3), (2, 3, 0, 1)]),          # dihedral, imprimitive
+        (4, [(1, 2, 0, 3), (0, 2, 3, 1)]),          # A_4
+        (5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]),    # A_5
+        (4, [(1, 0, 3, 2), (2, 3, 0, 1)]),          # Klein four-group
+        (5, [(1, 2, 3, 4, 0)]),                     # C_5
+        (5, [(1, 0, 3, 4, 2), (1, 2, 3, 4, 0)]),    # (0 1)(2 3 4) and a 5-cycle
+        (1, []), (1, [(0,)]), (2, [(1, 0)]), (2, [(0, 1)]), (2, []),
+    ]
+    # S_5 on the edges of K_5 is primitive; a 4-cycle acts with cycle type
+    # (4, 4, 2) and a transposition with three 2-cycles, so neither has a
+    # transposition as a power
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    for vertex_gens in ([(1, 2, 3, 0, 4), (1, 2, 3, 4, 0)],
+                        [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]):
+        cases.append((10, [tuple(pairs.index(tuple(sorted((g[i], g[j]))))
+                                 for i, j in pairs) for g in vertex_gens]))
+    for n in range(3, 7):
+        cases.append((n, [tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, n))
+                          for k in range(n - 1)]))
+        cases.append((n, [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]))
+        cases += [(n, benchmark_style_generators(seed, n)) for seed in range(4)]
+    return cases
+
+
+def test_symmetric_recognition_matches_closure_order():
+    orders = []
+    for n, gens in recognition_cases():
+        group = PermGroup.from_generators(n, gens)
+        order = len(closure_elements(n, gens))
+        assert group.is_symmetric == (order == factorial(n)), (n, gens)
+        assert len(group) == order, (n, gens)
+        orders.append(order)
+    assert orders[:7] == [2, 8, 12, 60, 4, 5, 120]
+    # S_4 from a 4-cycle and a 3-cycle has no generator with a transposition
+    # as a power: not recognised, so the closure lists it
+    s4 = PermGroup.from_generators(4, [(1, 2, 3, 0), (1, 2, 0, 3)])
+    assert not s4.is_symmetric
+    assert len(s4) == 24 and len(s4.classes()) == 5
+
+
+def test_recognised_symmetric_group_matches_closure_group():
+    for n in range(1, 7):
+        gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)][:n - 1]
+        fast = PermGroup.from_generators(n, gens)
+        slow = PermGroup(n, closure_elements(n, gens), gens)
+        assert fast.is_symmetric and not slow.is_symmetric
+        assert len(fast) == len(slow) == factorial(n)
+        assert fast.elements == slow.elements
+        assert fast.classes() == slow.classes()
+        assert fast.class_representatives() == tuple(cls[0] for cls in slow.classes())
+        lats = [enumerate_flats(UniformSpec(m, n - m)) for m in range(n)]
+        for lat in lats:
+            for profile in ([1], [2, 1], [1, 1]):
+                a = equivariant_whitney_character(lat, fast, profile)
+                b = equivariant_whitney_character(lat, slow, profile)
+                assert list(a.values.items()) == list(b.values.items()), (n, profile)
+            for i in range(1, (lat.rk_total + 1) // 2):
+                a = equivariant_c_character(lat, fast, i)
+                b = equivariant_c_character(lat, slow, i)
+                assert a == b and a.at_identity() == b.at_identity(), (n, i)
+
+
+def test_s8_characters_at_every_class():
+    s8 = PermGroup.symmetric(8)
+    reps = s8.class_representatives()
+    assert len(s8) == 40320 and len(reps) == 22 and reps[0] == s8.identity
+    # 22 distinct cycle types: every partition of 8 once
+    assert len({tuple(sorted(cycle_lengths(g))) for g in reps}) == 22
+    for m, d in ((2, 6), (1, 7)):
+        lat = enumerate_flats(UniformSpec(m, d))
+        for i in range(1, (d + 1) // 2):
+            table = equivariant_c_character(lat, s8, i)
+            f = equivariant_c_uniform(m, d, i)
+            assert table.at_identity() == kl_coeff_closed(lat, i), (m, d, i)
+            for g in reps:
+                want = sum(c * young_character_value(g, lam)
+                           for lam, c in f.terms.items())
+                assert table.class_values[g] == want == character_value(f, g), \
+                    (m, d, i, g)
+
+
+def test_recognised_group_guards():
+    with pytest.raises(ValueError, match="exceeds cap"):
+        PermGroup.from_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], cap=119)
+    assert len(PermGroup.from_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)],
+                                         cap=120)) == 120
+    lat = enumerate_flats(GraphSpec(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+    # (0 3) and the 4-cycle generate S_4; (0 3) maps the triangle off the lattice
+    s4 = PermGroup.from_generators(4, [(1, 2, 3, 0), (3, 1, 2, 0)])
+    assert s4.is_symmetric
+    with pytest.raises(ValueError, match="off the lattice"):
+        equivariant_whitney_character(lat, s4, [1])
+    with pytest.raises(ValueError, match="off the lattice"):
+        equivariant_c_character(lat, s4, 1)
