@@ -25,8 +25,8 @@ from .families import (BRAID, TYPE_B, build_tables, gaussian_binomial,
                        uniform_family, whitney_multi_family, z_family)
 from .klz import (KlMethod, _defining_table, kl_by_method, kl_coeff_closed,
                   kl_defining, z_polynomial)
-from .matroid import (FlatCapExceeded, characteristic_polynomial,
-                      enumerate_flats, matroid_spec_from_json, whitney_multi)
+from .matroid import (characteristic_polynomial, enumerate_flats,
+                      matroid_spec_from_json, whitney_multi)
 from .polyarith import IntPolynomial, format_polynomial, is_palindromic
 from .roots import conjecture_sweep, is_log_concave
 
@@ -445,13 +445,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FlatCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -259,21 +259,25 @@ def localization(lat: FlatLattice, fid: int) -> FlatLattice:
 def enumerate_flats(spec: MatroidSpec, flat_cap: int | None = None) -> FlatLattice:
     """Enumerate all flats of the matroid described by spec.
 
-    flat_cap aborts enumeration (FlatCapExceeded) as soon as more flats than
-    allowed have been generated, before the full lattice is materialized.
+    Generated encodings share one cover-oracle enumerator; explicit flat
+    lists are validated and covered by their minimal strict supersets.
+    flat_cap bounds the flat count, bottom included: FlatCapExceeded is
+    raised as soon as one flat too many has been generated.
     """
-    if isinstance(spec, UniformSpec):
-        return _enumerate_uniform(spec, flat_cap)
-    if isinstance(spec, GraphSpec):
-        return _enumerate_graph(spec, flat_cap)
-    if isinstance(spec, ExplicitBases):
-        _check_basis_exchange(spec)
-        return _enumerate_by_covers(spec.ground, *_bases_oracle(spec), flat_cap)
-    if isinstance(spec, LinearVectors):
-        return _enumerate_by_covers(len(spec.vectors), *_vectors_oracle(spec), flat_cap)
     if isinstance(spec, ExplicitFlats):
-        return _lattice_from_explicit_flats(spec)
-    raise TypeError(f"not a matroid spec: {spec!r}")
+        return _lattice_from_explicit_flats(spec, flat_cap)
+    if isinstance(spec, UniformSpec):
+        n, oracle = spec.m + spec.d, _uniform_oracle(spec)
+    elif isinstance(spec, GraphSpec):
+        n, oracle = len(spec.edges), _graph_oracle(spec)
+    elif isinstance(spec, ExplicitBases):
+        _check_basis_exchange(spec)
+        n, oracle = spec.ground, _bases_oracle(spec)
+    elif isinstance(spec, LinearVectors):
+        n, oracle = len(spec.vectors), _vectors_oracle(spec)
+    else:
+        raise TypeError(f"not a matroid spec: {spec!r}")
+    return _enumerate_by_covers(n, *oracle, flat_cap)
 
 
 def _check_cap(count: int, flat_cap: int | None, rank: int):
@@ -281,115 +285,15 @@ def _check_cap(count: int, flat_cap: int | None, rank: int):
         raise FlatCapExceeded(f"flat count exceeds cap {flat_cap}: {count} flats up to rank {rank}")
 
 
-def _enumerate_uniform(spec: UniformSpec, flat_cap: int | None) -> FlatLattice:
-    n = spec.m + spec.d
-    d = spec.d
-    full = (1 << n) - 1
-    if d == 0:
-        return FlatLattice([full], [0], [[]], n)
-    flats, ranks, covers = [], [], []
-    index = {}
-    count = 0
-    for size in range(d):
-        for combo in combinations(range(n), size):
-            m = _mask(combo, n)
-            index[m] = len(flats)
-            flats.append(m)
-            ranks.append(size)
-            covers.append([])
-            count += 1
-            _check_cap(count, flat_cap, size)
-    top = len(flats)
-    index[full] = top
-    flats.append(full)
-    ranks.append(d)
-    covers.append([])
-    _check_cap(count + 1, flat_cap, d)
-    for m, i in index.items():
-        if i == top:
-            continue
-        size = ranks[i]
-        if size == d - 1:
-            covers[i].append(top)
-        else:
-            for e in range(n):
-                if not m >> e & 1:
-                    covers[i].append(index[m | (1 << e)])
-    return FlatLattice(flats, ranks, covers, n)
-
-
-def _enumerate_graph(spec: GraphSpec, flat_cap: int | None) -> FlatLattice:
-    """Flats of a graphic matroid are edge sets closed under 'edges inside
-    the vertex components'; covers come from merging two components joined
-    by at least one edge."""
-    nv = spec.vertices
-    edges = spec.edges
-    ne = len(edges)
-    pair_mask = [[0] * nv for _ in range(nv)]
-    for idx, (u, v) in enumerate(edges):
-        pair_mask[u][v] |= 1 << idx
-        pair_mask[v][u] |= 1 << idx
-    loops = 0
-    for idx, (u, v) in enumerate(edges):
-        if u == v:
-            loops |= 1 << idx
-
-    bottom_partition = tuple((v,) for v in range(nv))
-    bottom = loops
-    flats = [bottom]
-    ranks = [0]
-    covers = [[]]
-    partitions = [bottom_partition]
-    index = {bottom: 0}
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for fid in frontier:
-            fmask = flats[fid]
-            blocks = partitions[fid]
-            k = len(blocks)
-            seen_here = set()
-            for a in range(k):
-                for b in range(a + 1, k):
-                    between = 0
-                    for u in blocks[a]:
-                        row = pair_mask[u]
-                        for v in blocks[b]:
-                            between |= row[v]
-                    if not between:
-                        continue
-                    gmask = fmask | between
-                    if gmask in seen_here:
-                        cid = index[gmask]
-                        covers[fid].append(cid)
-                        continue
-                    seen_here.add(gmask)
-                    cid = index.get(gmask)
-                    if cid is None:
-                        merged = tuple(sorted(blocks[a] + blocks[b]))
-                        new_blocks = tuple(bl for i2, bl in enumerate(blocks) if i2 not in (a, b)) + (merged,)
-                        cid = len(flats)
-                        index[gmask] = cid
-                        flats.append(gmask)
-                        ranks.append(ranks[fid] + 1)
-                        covers.append([])
-                        partitions.append(new_blocks)
-                        new_frontier.append(cid)
-                        _check_cap(len(flats), flat_cap, ranks[cid])
-                    covers[fid].append(cid)
-        frontier = new_frontier
-    covers = [sorted(set(cs)) for cs in covers]
-    return FlatLattice(flats, ranks, covers, ne)
-
-
 def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None) -> FlatLattice:
     """Breadth-first enumeration from a cover oracle.
 
     bottom is (mask, state) for the bottom flat; covers_of(mask, state)
-    yields one (cover_mask, make_state) pair per cover of the flat, and
-    make_state() is called only the first time that cover is reached.  The
-    covers of a flat F partition E - F, so an oracle needs one closure per
-    cover, not one per element.
+    yields one (cover_mask, make_state) pair per cover of the flat, each
+    cover once, and make_state() is called only the first time that cover
+    is reached, so a state lives only while its flat is on the frontier.
+    The covers of a flat F partition E - F, so an oracle needs one closure
+    per cover, not one per element.
     """
     bmask, bstate = bottom
     flats, ranks, covers = [bmask], [0], [[]]
@@ -412,6 +316,57 @@ def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None) -> Fla
                 covers[fid].append(cid)
         frontier = new_frontier
     return FlatLattice(flats, ranks, covers, n)
+
+
+def _uniform_oracle(spec: UniformSpec):
+    """Every set of fewer than d elements is a flat, and its state is its
+    rank.  A set S of rank below d - 1 is covered by each S + e; a set of
+    rank d - 1 only by the whole ground set.  For d = 0 the ground set is
+    the bottom."""
+    d = spec.d
+    full = (1 << (spec.m + d)) - 1
+
+    def covers_of(fmask: int, rank: int):
+        if rank == d - 1:
+            yield full, lambda: d
+        else:
+            for e in _bits(full & ~fmask):
+                yield fmask | 1 << e, lambda: rank + 1
+
+    return (full if d == 0 else 0, 0), covers_of
+
+
+def _graph_oracle(spec: GraphSpec):
+    """A flat of a graphic matroid is the set of edges inside the blocks of
+    a vertex partition whose blocks are connected; that partition is the
+    state, and the loops are the bottom.  The covers merge two blocks joined
+    by at least one edge and add the edges between them.  Two different
+    merges add disjoint, nonempty edge sets, so no cover is yielded twice."""
+    nv = spec.vertices
+    pair_mask = [[0] * nv for _ in range(nv)]
+    loops = 0
+    for idx, (u, v) in enumerate(spec.edges):
+        pair_mask[u][v] |= 1 << idx
+        pair_mask[v][u] |= 1 << idx
+        if u == v:
+            loops |= 1 << idx
+
+    def merge(blocks: tuple, a: int, b: int) -> tuple:
+        return tuple(bl for i, bl in enumerate(blocks) if i not in (a, b)) + (blocks[a] + blocks[b],)
+
+    def covers_of(fmask: int, blocks: tuple):
+        k = len(blocks)
+        for a in range(k):
+            for b in range(a + 1, k):
+                between = 0
+                for u in blocks[a]:
+                    row = pair_mask[u]
+                    for v in blocks[b]:
+                        between |= row[v]
+                if between:
+                    yield fmask | between, lambda a=a, b=b: merge(blocks, a, b)
+
+    return (loops, tuple((v,) for v in range(nv))), covers_of
 
 
 def _check_basis_exchange(spec: ExplicitBases):
@@ -536,7 +491,7 @@ def bareiss_rank(rows) -> int:
     return rank
 
 
-def _lattice_from_explicit_flats(spec: ExplicitFlats) -> FlatLattice:
+def _lattice_from_explicit_flats(spec: ExplicitFlats, flat_cap: int | None) -> FlatLattice:
     n = spec.ground
     masks = sorted({_mask(f, n) for f in spec.flats})
     if len(masks) != len(spec.flats):
@@ -571,6 +526,9 @@ def _lattice_from_explicit_flats(spec: ExplicitFlats) -> FlatLattice:
         raise ValueError("explicit flats do not form a graded lattice")
     if sum(1 for r in ranks if r == 0) != 1:
         raise ValueError("explicit flats must have a unique bottom")
+    # the enumerators' count, taken in (rank, mask) order
+    for count, rank in enumerate(sorted(ranks), 1):
+        _check_cap(count, flat_cap, rank)
     return FlatLattice(masks, ranks, covers, n)
 
 

@@ -232,12 +232,18 @@ def test_flat_cap_message_says_how_far():
     k4_vectors = LinearVectors([[1 if k == i else -1 if k == j else 0 for k in range(4)]
                                 for i in range(4) for j in range(i + 1, 4)])
     k4_bases = ExplicitBases(6, bases_by_fractions(k4_vectors.vectors))
+    k5 = enumerate_flats(k_complete(5))
+    k5_flats = ExplicitFlats(10, [k5.flat_elements(i) for i in range(k5.n)])
     # (spec, cap, rank of the flat that passes the cap)
     cases = [(UniformSpec(0, 9), 100, 3),     # ranks hold 1, 9, 36, 84, ... flats
              (k_complete(5), 20, 2),          # 1, 10, 25, 15, 1
+             (k5_flats, 20, 2),
              (k4_vectors, 10, 2),             # 1, 6, 7, 1
              (k4_bases, 7, 2),
-             (LinearVectors([[0], [0]]), 0, 0)]
+             (LinearVectors([[0], [0]]), 0, 0),
+             (GraphSpec(1, ()), 0, 0),        # the bottom flat counts
+             (UniformSpec(2, 0), 0, 0),
+             (k_complete(3), 0, 0)]
     for spec, cap, rank in cases:
         with pytest.raises(FlatCapExceeded,
                            match=rf"cap {cap}: {cap + 1} flats up to rank {rank}$"):
@@ -279,11 +285,72 @@ def test_closure_enumerators_against_naive_closure(vectors):
     n = len(vectors)
     want = flats_by_naive_closure(n, lambda s: rank_by_fractions([vectors[e] for e in s]))
     for spec in (LinearVectors(vectors), ExplicitBases(n, bases_by_fractions(vectors))):
-        lat = enumerate_flats(spec)
-        assert (lat.flats, lat.ranks, lat.covers) == want
-        with pytest.raises(FlatCapExceeded):
-            enumerate_flats(spec, flat_cap=lat.n - 1)
-        assert enumerate_flats(spec, flat_cap=lat.n).n == lat.n
+        _assert_lattice(spec, want)
+
+
+def _assert_lattice(spec, want):
+    """spec enumerates to want, (flats, ranks, covers); a cap one below
+    its flat count raises and its flat count passes."""
+    lat = enumerate_flats(spec)
+    assert (lat.flats, lat.ranks, lat.covers) == want
+    with pytest.raises(FlatCapExceeded):
+        enumerate_flats(spec, flat_cap=lat.n - 1)
+    assert enumerate_flats(spec, flat_cap=lat.n).n == lat.n
+
+
+def _graph_rank(vertices, edges):
+    """rank(S) = vertices - components of (V, S), by union-find."""
+    def rank(s):
+        parent = list(range(vertices))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        joined = 0
+        for e in s:
+            a, b = find(edges[e][0]), find(edges[e][1])
+            if a != b:
+                parent[a] = b
+                joined += 1
+        return joined
+    return rank
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 6 vertices and 9 edges, with loops and parallel edges drawn
+    on purpose; from a seeded random source, as vector_configurations."""
+    rnd = draw(st.randoms(use_true_random=False))
+    vertices = rnd.randint(0, 6)
+    edges = []
+    for _ in range(rnd.randint(0, 9) if vertices else 0):
+        kind = rnd.choice(["edge", "loop", "parallel"])
+        if kind == "parallel" and edges:
+            u, v = rnd.choice(edges)
+            edges.append(rnd.choice([(u, v), (v, u)]))
+        elif kind == "loop" or vertices == 1:
+            u = rnd.randrange(vertices)
+            edges.append((u, u))
+        else:
+            edges.append(tuple(rnd.sample(range(vertices), 2)))
+    return vertices, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_graph_enumerator_against_naive_closure(graph):
+    vertices, edges = graph
+    _assert_lattice(GraphSpec(vertices, edges),
+                    flats_by_naive_closure(len(edges), _graph_rank(vertices, edges)))
+
+
+def test_uniform_enumerator_against_naive_closure():
+    for m in range(8):
+        for d in range(8 - m):
+            _assert_lattice(UniformSpec(m, d),
+                            flats_by_naive_closure(m + d, lambda s, d=d: min(len(s), d)))
 
 
 @settings(max_examples=150, deadline=None)
