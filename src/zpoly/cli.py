@@ -380,7 +380,7 @@ def cmd_bench(args) -> int:
         slow_ms = (time.perf_counter() - t0) * 1000.0
         agree = slow == fast
         rows.append({"method": "lattice-defining", "d": d, "millis": slow_ms,
-                     "enumeration_millis": enum_ms, "flats": lat.n,
+                     "enumeration_millis": enum_ms, "flats": lat.n, "orbits": lat.n_orbits,
                      "checksum": _checksum(slow)})
         report["agree"] = agree
         report["speedup"] = slow_ms / max(min(times), 1e-9)

@@ -20,7 +20,7 @@ from itertools import permutations
 from math import factorial
 
 from .klz import enumerate_index_tuples, t_index
-from .matroid import FlatLattice
+from .matroid import FlatLattice, flat_permutation, symmetric_generators
 
 _GROUP_CAP = 10 ** 6
 _SCHUR_DEGREE_CAP = 12
@@ -423,9 +423,7 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
-        swap = (1, 0) + tuple(range(2, n))
-        cycle = tuple(range(1, n)) + (0,)
-        return cls.from_generators(n, [swap, cycle] if n > 1 else [])
+        return cls.from_generators(n, symmetric_generators(list(range(n)), n))
 
     @classmethod
     def trivial(cls, n: int) -> "PermGroup":
@@ -510,28 +508,6 @@ class ClassFunctionTable:
         return self.values == other.values
 
 
-def _flat_permutation(lat: FlatLattice, g) -> list:
-    """The permutation of flat ids induced by the ground permutation g,
-    or raise if some flat image is not a flat."""
-    image = []
-    for fid, mask in enumerate(lat.flats):
-        m = mask
-        new = 0
-        e = 0
-        while m:
-            if m & 1:
-                new |= 1 << g[e]
-            m >>= 1
-            e += 1
-        try:
-            image.append(lat.id_of_mask(new))
-        except KeyError:
-            raise ValueError(
-                f"permutation {g} maps flat {sorted(lat.flat_elements(fid))} "
-                f"off the lattice") from None
-    return image
-
-
 def _check_action(lat: FlatLattice, group: PermGroup):
     """Raise unless the group acts on the ground set by flat-preserving
     permutations.  Checking the generators suffices: flat-preserving
@@ -539,7 +515,7 @@ def _check_action(lat: FlatLattice, group: PermGroup):
     if group.n != lat.n_ground:
         raise ValueError("group degree does not match ground set size")
     for g in group.generators:
-        _flat_permutation(lat, g)
+        flat_permutation(lat, g)
 
 
 def _fixed_chain_count(lat: FlatLattice, fixed, anchors, profile: tuple,
@@ -573,9 +549,23 @@ def _fixed_chain_count(lat: FlatLattice, fixed, anchors, profile: tuple,
 
 
 def _fixed_flags(lat: FlatLattice, g):
-    fmap = _flat_permutation(lat, g)
-    fixed = [fmap[f] == f for f in range(lat.n)]
-    anchors = [f for f in range(lat.n) if fixed[f]]
+    """g fixes a flat iff each nontrivial cycle of g lies inside it or
+    outside it; each cycle filters the flats left by the previous ones."""
+    flats = lat.flats
+    anchors = range(lat.n)
+    seen = 0
+    for start in range(len(g)):
+        if g[start] != start and not seen >> start & 1:
+            c, x = 0, start
+            while not c >> x & 1:
+                c |= 1 << x
+                x = g[x]
+            anchors = [f for f in anchors if (flats[f] & c) in (0, c)]
+            seen |= c
+    fixed = [False] * lat.n
+    for f in anchors:
+        fixed[f] = True
+    anchors = list(anchors)
     if not fixed[lat.bottom_id]:
         anchors.insert(0, lat.bottom_id)
     return fixed, anchors

@@ -10,7 +10,9 @@ One cached table, built by the palindromicity recursion in a single pass
 over pairs of flats, holds P and Z of every upper interval; z_polynomial,
 kl_via_mobius and kl_coeff_new_recursion read it.  kl_defining never does:
 it solves the functional equation with its own per-flat P and Z, using
-mu(F, H) on every interval, and checks the equation in full.
+mu(F, H) on every interval, and checks the equation in full.  Both solve
+one flat per orbit of the lattice's symmetry (FlatLattice.orbit_rep) and
+copy the result to the rest of the orbit.
 
 All arithmetic is exact big-integer.
 """
@@ -110,7 +112,9 @@ def _p_table(lat: FlatLattice):
     deg P_F < crk F / 2; so palindromicity of Z_F fixes
         P_F[j] = S_F[crk - j] - S_F[j]    for 1 <= j < crk / 2,
     which is the recursion of kl_coeff_new_recursion at every flat.  One
-    sweep by decreasing rank over the pairs F < G fills both tables.
+    sweep by decreasing rank over the pairs F < G fills both tables; a flat
+    whose orbit representative is not itself copies it, since the
+    representative is the orbit's last id and so came first.
     z_polynomial, kl_via_mobius and kl_coeff_new_recursion read it;
     kl_defining does not.
     """
@@ -119,10 +123,15 @@ def _p_table(lat: FlatLattice):
         return table
     ranks = lat.ranks
     rk_total = lat.rk_total
+    rep = lat.orbit_rep
     ups = lat.uppers()
     P = [None] * lat.n
     Z = [None] * lat.n
     for f in reversed(range(lat.n)):    # ids are in rank order
+        r = rep[f]
+        if r != f:
+            P[f], Z[f] = P[r], Z[r]
+            continue
         rank_f = ranks[f]
         crk = rk_total - rank_f
         S = [0] * (crk + 1)
@@ -186,16 +195,23 @@ def _defining_table(lat: FlatLattice):
         P_F[i] = S_F[crk - i] + sum over H > F of mu(F,H) Z_H[crk - i],
     and its low half (degrees <= crk/2) must vanish.  mu(F, .) comes from a
     scalar sweep over chains F <= H <= G; the polynomial work is two sums
-    over pairs.  Shares nothing with _p_table and is not cached.
+    over pairs.  Only orbit representatives are solved and checked, each
+    over its whole interval [F, top]; the other flats copy theirs.  Shares
+    nothing with _p_table and is not cached.
     """
     n = lat.n
     ranks = lat.ranks
     rk_total = lat.rk_total
+    rep = lat.orbit_rep
     ups = lat.uppers()
     P = [None] * n
     Z = [None] * n
     acc = [0] * n
     for f in reversed(range(n)):
+        r = rep[f]
+        if r != f:
+            P[f], Z[f] = P[r], Z[r]
+            continue
         rank_f = ranks[f]
         crk = rk_total - rank_f
         if crk == 0:

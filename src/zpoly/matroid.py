@@ -132,12 +132,20 @@ class FlatLattice:
     flats[i] is a ground-set bitmask; ids are assigned in (rank, mask) order,
     so id 0 is the bottom flat and id n-1 the top.  Immutable after
     construction; the private cache only memoizes derived data.
+
+    symmetry holds ground-set permutations that preserve flats (an error
+    names a flat one of them maps off the lattice).  orbit_rep[f] is the
+    last id in the orbit of flat f under the group they generate; the ids
+    of an orbit share a rank, and without symmetry orbit_rep is range(n).
+    P and Z of an upper interval depend only on the contraction, so they
+    are constant on orbits.
     """
 
-    __slots__ = ("flats", "ranks", "covers", "rk_total", "n_ground", "ground_mask", "_cache")
+    __slots__ = ("flats", "ranks", "covers", "rk_total", "n_ground", "ground_mask", "symmetry",
+                 "orbit_rep", "_cache")
 
     def __init__(self, flats: Sequence[int], ranks: Sequence[int], covers: Sequence[Sequence[int]],
-                 n_ground: int):
+                 n_ground: int, symmetry: Sequence[Sequence[int]] = ()):
         order = sorted(range(len(flats)), key=lambda i: (ranks[i], flats[i]))
         old_to_new = [0] * len(flats)
         for new, old in enumerate(order):
@@ -149,6 +157,8 @@ class FlatLattice:
         self.n_ground = n_ground
         self.ground_mask = self.flats[-1]
         self._cache = {}
+        self.symmetry = tuple(tuple(g) for g in symmetry)
+        self.orbit_rep = _orbit_representatives(self)
 
     @property
     def n(self) -> int:
@@ -171,12 +181,9 @@ class FlatLattice:
     def flat_elements(self, fid: int):
         return sorted(_bits(self.flats[fid]))
 
-    def id_of_mask(self, mask: int) -> int:
-        index = self._cache.get("mask_index")
-        if index is None:
-            index = {m: i for i, m in enumerate(self.flats)}
-            self._cache["mask_index"] = index
-        return index[mask]
+    @property
+    def n_orbits(self) -> int:
+        return sum(1 for f, r in enumerate(self.orbit_rep) if f == r)
 
     def uppers(self):
         """uppers()[i] = ids of flats strictly above flat i, ascending (= by rank)."""
@@ -235,6 +242,54 @@ class FlatLattice:
         return FlatLattice(flats, ranks, covers, self.n_ground)
 
 
+def flat_permutation(lat: FlatLattice, g) -> list:
+    """The permutation of flat ids induced by the ground permutation g, or
+    ValueError if g maps some flat off the lattice.  Masks are mapped a
+    byte at a time through tables of g's images."""
+    tables = []
+    for lo in range(0, len(g), 8):
+        table = [0] * (1 << min(8, len(g) - lo))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] | 1 << g[lo + low.bit_length() - 1]
+        tables.append((lo, table))
+    index = {m: i for i, m in enumerate(lat.flats)}
+    image = []
+    for fid, mask in enumerate(lat.flats):
+        new = 0
+        for lo, table in tables:
+            new |= table[mask >> lo & 255]
+        gid = index.get(new)
+        if gid is None:
+            raise ValueError(f"permutation {tuple(g)} maps flat {lat.flat_elements(fid)} "
+                             "off the lattice")
+        image.append(gid)
+    return image
+
+
+def _orbit_representatives(lat: FlatLattice):
+    """orbit_rep of the lattice: the orbit of each flat not yet reached,
+    by decreasing id, closed under the generators' flat permutations."""
+    if not lat.symmetry:
+        return range(lat.n)
+    for g in lat.symmetry:
+        if sorted(g) != list(range(lat.n_ground)):
+            raise ValueError(f"not a permutation of 0..{lat.n_ground - 1}: {g}")
+    images = [flat_permutation(lat, g) for g in lat.symmetry]
+    rep = [None] * lat.n
+    for f in reversed(range(lat.n)):
+        if rep[f] is None:
+            rep[f] = f
+            orbit = [f]
+            for x in orbit:             # grows while iterated
+                for image in images:
+                    y = image[x]
+                    if rep[y] is None:
+                        rep[y] = f
+                        orbit.append(y)
+    return tuple(rep)
+
+
 def contraction(lat: FlatLattice, fid: int) -> FlatLattice:
     """Lattice of the contraction at a flat: the upper interval [F, top]."""
     if not 0 <= fid < lat.n:
@@ -262,14 +317,19 @@ def enumerate_flats(spec: MatroidSpec, flat_cap: int | None = None) -> FlatLatti
     Generated encodings share one cover-oracle enumerator; explicit flat
     lists are validated and covered by their minimal strict supersets.
     flat_cap bounds the flat count, bottom included: FlatCapExceeded is
-    raised as soon as one flat too many has been generated.
+    raised as soon as one flat too many has been generated.  Uniform and
+    graph lattices carry the symmetry their encoding shows (see
+    _graph_symmetry); the others carry none.
     """
     if isinstance(spec, ExplicitFlats):
         return _lattice_from_explicit_flats(spec, flat_cap)
+    symmetry = ()
     if isinstance(spec, UniformSpec):
         n, oracle = spec.m + spec.d, _uniform_oracle(spec)
+        symmetry = symmetric_generators(list(range(n)), n)
     elif isinstance(spec, GraphSpec):
         n, oracle = len(spec.edges), _graph_oracle(spec)
+        symmetry = _graph_symmetry(spec)
     elif isinstance(spec, ExplicitBases):
         _check_basis_exchange(spec)
         n, oracle = spec.ground, _bases_oracle(spec)
@@ -277,7 +337,7 @@ def enumerate_flats(spec: MatroidSpec, flat_cap: int | None = None) -> FlatLatti
         n, oracle = len(spec.vectors), _vectors_oracle(spec)
     else:
         raise TypeError(f"not a matroid spec: {spec!r}")
-    return _enumerate_by_covers(n, *oracle, flat_cap)
+    return _enumerate_by_covers(n, *oracle, flat_cap, symmetry)
 
 
 def _check_cap(count: int, flat_cap: int | None, rank: int):
@@ -285,7 +345,8 @@ def _check_cap(count: int, flat_cap: int | None, rank: int):
         raise FlatCapExceeded(f"flat count exceeds cap {flat_cap}: {count} flats up to rank {rank}")
 
 
-def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None) -> FlatLattice:
+def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None,
+                         symmetry) -> FlatLattice:
     """Breadth-first enumeration from a cover oracle.
 
     bottom is (mask, state) for the bottom flat; covers_of(mask, state)
@@ -293,7 +354,8 @@ def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None) -> Fla
     cover once, and make_state() is called only the first time that cover
     is reached, so a state lives only while its flat is on the frontier.
     The covers of a flat F partition E - F, so an oracle needs one closure
-    per cover, not one per element.
+    per cover, not one per element.  The lattice carries the given
+    symmetry.
     """
     bmask, bstate = bottom
     flats, ranks, covers = [bmask], [0], [[]]
@@ -315,7 +377,61 @@ def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None) -> Fla
                     new_frontier.append((cid, make_state()))
                 covers[fid].append(cid)
         frontier = new_frontier
-    return FlatLattice(flats, ranks, covers, n)
+    return FlatLattice(flats, ranks, covers, n, symmetry)
+
+
+def symmetric_generators(points: list, n: int) -> list:
+    """A transposition and a cycle of the points, as permutations of
+    range(n); together they generate the symmetric group on the points."""
+    out = []
+    if len(points) > 1:
+        swap = list(range(n))
+        swap[points[0]], swap[points[1]] = points[1], points[0]
+        out.append(swap)
+    if len(points) > 2:
+        cycle = list(range(n))
+        for a, b in zip(points, points[1:] + points[:1]):
+            cycle[a] = b
+        out.append(cycle)
+    return out
+
+
+def _graph_symmetry(spec: GraphSpec) -> list:
+    """Edge permutations generating the permutations of twin vertices.
+    Twins have equal loop counts and equal edge multiplicities to every
+    other vertex; twinship is an equivalence, any permutation inside its
+    classes is a multigraph automorphism, and it maps the k-th edge between
+    u and v to the k-th edge between their images.  Identity edge
+    permutations (twins without edges) are left out."""
+    nv = spec.vertices
+    mult = [[0] * nv for _ in range(nv)]
+    slots = {}                  # sorted endpoints -> edge ids in order
+    for idx, (u, v) in enumerate(spec.edges):
+        mult[u][v] += 1
+        if u != v:
+            mult[v][u] += 1
+        slots.setdefault((min(u, v), max(u, v)), []).append(idx)
+    classes = []
+    for v in range(nv):
+        for cls in classes:
+            u = cls[0]
+            if mult[u][u] == mult[v][v] and all(
+                    mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    out = []
+    for cls in classes:
+        for sigma in symmetric_generators(cls, nv):
+            image = list(range(len(spec.edges)))
+            for (u, v), ids in slots.items():
+                a, b = sigma[u], sigma[v]
+                for e, t in zip(ids, slots[(min(a, b), max(a, b))]):
+                    image[e] = t
+            if any(e != t for e, t in enumerate(image)):
+                out.append(image)
+    return out
 
 
 def _uniform_oracle(spec: UniformSpec):
@@ -529,6 +645,16 @@ def _lattice_from_explicit_flats(spec: ExplicitFlats, flat_cap: int | None) -> F
     # the enumerators' count, taken in (rank, mask) order
     for count, rank in enumerate(sorted(ranks), 1):
         _check_cap(count, flat_cap, rank)
+    # the flat axiom: the covers of a flat F partition E - F.  Two covers
+    # meet in F, since their meet is a flat between, so only the union can
+    # fall short.
+    for a, found in zip(masks, covers):
+        union = a
+        for j in found:
+            union |= masks[j]
+        if union != full:
+            raise ValueError(f"explicit flats violate the cover partition axiom: the covers "
+                             f"of {sorted(_bits(a))} do not partition the rest of the ground set")
     return FlatLattice(masks, ranks, covers, n)
 
 

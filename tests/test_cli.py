@@ -158,6 +158,8 @@ def test_bench_small(capsys):
     assert report["agree"] is True
     methods = {row["method"] for row in report["rows"]}
     assert methods == {"family-recursion", "lattice-defining"}
+    lattice_row = report["rows"][1]
+    assert (lattice_row["flats"], lattice_row["orbits"]) == (203, 11)   # K6; p(6) = 11
     checksums = {row["checksum"] for row in report["rows"]}
     assert len(checksums) == 1
 

@@ -5,10 +5,11 @@ matroids, not just the named corpus."""
 from hypothesis import given, settings, strategies as st
 
 from oracles import chain_count_naive, z_naive
-from zpoly import (BRAID, TYPE_B, GraphSpec, IntPolynomial, KlMethod, LinearVectors,
-                   conjecture_sweep, contraction, enumerate_flats,
-                   is_palindromic, kl_by_method, kl_defining, localization,
-                   uniform_family, whitney_multi, z_polynomial)
+from zpoly import (BRAID, TYPE_B, ExplicitFlats, GraphSpec, IntPolynomial, KlMethod,
+                   LinearVectors, UniformSpec, build_tables, conjecture_sweep, contraction,
+                   enumerate_flats, is_palindromic, kl_by_method, kl_defining, kl_family,
+                   lattice_spec, localization, uniform_family, whitney_multi, z_family,
+                   z_polynomial)
 from zpoly.klz import _defining_table, _p_table
 
 
@@ -83,6 +84,66 @@ def test_pz_table_at_every_flat(spec):
         assert P[f] == P_def[f] == kl_defining(sub).coeffs, (spec, f)
         assert Z[f] == Z_def[f] == z_naive(sub).coeffs, (spec, f)
         assert is_palindromic(IntPolynomial(Z_def[f]), lat.corank(f)), (spec, f)
+
+
+def _assert_orbit_path_is_full_path(lat):
+    """Both P/Z tables of a lattice solved on orbits equal, at every flat,
+    those of the same flats given as ExplicitFlats, which carry no symmetry."""
+    full = enumerate_flats(ExplicitFlats(lat.n_ground, [lat.flat_elements(f)
+                                                        for f in range(lat.n)]))
+    assert full.flats == lat.flats and full.n_orbits == full.n
+    assert _p_table(lat) == _p_table(full)
+    assert _defining_table(lat) == _defining_table(full)
+
+
+def test_orbit_path_equals_full_path_on_braid_and_uniform():
+    partitions = {4: 5, 5: 7, 6: 11, 7: 15, 8: 22}     # p(n): the orbits of K_n
+    for nv, orbits in partitions.items():
+        lat = enumerate_flats(lattice_spec(BRAID, nv - 1))
+        assert lat.n_orbits == orbits, nv
+        _assert_orbit_path_is_full_path(lat)
+    for m in range(10):
+        for d in range(10 - m):
+            lat = enumerate_flats(UniformSpec(m, d))
+            assert lat.n_orbits == d + 1, (m, d)       # one per rank
+            _assert_orbit_path_is_full_path(lat)
+
+
+@st.composite
+def twin_multigraphs(draw):
+    """A multigraph on up to 4 vertices with loops and parallel edges, then
+    1-3 clones: a clone copies one vertex's loops and edges and is
+    joined to it by 0-2 edges, which makes the two twins.  Edge order and
+    orientation are shuffled.  From a seeded random source."""
+    rnd = draw(st.randoms(use_true_random=False))
+    vertices = rnd.randint(1, 4)
+    edges = []
+    for _ in range(rnd.randint(0, 8)):
+        u, v = rnd.randrange(vertices), rnd.randrange(vertices)
+        edges += [(u, v)] * rnd.choice((1, 1, 2))
+    for _ in range(rnd.randint(1, 3)):
+        v, c = rnd.randrange(vertices), vertices
+        vertices += 1
+        edges += [(c if a == v else a, c if b == v else b) for a, b in edges if v in (a, b)]
+        edges += [(v, c)] * rnd.randint(0, 2)
+    rnd.shuffle(edges)
+    return GraphSpec(vertices, [e if rnd.random() < 0.5 else e[::-1] for e in edges])
+
+
+@given(twin_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_orbit_path_equals_full_path_on_twin_multigraphs(spec):
+    _assert_orbit_path_is_full_path(enumerate_flats(spec))
+
+
+def test_k9_orbit_tables_equal_family():
+    lat = enumerate_flats(lattice_spec(BRAID, 8))
+    assert (lat.n, lat.n_orbits) == (21147, 30)
+    tables = build_tables(BRAID, 8)
+    P, Z = _p_table(lat)
+    P_def, Z_def = _defining_table(lat)
+    assert P[0] == P_def[0] == kl_family(tables, 8).coeffs
+    assert Z[0] == Z_def[0] == z_family(tables, 8).coeffs
 
 def test_sweep_stretch_range_d30():
     # the desk-scale criterion stops at d = 20; the full range stays green

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (bases_by_fractions, chain_count_naive,
                      flats_by_naive_closure, lattice_as_sets, mobius_naive,
                      rank_by_fractions, satisfies_basis_exchange)
-from zpoly import (ExplicitBases, ExplicitFlats, FlatCapExceeded, GraphSpec,
+from zpoly import (ExplicitBases, ExplicitFlats, FlatCapExceeded, FlatLattice, GraphSpec,
                    IntPolynomial, LinearVectors, UniformSpec, bareiss_rank,
                    characteristic_polynomial, contraction, enumerate_flats,
                    localization, matroid_spec_from_json, mobius_from_bottom,
@@ -67,6 +67,11 @@ def test_explicit_flats_error_messages():
         enumerate_flats(ExplicitFlats(3, [[], [0], [2], [0, 1], [0, 1, 2]]))
     with pytest.raises(ValueError, match="duplicate"):
         enumerate_flats(ExplicitFlats(1, [[], [0], [0]]))
+    with pytest.raises(ValueError, match=r"covers of \[\] do not partition"):
+        enumerate_flats(ExplicitFlats(3, [[], [0, 1], [0, 1, 2]]))
+    with pytest.raises(ValueError, match=r"covers of \[0\] do not partition"):
+        # the Boolean lattice without [0, 2]: [0] is covered by [0, 1] alone
+        enumerate_flats(ExplicitFlats(3, [[], [0], [1], [2], [0, 1], [1, 2], [0, 1, 2]]))
 
 def test_bases_spec():
     # U_{1,2} as explicit bases
@@ -125,6 +130,9 @@ def test_contraction():
     assert mid.n == 5 and mid.rk_total == 2  # partition lattice of 3 blocks
     with pytest.raises(ValueError):
         contraction(lat, 99)
+    assert lat.n_orbits == 5
+    for sub in (top_con, bot_con, mid):     # sublattices carry no symmetry
+        assert sub.symmetry == () and sub.orbit_rep == range(sub.n)
 
 
 def test_localization():
@@ -134,6 +142,8 @@ def test_localization():
     pair = lat.flats_of_rank(2)[0]
     boole = localization(lat, pair)
     assert boole.n == 4 and boole.rk_total == 2
+    assert lat.n_orbits == 4
+    assert boole.symmetry == () and boole.orbit_rep == range(boole.n)
 
 
 def test_mobius_examples():
@@ -344,6 +354,46 @@ def test_graph_enumerator_against_naive_closure(graph):
     vertices, edges = graph
     _assert_lattice(GraphSpec(vertices, edges),
                     flats_by_naive_closure(len(edges), _graph_rank(vertices, edges)))
+
+
+def _is_automorphism(lat, g):
+    flats = set(lat.flats)
+    return all(sum(1 << g[e] for e in lat.flat_elements(f)) in flats for f in range(lat.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs(), st.randoms(use_true_random=False))
+def test_orbit_builder_rejects_non_automorphisms(graph, rnd):
+    vertices, edges = graph
+    lat = enumerate_flats(GraphSpec(vertices, edges))
+    g = list(range(lat.n_ground))
+    rnd.shuffle(g)
+    if _is_automorphism(lat, g):
+        sym = FlatLattice(lat.flats, lat.ranks, lat.covers, lat.n_ground, [g])
+        image = {m: sum(1 << g[e] for e in sym.flat_elements(f)) for f, m in enumerate(sym.flats)}
+        for f, m in enumerate(sym.flats):
+            assert sym.orbit_rep[f] == sym.orbit_rep[sym.flats.index(image[m])]
+    else:
+        with pytest.raises(ValueError, match="off the lattice"):
+            FlatLattice(lat.flats, lat.ranks, lat.covers, lat.n_ground, [g])
+    with pytest.raises(ValueError, match="not a permutation"):
+        FlatLattice(lat.flats, lat.ranks, lat.covers, lat.n_ground, [g + [lat.n_ground]])
+
+
+def test_twin_vertices_give_the_symmetry():
+    # K_{2,3}: classes {0, 1} and {2, 3, 4}; one transposition for the
+    # first, a transposition and a 3-cycle for the second
+    k23 = enumerate_flats(GraphSpec(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]))
+    assert k23.symmetry == ((3, 4, 5, 0, 1, 2), (1, 0, 2, 4, 3, 5), (1, 2, 0, 4, 5, 3))
+    # the path P4 has an automorphism but no twins
+    assert enumerate_flats(GraphSpec(4, [(0, 1), (1, 2), (2, 3)])).symmetry == ()
+    # 0 and 1 are twins only when their parallel classes to 2 are equal
+    assert enumerate_flats(GraphSpec(3, [(0, 2), (0, 2), (1, 2)])).symmetry == ()
+    assert enumerate_flats(GraphSpec(3, [(0, 2), (1, 2), (2, 0), (2, 1)])).symmetry == \
+        ((1, 0, 3, 2),)
+    # isolated twins move no edge; unequal loop counts are not twins
+    assert enumerate_flats(GraphSpec(3, [(0, 0)])).symmetry == ()
+    assert enumerate_flats(GraphSpec(2, [(0, 0), (1, 1)])).symmetry == ((1, 0),)
 
 
 def test_uniform_enumerator_against_naive_closure():
