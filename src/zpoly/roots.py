@@ -17,16 +17,18 @@ and constant coefficients.
   g/f over (-inf, 0) is +-n exactly when f has n distinct negative roots
   and the roots of g strictly separate them.  One sequence per pair so
   certifies both polynomials and STRICT interlacing with no bisection.
-  Every other pair goes to the isolation route: gcd deflation gives WEAK,
-  and Sturm-guided bisection of dyadic intervals gives the witness of NONE.
+  Otherwise the sequence's last member h = gcd(f, g) deflates the pair, and
+  since a coprime pair interlaces only strictly, the index of (f/h, g/h)
+  tells WEAK from NONE.  Only NONE isolates roots, once, for its witness.
 * Half degree: Z-polynomials are palindromic (Proudfoot-Xu-Young), so
   Z_d = t^m Q_d(s) for d = 2m and (1 + t) t^m Q_d(s) for d = 2m + 1, with
   s = t + 1/t.  s increases on (-inf, -1), so (Z_d, Z_{d-1}) interlaces
   strictly exactly when (Q_d, Q_{d-1}) does left of s = -2, the roots
   t = -1 of the odd one lying in between; one sequence of degree about
-  d/2 decides it.  interlaces and the sweep try this first when both
-  inputs are palindromic of their own degrees d, d - 1 and Q_d(-2) != 0;
-  other pairs, and answers short of STRICT, take the full-degree route.
+  d/2 decides it.  interlaces and the sweep share one decision, which
+  tries this first when both inputs are palindromic of their own degrees
+  d, d - 1 and Q_d(-2) != 0; other pairs, and answers short of STRICT,
+  take the full-degree sequence.
 * Certificates: isolating intervals from bisection; check_certificate
   re-checks one with its own sign evaluation and division, sharing no code
   with the sequence routines.
@@ -48,9 +50,6 @@ from math import gcd
 
 from .families import NiceFamily, WhitneyTables, build_tables, z_family
 from .polyarith import IntPolynomial, RatPolynomial
-
-_REFINE_CAP = 512
-
 
 # --- primitive integer polynomial helpers (low degree first, no trailing 0s)
 
@@ -271,8 +270,11 @@ class InterlaceKind(Enum):
 
 @dataclass(frozen=True)
 class InterlaceVerdict:
-    """Outcome of an interlacing test.  witness is the 0-based position in
-    the merged root order where the alternation broke (None unless NONE)."""
+    """Outcome of an interlacing test of (f, g).  witness is None unless
+    kind is NONE.  Then it is a 0-based position in the increasing order of
+    the distinct roots of f/h and g/h, h = gcd(f, g): the first position
+    where the roots stop alternating f, g, f, ..., or, when they alternate,
+    the position of the first multiple root of f/h, which then has one."""
     kind: InterlaceKind
     witness: int | None = None
 
@@ -324,12 +326,19 @@ def _cauchy_bound(cs) -> int:
     return 1 + -(-worst // lead)
 
 
-def _isolate(chain, sf) -> list:
-    """Disjoint dyadic intervals (lo, hi], one distinct root each, covering
-    (-B, 0); Sturm-count guided bisection."""
+def _isolate(sf):
+    """Sturm chain of the square-free sf and disjoint dyadic intervals
+    (lo, hi], sorted, one root each; ValueError unless all deg sf roots are
+    distinct negative reals.  One Cauchy index counts them, and Sturm-count
+    guided bisection of (-B, 0) separates them."""
+    chain = _sturm_chain(sf)
+    deg = len(sf) - 1
     total = _negative_index(chain)
+    if total != deg:
+        raise ValueError(
+            f"expected {deg} distinct negative real roots, Sturm counts {total}")
     if total == 0:
-        return []
+        return chain, []
     bound = Fraction(-_cauchy_bound(sf))
     v_lo = _variations_at(chain, bound)
     v_hi = _variations_at(chain, Fraction(0))
@@ -350,7 +359,7 @@ def _isolate(chain, sf) -> list:
         stack.append((lo, mid, vl, vm))
         stack.append((mid, hi, vm, vh))
     out.sort()
-    return out
+    return chain, out
 
 
 def certify_roots(p: IntPolynomial) -> SturmCertificate:
@@ -359,13 +368,7 @@ def certify_roots(p: IntPolynomial) -> SturmCertificate:
     if p.is_zero() or p.coefficient(0) == 0:
         raise ValueError("polynomial must not vanish at 0")
     sf = _squarefree(list(p.coeffs))
-    chain = _sturm_chain(sf)
-    deg = len(sf) - 1
-    total = _negative_index(chain)
-    if total != deg:
-        raise ValueError(
-            f"expected {deg} distinct negative real roots, Sturm counts {total}")
-    intervals = _isolate(chain, sf)
+    chain, intervals = _isolate(sf)
     return SturmCertificate(
         squarefree=RatPolynomial(sf),
         chain=tuple(RatPolynomial(cs) for cs in chain),
@@ -432,116 +435,75 @@ def check_certificate(p: IntPolynomial, cert: SturmCertificate) -> bool:
     return _divides(cs, power.coeffs)
 
 
-def _halve(chain, interval):
-    """Shrink an isolating interval by one bisection step."""
-    lo, hi, vl, vh = interval
-    mid = (lo + hi) / 2
-    vm = _variations_at(chain, mid)
-    if vl - vm == 1:
-        return (lo, mid, vl, vm)
-    return (mid, hi, vm, vh)
+def _none_witness(f, g):
+    """The witness of NONE for a coprime pair of negative-real-rooted
+    integer lists with a non-strict Cauchy index.  One isolation of the
+    product of their square-free parts orders the distinct roots, and
+    counting on the chain of f's square-free part labels each interval."""
+    sf_f = _squarefree(f)
+    _, intervals = _isolate(list((IntPolynomial(sf_f)
+                                  * IntPolynomial(_squarefree(g))).coeffs))
+    chain_f = _sturm_chain(sf_f)
+    for k, (lo, hi) in enumerate(intervals):
+        if _count_in(chain_f, lo, hi) != 1 - k % 2:  # f's roots at even k
+            return k
+    # with deg f simple roots, f would alternate with deg f - 1 distinct
+    # roots of g, which then interlace strictly: the index says otherwise
+    if len(sf_f) == len(f):
+        raise RuntimeError("alternating coprime roots with a non-strict Cauchy index")
+    multiple = _sturm_chain(_squarefree(_exact_div(f, sf_f)))
+    return next(k for k in range(0, len(intervals), 2)
+                if _count_in(multiple, *intervals[k]))
 
 
-def _with_variations(chain, intervals):
-    return [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))
-            for lo, hi in intervals]
+def _interlace(f, g):
+    """The decision behind interlaces and the sweep, on integer coefficient
+    lists: an InterlaceVerdict, or None when f or g is not
+    negative-real-rooted.  ValueError when f vanishes at 0, when g does
+    with f negative-real-rooted, and when deg f != deg g + 1 with both.
 
-
-def _overlaps(a, b) -> bool:
-    return max(a[0], b[0]) < min(a[1], b[1])
+    A pair is STRICT when the half-degree step or the Cauchy index of
+    (f, g) says so.  Otherwise h = gcd(f, g) is the last member of that
+    sequence; f/h and g/h are coprime, and a coprime pair interlaces only
+    strictly, so their own index tells WEAK from NONE.  Only NONE isolates
+    roots, for its witness.
+    """
+    paired = len(f) == len(g) + 1 and f[0] != 0
+    if paired:
+        if _half_degree_strict(f, g):
+            return InterlaceVerdict(InterlaceKind.STRICT)
+        strict, h = _cauchy_strict(f, g)
+        if strict:
+            return InterlaceVerdict(InterlaceKind.STRICT)
+    if not is_negative_real_rooted(IntPolynomial(f)):
+        return None
+    if not is_negative_real_rooted(IntPolynomial(g)):
+        return None
+    if not paired:
+        raise ValueError("need deg f = deg g + 1 with g nonzero")
+    if len(h) > 1:
+        f, g = _exact_div(f, h), _exact_div(g, h)
+        if _cauchy_strict(f, g)[0]:
+            return InterlaceVerdict(InterlaceKind.WEAK)
+    return InterlaceVerdict(InterlaceKind.NONE, _none_witness(f, g))
 
 
 def interlaces(f: IntPolynomial, g: IntPolynomial) -> InterlaceVerdict:
     """Decide whether the roots of g separate the roots of f.
 
-    Requires deg f = deg g + 1 and both inputs negative-real-rooted.  For
-    palindromic inputs the half-degree reduction may decide STRICT first.
-    Otherwise one remainder sequence of (f, g) decides STRICT (Cauchy index
-    +-deg f), with no bisection.  Any other pair takes the isolation route:
-    shared roots are factored out by gcd and the deflated pair decided, any
-    shared root downgrading a success to WEAK; NONE carries a witness from
-    isolating intervals.
+    Requires deg f = deg g + 1 and both inputs negative-real-rooted.  Every
+    verdict is read off Cauchy indices: STRICT from the half-degree pair of
+    palindromic inputs or from one remainder sequence of (f, g); WEAK or
+    NONE from the index of the pair deflated by their gcd, the last member
+    of that sequence.  Only NONE isolates roots, for its witness (see
+    InterlaceVerdict).
     """
     if g.is_zero() or f.degree != g.degree + 1:
         raise ValueError("need deg f = deg g + 1 with g nonzero")
-    if _half_degree_strict(f.coeffs, g.coeffs):
-        return InterlaceVerdict(InterlaceKind.STRICT)
-    h = None
-    if f.coefficient(0) != 0:
-        strict, h = _cauchy_strict(f.coeffs, g.coeffs)
-        if strict:
-            return InterlaceVerdict(InterlaceKind.STRICT)
-    return _interlaces_by_isolation(f, g, h)
-
-
-def _interlaces_by_isolation(f: IntPolynomial, g: IntPolynomial,
-                             h=None) -> InterlaceVerdict:
-    """The isolation route of interlaces, and the reference the Cauchy-index
-    decision is tested against.  h, when given, is the primitive gcd(f, g)
-    with positive leading coefficient."""
-    if not is_negative_real_rooted(f) or not is_negative_real_rooted(g):
+    verdict = _interlace(f.coeffs, g.coeffs)
+    if verdict is None:
         raise ValueError("interlacing requires negative-real-rooted inputs")
-    if h is None:
-        h = _rat_gcd(list(f.coeffs), list(g.coeffs))
-    if len(h) > 1:
-        sub = interlaces(IntPolynomial(_exact_div(list(f.coeffs), h)),
-                         IntPolynomial(_exact_div(list(g.coeffs), h)))
-        if sub.kind is InterlaceKind.NONE:
-            return sub
-        return InterlaceVerdict(InterlaceKind.WEAK)
-    if g.degree == 0:
-        # one root of f, nothing to separate; multiplicity is impossible here
-        return InterlaceVerdict(InterlaceKind.STRICT)
-
-    sf_f = _squarefree(list(f.coeffs))
-    sf_g = _squarefree(list(g.coeffs))
-    f_multiple = len(sf_f) - 1 != f.degree
-    g_multiple = len(sf_g) - 1 != g.degree
-    chain_f = _sturm_chain(sf_f)
-    chain_g = _sturm_chain(sf_g)
-    iso_f = _with_variations(chain_f, _isolate(chain_f, sf_f))
-    iso_g = _with_variations(chain_g, _isolate(chain_g, sf_g))
-
-    # refine until no f-interval overlaps a g-interval
-    steps = 0
-    i = j = 0
-    while i < len(iso_f) and j < len(iso_g):
-        a, b = iso_f[i], iso_g[j]
-        if _overlaps(a, b):
-            if a[1] - a[0] >= b[1] - b[0]:
-                iso_f[i] = _halve(chain_f, a)
-            else:
-                iso_g[j] = _halve(chain_g, b)
-            steps += 1
-            if steps > _REFINE_CAP * (len(iso_f) + len(iso_g)):
-                raise RuntimeError("interval refinement failed to separate roots")
-            continue
-        if a[1] <= b[0]:
-            i += 1
-        else:
-            j += 1
-
-    merged = sorted([(iv[0], iv[1], "f") for iv in iso_f]
-                    + [(iv[0], iv[1], "g") for iv in iso_g])
-    labels = [lab for _, _, lab in merged]
-    expected = ["f" if k % 2 == 0 else "g" for k in range(len(labels))]
-    if labels != expected:
-        witness = next(k for k in range(len(labels)) if labels[k] != expected[k])
-        return InterlaceVerdict(InterlaceKind.NONE, witness)
-    if f_multiple or g_multiple:
-        # a repeated root with trivial gcd cannot satisfy the inequalities:
-        # the doubled root would need a matching root of the other polynomial
-        which = iso_f if f_multiple else iso_g
-        multiple_part = _rat_gcd(list(f.coeffs) if f_multiple else list(g.coeffs),
-                                 _derivative(list(f.coeffs) if f_multiple else list(g.coeffs)))
-        mchain = _sturm_chain(_squarefree(multiple_part))
-        witness = next(
-            (k for k, iv in enumerate(which) if _count_in(mchain, iv[0], iv[1])),
-            0)
-        offset = next(k for k, (_, _, lab) in enumerate(merged)
-                      if lab == ("f" if f_multiple else "g"))
-        return InterlaceVerdict(InterlaceKind.NONE, offset + 2 * witness)
-    return InterlaceVerdict(InterlaceKind.STRICT)
+    return verdict
 
 
 def is_log_concave(p: IntPolynomial) -> bool:
@@ -560,22 +522,10 @@ def _sweep_cell(args):
     family_str, d, z_coeffs, z_prev_coeffs, want_cert = args
     start = time.perf_counter()
     zd = IntPolynomial(z_coeffs)
-    if z_prev_coeffs and (_half_degree_strict(z_coeffs, z_prev_coeffs) or (
-            len(z_coeffs) == len(z_prev_coeffs) + 1 and z_coeffs[0] != 0
-            and _cauchy_strict(z_coeffs, z_prev_coeffs)[0])):
-        # one sequence certified both polynomials and strict interlacing
-        rooted, verdict = True, "strict"
-    else:
-        rooted = is_negative_real_rooted(zd)
-        verdict = None
-        if z_prev_coeffs is not None and rooted:
-            zprev = IntPolynomial(z_prev_coeffs)
-            if is_negative_real_rooted(zprev):
-                verdict = interlaces(zd, zprev).kind.value
-            else:
-                verdict = "none"
-        elif z_prev_coeffs is not None:
-            verdict = "none"
+    found = _interlace(z_coeffs, z_prev_coeffs)
+    # None: Z_d or Z_{d-1} is not negative-real-rooted
+    rooted = found is not None or is_negative_real_rooted(zd)
+    verdict = "none" if found is None else found.kind.value
     row = {
         "family": family_str,
         "d": d,
@@ -614,9 +564,7 @@ def conjecture_sweep(family: NiceFamily, d_max: int,
     if d_max > tables.d_max:
         raise ValueError("d_max exceeds precomputed table range")
     zs = [z_family(tables, d) for d in range(d_max + 1)]
-    jobs = [(str(family), d, zs[d].coeffs,
-             zs[d - 1].coeffs if d >= 1 else None,
-             include_certificates)
+    jobs = [(str(family), d, zs[d].coeffs, zs[d - 1].coeffs, include_certificates)
             for d in range(1, d_max + 1)]
     if threads and threads > 1:
         from concurrent.futures import ProcessPoolExecutor

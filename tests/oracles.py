@@ -4,6 +4,7 @@ Everything here is deliberately naive (direct definitions, brute-force
 enumeration) and shares no code path with the library internals it checks.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -270,6 +271,27 @@ def interlace_by_sorted_roots(f_roots, g_roots):
         return "none"
     strict = all(a[i] < b[i] < a[i + 1] for i in range(len(b)))
     return "strict" if strict else "weak"
+
+
+def interlace_witness_by_sorted_roots(f_roots, g_roots):
+    """Witness of a non-interlacing pair from known root multisets, None
+    when the pair interlaces.  Drops the roots f and g share, with
+    multiplicity, labels the remaining distinct roots in increasing order by
+    the polynomial they belong to, and returns the first position where the
+    labels stop alternating f, g, f, ...; failing that, the position of the
+    first multiple root of f, else of g."""
+    common = Counter(f_roots) & Counter(g_roots)
+    f_left = Counter(f_roots) - common
+    g_left = Counter(g_roots) - common
+    merged = sorted(set(f_left) | set(g_left))
+    for k, r in enumerate(merged):
+        if (r in f_left) != (k % 2 == 0):
+            return k
+    for left in (f_left, g_left):
+        for k, r in enumerate(merged):
+            if left[r] >= 2:
+                return k
+    return None
 
 
 # --- symmetric function oracle (Pieri rule)

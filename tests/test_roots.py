@@ -1,15 +1,18 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (interlace_by_sorted_roots, poly_from_roots,
-                     sign_changes_on_grid)
+from oracles import (interlace_by_sorted_roots, interlace_witness_by_sorted_roots,
+                     poly_from_roots, sign_changes_on_grid)
 from zpoly import (BRAID, TYPE_B, IntPolynomial, InterlaceKind, SturmCertificate,
                    build_tables, certify_roots, check_certificate,
                    conjecture_sweep, count_negative_real_roots, interlaces,
                    is_log_concave, is_negative_real_rooted, is_palindromic,
-                   isolate_roots, qvec_family, squarefree_part, uniform_family, z_family)
+                   isolate_roots, parse_family, qvec_family, squarefree_part,
+                   uniform_family, z_family)
 from zpoly import roots
 
 # distinct small negative integer roots
@@ -120,7 +123,7 @@ def test_interlace_none_with_witness():
     g = poly_from_roots([-2, -3])
     v = interlaces(f, g)
     assert v.kind is InterlaceKind.NONE
-    assert v.witness is not None
+    assert v.witness == 1  # roots -5 f, -4 f, -3 g, -2 g, -1 f
 
 
 @given(st.sets(st.integers(-12, -1), min_size=2, max_size=5), st.data())
@@ -153,6 +156,109 @@ def test_interlace_with_repeated_roots():
             (f_roots, g_roots)
         v = interlaces(poly_from_roots(f_roots), poly_from_roots(g_roots))
         assert v.kind.value == expected, (f_roots, g_roots)
+
+
+# (roots of f, roots of g, sign of g, kind, witness): shared roots, multiple
+# roots in f and in g, breaks at every position and multiple-root witnesses
+PINNED_VERDICTS = [
+    ([-5, -4, -1], [-3, -2], 1, "none", 1),
+    ([-5, -4, -1], [-3, -2], -1, "none", 1),
+    ([-2, -1, -1], [-3, -1], 1, "none", 0),
+    ([-4, -2, -2], [-3, -1], -1, "none", 2),
+    ([-3, -2, -1], [-5, -4], -1, "none", 0),
+    ([-3, -2, -1], [-5, -1], 1, "none", 0),
+    ([-5, -2, -2], [-3, -1], 1, "none", 2),
+    ([-5, -5, -2], [-3, -1], 1, "none", 0),
+    ([-7, -5, -3, -3], [-6, -4, -1], -1, "none", 4),
+    ([-7, -5, -5, -1], [-6, -6, -2], -1, "none", 2),
+    ([-7, -5, -3, -1], [-6, -6, -4], 1, "none", 5),
+    ([-6, -3, -1], [-4, -4], -1, "none", 3),
+    ([-3, -3, -3], [-2, -2], 1, "none", 0),
+    ([-3, -3, -3], [-3, -1], -1, "none", 0),
+    ([-4, -3, -2, -1], [-4, -4, -1], 1, "none", 0),
+    ([-4, -2], [-1], 1, "none", 1),
+    ([-3, -1, -1, -1], [-2, -2, -1], -1, "none", 2),
+    ([-8, -8, -1, -1, -1], [-2, -2, -2, -2], 1, "none", 0),
+    ([-6, -5, -2, -2, -1], [-7, -3, -2, -2], -1, "none", 0),
+    ([-7, -7, -4, -4, -2], [-5, -5, -3, -1], 1, "none", 0),
+    ([-6, -6, -6, -2], [-7, -4, -4], -1, "none", 0),
+    ([-8, -6, -4, -2, -1], [-7, -5, -3, -1], -1, "weak", None),
+    ([-2, -2, -1, -1], [-2, -1, -1], 1, "weak", None),
+    ([-8, -1, -1, -1, -1], [-1, -1, -1, -1], -1, "weak", None),
+    ([-6, -5, -2, -2, -1], [-5, -3, -2, -2], 1, "weak", None),
+    ([-1], [], -1, "strict", None),
+]
+
+
+def test_pinned_verdicts_and_witnesses():
+    for f_roots, g_roots, sign, kind, witness in PINNED_VERDICTS:
+        v = interlaces(poly_from_roots(f_roots),
+                       poly_from_roots(g_roots) * IntPolynomial([sign]))
+        assert (v.kind.value, v.witness) == (kind, witness), (f_roots, g_roots, sign)
+        assert interlace_by_sorted_roots(f_roots, g_roots) == kind
+        assert interlace_witness_by_sorted_roots(f_roots, g_roots) == witness
+
+
+def test_interlace_error_contract():
+    # the degree check comes first, then f (vanishing at 0, then rooted),
+    # then g
+    cases = [
+        ((1, 3, 1), (1, 3, 1), "need deg f = deg g \\+ 1 with g nonzero"),
+        ((1, 1, 1), (1, 3, 1), "need deg f = deg g"),
+        ((0, 3, 1), (1,), "need deg f = deg g"),
+        ((1, 3, 1), (), "need deg f = deg g"),
+        ((0, 3, 1), (1, 1), "^polynomial must not vanish at 0$"),
+        ((0, 1, 1), (1, -1), "vanish at 0"),
+        ((1, 1, 1), (1, 1), "^interlacing requires negative-real-rooted inputs$"),
+        ((1, 1, 1), (0, 1), "negative-real-rooted"),
+        ((2, 3, 1), (1, -1), "negative-real-rooted"),
+        ((2, 3, 1, 0, 1), (1, 0, 1, 1), "negative-real-rooted"),
+        ((2, 3, 1), (0, 1), "vanish at 0"),
+    ]
+    for f, g, message in cases:
+        with pytest.raises(ValueError, match=message):
+            interlaces(IntPolynomial(f), IntPolynomial(g))
+    # a sweep cell counts the roots of both before it compares degrees
+    row = roots._sweep_cell(("test", 2, (1, 3, 1), (1, 1, 1), False))
+    assert (row["negative_real_rooted"], row["interlace"]) == (True, "none")
+    with pytest.raises(ValueError, match="deg f = deg g"):
+        roots._sweep_cell(("test", 2, (1, 3, 1), (1, 3, 1), False))
+
+
+# sha256 of the conjecture_sweep rows without "millis", json.dumps with
+# sorted keys: to d = 30 without certificates, to d = 16 with them
+PINNED_SWEEPS = {
+    "braid": ("80641ce8d1addf073c5dccfd84d1254b35c6c3bb76ca6fd8e0d59023116cf8ce",
+              "97e6ae3b51c59ece5424d6f06627950b457758775d446291e74f5b21800bc51b"),
+    "typeb": ("43e947b4319a16e85f0e87a66f9258199976181ff49f0ce7cebf995a3eb74dec",
+              "71e081fec4be29412c9066688933965960481139a2755d1fa1b58100456c4c41"),
+    "uniform:1": ("cbce47269ccf221b89812c826e4c0bfeb563a9c28d4aa812f39a7235134f59c6",
+                  "3830e86b293dc603b373df7d5030cc32ce52f4cfea4cfcf6f0ff711a74421057"),
+    "uniform:2": ("225367c5ae5afd931a174cf76ff647336ee93ed82555f7545552f83c1521f0ce",
+                  "c77f6eb7f3783f536d33162886b9375808c0af0033092b8a4dff5945f9e49add"),
+    "uniform:3": ("9d7bde502e22ce603220e2b9999264f6a49a250ac6efc399a34bb90a143a36ad",
+                  "37e3ff76c34080ba9dd14b893749435e42615dc587ad6e23c3967b7e8898acbe"),
+    "uniform:10": ("50d3b85fe194d14abc0ea0fe3720dfa23a7335907f7a68a48ae5c890c62c3448",
+                   "940f622b9ff9d53dcb054cb9bbf093405a7d946c1df64f08f303829578767eb1"),
+    "qvec:2": ("ffd4fe2d459c88dc09e020f8057c4116448bda9a90dfc06f66015cde2d2e4d4a",
+               "fa310ad7ffde89b4ee6cd72dd244c56dd745bcd0433c81e70c1eb6c9f4ca0073"),
+    "qvec:3": ("568fc9dcd54c1d8bb34579529ff52aff0b6eb8e943e1b59f3880ae6c0bdfb4ef",
+               "5075abbdebdcaceaa833cd83739509339d71cccb17630795ff1a2deab43e61e3"),
+}
+
+
+def test_pinned_sweep_rows():
+    def digest(rows):
+        rows = [{k: v for k, v in row.items() if k != "millis"} for row in rows]
+        return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+    for name, (rows_30, certified_16) in PINNED_SWEEPS.items():
+        family = parse_family(name)
+        rows = conjecture_sweep(family, 30)
+        assert all(row["interlace"] == "strict" for row in rows), name
+        assert digest(rows) == rows_30, name
+        assert digest(conjecture_sweep(family, 16, include_certificates=True)) \
+            == certified_16, name
 
 
 def test_strict_implies_trivial_gcd():
@@ -190,12 +296,12 @@ def test_cauchy_index_against_isolation_route(data):
     f = poly_from_roots(f_roots)
     g = poly_from_roots(g_roots) * IntPolynomial([flip])
     strict, h = roots._cauchy_strict(f.coeffs, g.coeffs)
-    reference = roots._interlaces_by_isolation(f, g)
-    assert strict == (reference.kind is InterlaceKind.STRICT)
+    expected = interlace_by_sorted_roots(f_roots, g_roots)
+    assert strict == (expected == "strict")
     assert h == roots._rat_gcd(list(f.coeffs), list(g.coeffs))
-    assert interlaces(f, g) == reference
-    assert reference.kind.value == interlace_by_sorted_roots(sorted(f_roots),
-                                                             sorted(g_roots))
+    v = interlaces(f, g)
+    assert v.kind.value == expected
+    assert v.witness == interlace_witness_by_sorted_roots(f_roots, g_roots)
 
 
 @given(st.data())
@@ -311,10 +417,11 @@ def test_half_degree_against_isolation_route(data):
         with pytest.raises(ValueError, match="negative-real-rooted"):
             interlaces(f, g)
         return
-    reference = roots._interlaces_by_isolation(f, g)
-    assert half == (reference.kind is InterlaceKind.STRICT)
-    assert interlaces(f, g) == reference
-    assert reference.kind.value == interlace_by_sorted_roots(*known)
+    expected = interlace_by_sorted_roots(*known)
+    assert half == (expected == "strict")
+    v = interlaces(f, g)
+    assert v.kind.value == expected
+    assert v.witness == interlace_witness_by_sorted_roots(*known)
 
 
 def test_half_degree_even_root_at_minus_one_takes_the_old_route(monkeypatch):
@@ -328,8 +435,11 @@ def test_half_degree_even_root_at_minus_one_takes_the_old_route(monkeypatch):
     real = roots._cauchy_strict
     monkeypatch.setattr(roots, "_cauchy_strict",
                         lambda a, b: calls.append((a, b)) or real(a, b))
-    assert interlaces(f, g) == roots._interlaces_by_isolation(f, g)
+    known = ([-4, -1, -1, Fraction(-1, 4)], [-2, -1, Fraction(-1, 2)])
+    assert interlace_by_sorted_roots(*known) == "weak"
+    assert interlace_witness_by_sorted_roots(*known) is None
     assert interlaces(f, g).kind is InterlaceKind.WEAK
+    assert interlaces(f, g).witness is None
     assert calls[0] == (f.coeffs, g.coeffs)
 
 
@@ -450,16 +560,26 @@ def test_qvec_gap_property():
     # the stronger property behind the q-family proof: exactly one root of
     # Z_{d-1} strictly between consecutive roots of Z_d, and alpha_i < q*alpha_{i+1}
     from zpoly.roots import (_isolate, _squarefree, _sturm_chain, _count_in,
-                             _variations_at, _halve)
+                             _variations_at)
+
+    def _halve(chain, interval):
+        """Shrink an isolating interval by one bisection step."""
+        lo, hi, vl, vh = interval
+        mid = (lo + hi) / 2
+        vm = _variations_at(chain, mid)
+        if vl - vm == 1:
+            return (lo, mid, vl, vm)
+        return (mid, hi, vm, vh)
+
     for q in (2, 3):
         tables = build_tables(qvec_family(q), 10)
         for d in range(2, 11):
             zd = list(z_family(tables, d).coeffs)
             zp = list(z_family(tables, d - 1).coeffs)
-            chain_d = _sturm_chain(_squarefree(zd))
+            chain_d, intervals = _isolate(_squarefree(zd))
             chain_p = _sturm_chain(_squarefree(zp))
             iso = [(lo, hi, _variations_at(chain_d, lo), _variations_at(chain_d, hi))
-                   for lo, hi in _isolate(chain_d, _squarefree(zd))]
+                   for lo, hi in intervals]
             # refine until no Z_{d-1} root sits inside a Z_d interval and the
             # scaled-gap inequality hi_i <= q * lo_{i+1} is certified
             for k in range(len(iso)):
