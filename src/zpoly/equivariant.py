@@ -4,7 +4,9 @@ For an arbitrary finite permutation group acting on the ground set and
 preserving flats, the multichain counts refine to permutation characters
 (fixed-point counts), and the closed formula for Kazhdan-Lusztig coefficients
 refines to a virtual character.  Characters are class functions, so the
-fixed chains are counted once per conjugacy class, at its representative.
+fixed chains are counted once per conjugacy class, at its representative,
+by the plain multichain counter and closed-formula sum restricted to the
+flats it fixes: at the identity the value is the plain count by construction.
 Generators of the full symmetric group are recognised (Jordan's theorem),
 and its classes are the cycle types, so Sym(n) needs no element list.
 For uniform matroids with the full symmetric group the characters are
@@ -19,8 +21,9 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
 
-from .klz import enumerate_index_tuples, t_index
-from .matroid import FlatLattice, flat_permutation, symmetric_generators
+from .klz import _closed_sum
+from .matroid import (FlatLattice, _multichain_counts, flat_permutation,
+                      symmetric_generators)
 
 _GROUP_CAP = 10 ** 6
 _SCHUR_DEGREE_CAP = 12
@@ -109,10 +112,6 @@ class SymFunction:
             else:
                 bits.append(("- " if c < 0 else "+ ") + mag + body)
         return " ".join(bits)
-
-    def to_json(self):
-        return [{"coeff": c, "partition": list(lam)}
-                for lam, c in sorted(self.terms.items(), reverse=True)]
 
 
 def h_product(parts) -> SymFunction:
@@ -282,21 +281,9 @@ def equivariant_whitney_uniform(m: int, d: int, profile) -> SymFunction:
 
 def equivariant_c_uniform(m: int, d: int, i: int) -> SymFunction:
     """Virtual S_{m+d}-character of the i-th Kazhdan-Lusztig coefficient of
-    U_{m,d}, as the signed sum of h-products over the index tuples."""
-    if i < 1:
-        raise ValueError("equivariant coefficient needs i >= 1")
-    n = m + d
-    result = SymFunction("h", n)
-    for tup in enumerate_index_tuples(i, d):
-        a, s, r = tup.a, tup.subset, tup.r
-        parts = [m + a[t_index(1, s, r)]]
-        for j in range(1, r + 1):
-            if j in s:
-                parts.append(a[j] - a[j - 1])
-            else:
-                parts.append(a[t_index(j + 1, s, r)] - a[j - 1])
-        result = result + tup.sign * h_product(parts)
-    return result
+    U_{m,d}: the closed formula over the h-product Whitney characters."""
+    return _closed_sum(i, d, lambda profile: equivariant_whitney_uniform(m, d, profile),
+                       SymFunction("h", m + d))
 
 
 # ---------------------------------------------------------------------------
@@ -518,39 +505,11 @@ def _check_action(lat: FlatLattice, group: PermGroup):
         flat_permutation(lat, g)
 
 
-def _fixed_chain_count(lat: FlatLattice, fixed, anchors, profile: tuple,
-                       memo: dict):
-    """Chain counts restricted to fixed flats: same suffix recursion as the
-    plain Whitney count.  Values are only needed at fixed flats (the chain
-    members) and at the bottom anchor, so only those are computed."""
-    vec = memo.get(profile)
-    if vec is not None:
-        return vec
-    if not profile:
-        # the anchor flat is only a lower bound, not part of the chain
-        vec = dict.fromkeys(anchors, 1)
-    else:
-        head, rest = profile[0], profile[1:]
-        prev = _fixed_chain_count(lat, fixed, anchors, rest, memo)
-        ups = lat.uppers()
-        ranks = lat.ranks
-        target = lat.rk_total - head
-        vec = {}
-        for f in anchors:
-            total = 0
-            if ranks[f] == target and fixed[f]:
-                total += prev[f]
-            for g in ups[f]:
-                if ranks[g] == target and fixed[g]:
-                    total += prev[g]
-            vec[f] = total
-    memo[profile] = vec
-    return vec
-
-
 def _fixed_flags(lat: FlatLattice, g):
-    """g fixes a flat iff each nontrivial cycle of g lies inside it or
-    outside it; each cycle filters the flats left by the previous ones."""
+    """Flags of the flats g fixes, and their sorted ids (the bottom among
+    them: g preserves flats).  g fixes a flat iff each nontrivial cycle of g
+    lies inside it or outside it; each cycle filters the flats left by the
+    previous ones."""
     flats = lat.flats
     anchors = range(lat.n)
     seen = 0
@@ -565,27 +524,21 @@ def _fixed_flags(lat: FlatLattice, g):
     fixed = [False] * lat.n
     for f in anchors:
         fixed[f] = True
-    anchors = list(anchors)
-    if not fixed[lat.bottom_id]:
-        anchors.insert(0, lat.bottom_id)
     return fixed, anchors
 
 
 def _chain_character(lat: FlatLattice, group: PermGroup,
-                     terms) -> ClassFunctionTable:
-    """The class function g -> sum of sign * (number of g-fixed multichains
-    with the given corank profile) over the (sign, profile) terms, counted
-    once per conjugacy class at its representative."""
+                     value) -> ClassFunctionTable:
+    """The class function g -> value(count), where count(profile) is the
+    number of g-fixed multichains with that corank profile, evaluated once
+    per conjugacy class at its representative."""
     _check_action(lat, group)
     values = {}
     for g in group.class_representatives():
         fixed, anchors = _fixed_flags(lat, g)
         memo = {}
-        total = 0
-        for sign, profile in terms:
-            total += sign * _fixed_chain_count(lat, fixed, anchors, profile,
-                                               memo)[lat.bottom_id]
-        values[g] = total
+        values[g] = value(lambda profile: _multichain_counts(
+            lat, fixed, anchors, profile, memo)[lat.bottom_id])
     return ClassFunctionTable(group, values)
 
 
@@ -594,16 +547,13 @@ def equivariant_whitney_character(lat: FlatLattice, group: PermGroup,
     """Permutation character of the group action on corank-profile
     multichains: each element maps to its number of fixed multichains."""
     profile = tuple(int(i) for i in profile)
-    return _chain_character(lat, group, [(1, profile)])
+    return _chain_character(lat, group, lambda count: count(profile))
 
 
 def equivariant_c_character(lat: FlatLattice, group: PermGroup,
                             i: int) -> ClassFunctionTable:
-    """Virtual character of the i-th Kazhdan-Lusztig coefficient: the signed
-    sum of the Whitney permutation characters over the index tuples.  Its
-    value at the identity is the plain coefficient."""
-    if i < 1:
-        raise ValueError("equivariant coefficient needs i >= 1")
-    tuples = enumerate_index_tuples(i, lat.rk_total)
+    """Virtual character of the i-th Kazhdan-Lusztig coefficient: the closed
+    formula over each class representative's fixed-chain counts.  Its value
+    at the identity is the plain coefficient."""
     return _chain_character(lat, group,
-                            [(tup.sign, tup.profile()) for tup in tuples])
+                            lambda count: _closed_sum(i, lat.rk_total, count, 0))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .klz import enumerate_index_tuples, t_index
+from .klz import _closed_sum
 from .matroid import (ExplicitFlats, GraphSpec, LinearVectors, MatroidSpec,
                       UniformSpec)
 from .polyarith import (IntPolynomial, RatPolynomial, TruncatedSeries,
@@ -274,21 +274,10 @@ def whitney_multi_family(tables: WhitneyTables, d: int, profile) -> int:
 
 
 def kl_closed_family(tables: WhitneyTables, d: int, i: int) -> int:
-    """c_d(i) as the signed sum over index tuples of products of table
-    entries W_{a_{t_{j+1}(S)}+a_j}(a_{t_j(S)}+a_{j-1})."""
-    if i < 1:
-        raise ValueError("closed formula applies for i >= 1")
-    total = 0
-    for tup in enumerate_index_tuples(i, d):
-        a, s, r = tup.a, tup.subset, tup.r
-        term = tup.sign
-        for j in range(1, r + 1):
-            term *= tables.W_val(a[t_index(j + 1, s, r)] + a[j],
-                                 a[t_index(j, s, r)] + a[j - 1])
-            if term == 0:
-                break
-        total += term
-    return total
+    """c_d(i) by the closed formula over whitney_multi_family: each index
+    tuple's chain ends at a_{r+1} + a_r = d, so its term is the product of
+    W_{a_{t_{j+1}(S)}+a_j}(a_{t_j(S)}+a_{j-1})."""
+    return _closed_sum(i, d, lambda profile: whitney_multi_family(tables, d, profile), 0)
 
 
 def q_shift_check(q: int, d_max: int) -> bool:

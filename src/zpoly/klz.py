@@ -14,6 +14,9 @@ mu(F, H) on every interval, and checks the equation in full.  Both solve
 one flat per orbit of the lattice's symmetry (FlatLattice.orbit_rep) and
 copy the result to the rest of the orbit.
 
+The closed formula is one sum, _closed_sum, over any Whitney source: lattice
+multichains, family tables, h-products, or one class's fixed chains.
+
 All arithmetic is exact big-integer.
 """
 
@@ -257,15 +260,23 @@ def kl_defining(lat: FlatLattice) -> IntPolynomial:
 # the closed formula over Whitney numbers
 
 
+def _closed_sum(i: int, rk: int, whitney, zero):
+    """The closed formula for c(i) of a rank-rk matroid, over any Whitney
+    source: zero plus sign * whitney(profile) for every index tuple, where
+    whitney maps a corank profile to a multichain count or character.
+    Empty (hence zero) when rk <= 2i."""
+    if i < 1:
+        raise ValueError("closed formula applies for i >= 1")
+    total = zero
+    for tup in enumerate_index_tuples(i, rk):
+        total = total + tup.sign * whitney(tup.profile())
+    return total
+
+
 def kl_coeff_closed(lat: FlatLattice, i: int) -> int:
     """c(i) as the signed sum of multi-indexed Whitney numbers over the
     index tuples; empty (hence 0) when rk <= 2i."""
-    if i < 1:
-        raise ValueError("closed formula applies for i >= 1")
-    total = 0
-    for tup in enumerate_index_tuples(i, lat.rk_total):
-        total += tup.sign * whitney_multi(lat, tup.profile())
-    return total
+    return _closed_sum(i, lat.rk_total, lambda profile: whitney_multi(lat, profile), 0)
 
 
 def kl_by_method(lat: FlatLattice, method: KlMethod) -> IntPolynomial:

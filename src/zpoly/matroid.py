@@ -1,6 +1,7 @@
 """Lattices of flats: construction from several matroid encodings and the
 poset computations everything else is built on (Mobius values, characteristic
-polynomials, multi-indexed Whitney numbers).
+polynomials, multi-indexed Whitney numbers).  One multichain counter
+serves the plain Whitney numbers and the equivariant fixed-chain counts.
 
 Flats are ground-set bitmasks (Python ints); the order is subset inclusion.
 Since flats of a matroid are ordered by containment this is exact.  Closure
@@ -691,32 +692,32 @@ def characteristic_polynomial(lat: FlatLattice) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def _whitney_vector(lat: FlatLattice, profile: tuple):
-    """counts[f] = number of multichains with the given corank profile whose
-    lowest flat contains flat f.  Memoized per profile suffix; the Whitney
-    recursion over contractions makes suffixes shareable."""
-    memo = lat._cache.setdefault("whitney", {})
+def _multichain_counts(lat: FlatLattice, fixed, anchors, profile: tuple, memo: dict):
+    """counts[f], at each anchor f (sorted ids), of the multichains of flats
+    F with fixed[F] of the given corank profile whose lowest flat contains
+    f.  Memoized per profile suffix in `memo`; the Whitney recursion over
+    contractions makes suffixes shareable.  All flags set: the plain count."""
     vec = memo.get(profile)
     if vec is not None:
         return vec
-    n = lat.n
+    out = [0] * lat.n
     if not profile:
-        vec = (1,) * n
+        for f in anchors:
+            out[f] = 1
     else:
-        head, rest = profile[0], profile[1:]
-        prev = _whitney_vector(lat, rest)
-        target = lat.rk_total - head    # rank of flats with corank == head
+        prev = _multichain_counts(lat, fixed, anchors, profile[1:], memo)
+        target = lat.rk_total - profile[0]  # rank of flats with corank profile[0]
         # ids are in rank order, so the target rank is an id range [lo, hi)
-        # and every up-set meets it in one slice
+        # and every up-set meets it in one slice; mask that range once
         lo = bisect_left(lat.ranks, target)
         hi = bisect_left(lat.ranks, target + 1)
+        out[lo:hi] = [c if x else 0 for c, x in zip(prev[lo:hi], fixed[lo:hi])]
         ups = lat.uppers()
-        out = [0] * n
-        for f in range(lo):
+        for f in anchors[:bisect_left(anchors, lo)]:
             ups_f = ups[f]
-            out[f] = sum(prev[g] for g in ups_f[bisect_left(ups_f, lo):bisect_left(ups_f, hi)])
-        out[lo:hi] = prev[lo:hi]
-        vec = tuple(out)
+            in_target = ups_f[bisect_left(ups_f, lo):bisect_left(ups_f, hi)]
+            out[f] = sum(map(out.__getitem__, in_target))
+    vec = tuple(out)
     memo[profile] = vec
     return vec
 
@@ -728,4 +729,5 @@ def whitney_multi(lat: FlatLattice, profile) -> int:
     integers (impossible coranks yield 0); the empty profile counts 1.
     """
     profile = tuple(int(i) for i in profile)
-    return _whitney_vector(lat, profile)[lat.bottom_id]
+    memo = lat._cache.setdefault("whitney", {})
+    return _multichain_counts(lat, (True,) * lat.n, range(lat.n), profile, memo)[lat.bottom_id]

@@ -30,12 +30,6 @@ class IntPolynomial:
     def one(cls) -> "IntPolynomial":
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, coeff: int, power: int) -> "IntPolynomial":
-        if power < 0:
-            raise ValueError("negative power")
-        return cls((0,) * power + (coeff,))
-
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
@@ -175,10 +169,6 @@ class RatPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def from_int(cls, p: IntPolynomial) -> "RatPolynomial":
-        return cls(p.coeffs)
 
     @property
     def degree(self) -> int:

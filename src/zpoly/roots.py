@@ -465,27 +465,31 @@ def _interlace(f, g):
     A pair is STRICT when the half-degree step or the Cauchy index of
     (f, g) says so.  Otherwise h = gcd(f, g) is the last member of that
     sequence; f/h and g/h are coprime, and a coprime pair interlaces only
-    strictly, so their own index tells WEAK from NONE.  Only NONE isolates
-    roots, for its witness.
+    strictly, so their own index tells WEAK from NONE.  When it is strict,
+    f/h and g/h are negative-real-rooted, so f and g are exactly when h
+    is: WEAK counts roots once, on h.  Every other pair counts the roots
+    of f and g, and only NONE isolates roots, for its witness.
     """
     paired = len(f) == len(g) + 1 and f[0] != 0
+    f_h, g_h = f, g
     if paired:
         if _half_degree_strict(f, g):
             return InterlaceVerdict(InterlaceKind.STRICT)
         strict, h = _cauchy_strict(f, g)
         if strict:
             return InterlaceVerdict(InterlaceKind.STRICT)
+        if len(h) > 1:
+            f_h, g_h = _exact_div(f, h), _exact_div(g, h)
+            if _cauchy_strict(f_h, g_h)[0]:
+                rooted = is_negative_real_rooted(IntPolynomial(h))
+                return InterlaceVerdict(InterlaceKind.WEAK) if rooted else None
     if not is_negative_real_rooted(IntPolynomial(f)):
         return None
     if not is_negative_real_rooted(IntPolynomial(g)):
         return None
     if not paired:
         raise ValueError("need deg f = deg g + 1 with g nonzero")
-    if len(h) > 1:
-        f, g = _exact_div(f, h), _exact_div(g, h)
-        if _cauchy_strict(f, g)[0]:
-            return InterlaceVerdict(InterlaceKind.WEAK)
-    return InterlaceVerdict(InterlaceKind.NONE, _none_witness(f, g))
+    return InterlaceVerdict(InterlaceKind.NONE, _none_witness(f_h, g_h))
 
 
 def interlaces(f: IntPolynomial, g: IntPolynomial) -> InterlaceVerdict:

@@ -214,6 +214,9 @@ def test_interlace_error_contract():
         ((2, 3, 1), (1, -1), "negative-real-rooted"),
         ((2, 3, 1, 0, 1), (1, 0, 1, 1), "negative-real-rooted"),
         ((2, 3, 1), (0, 1), "vanish at 0"),
+        # (t^2+4t+3)(t^2+1), (t+2)(t^2+1): strict once deflated by
+        # h = t^2+1, which has no real roots
+        ((3, 4, 4, 4, 1), (2, 1, 2, 1), "negative-real-rooted"),
     ]
     for f, g, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -223,6 +226,8 @@ def test_interlace_error_contract():
     assert (row["negative_real_rooted"], row["interlace"]) == (True, "none")
     with pytest.raises(ValueError, match="deg f = deg g"):
         roots._sweep_cell(("test", 2, (1, 3, 1), (1, 3, 1), False))
+    row = roots._sweep_cell(("test", 4, (3, 4, 4, 4, 1), (2, 1, 2, 1), False))
+    assert (row["negative_real_rooted"], row["interlace"]) == (False, "none")
 
 
 # sha256 of the conjecture_sweep rows without "millis", json.dumps with
