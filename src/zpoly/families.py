@@ -3,9 +3,11 @@ type-B reflection arrangement, uniform U_{m,d}, and the full vector matroid
 over F_q.
 
 Whitney tables W_d(k) / w_d(k) are filled from the families' counting
-formulas; Kazhdan-Lusztig coefficients then come from the linear recursion
-over coranks, never touching a lattice.  Everything cross-validates against
-the lattice-based computations at small rank.
+formulas.  P_d and Z_d then come from the family recursion, never touching a
+lattice: the P/Z table's palindromic step (klz._palindromic_step) over
+Whitney rows, since the W_d(k) flats of corank k each contract to the rank-k
+member.  Every entry point checks d against the tables' range.  Everything
+cross-validates against the lattice-based computations at small rank.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .klz import _closed_sum
+from .klz import _closed_sum, _palindromic_step
 from .matroid import (ExplicitFlats, GraphSpec, LinearVectors, MatroidSpec,
                       UniformSpec)
 from .polyarith import (IntPolynomial, RatPolynomial, TruncatedSeries,
@@ -145,7 +147,12 @@ class WhitneyTables:
     d_max: int
     W: list
     w: list
-    _kl: list = field(default_factory=list, repr=False)
+    _pz: list = field(default_factory=list, repr=False)
+
+    def _check_rank(self, d: int) -> None:
+        """Raise ValueError unless the tables reach the rank-d member."""
+        if not 0 <= d <= self.d_max:
+            raise ValueError(f"d={d} outside table range 0..{self.d_max}")
 
     def W_val(self, d: int, k: int) -> int:
         if 0 <= k <= d <= self.d_max:
@@ -194,67 +201,48 @@ def build_tables(family: NiceFamily, d_max: int) -> WhitneyTables:
     return WhitneyTables(family, d_max, W, w)
 
 
-def _kl_coeffs(tables: WhitneyTables, d: int) -> tuple:
-    """Coefficient tuple of P_d(t), memoized over ranks 0..d.
+def _pz(tables: WhitneyTables, d: int) -> tuple:
+    """(P_d, Z_d) coefficient tuples, memoized over ranks 0..d.
 
-    c_d(i) = sum_k W_d(k) c_k(k-i) - sum_k W_d(k) c_k(i-d+k) for 2i < d,
-    with k running over coranks 0..d-1 and c_k(j) = 0 out of range.
+    The flats above the bottom of the rank-d member are W_d(k) flats of each
+    corank k < d, each contracting to the rank-k member; so
+    S_d = sum_{k<d} W_d(k) t^{d-k} P_k, and _palindromic_step completes it.
     """
-    if d > tables.d_max:
-        raise ValueError(f"d={d} exceeds table range d_max={tables.d_max}")
-    memo = tables._kl
+    tables._check_rank(d)
+    memo = tables._pz
     while len(memo) <= d:
         n = len(memo)
-        if n == 0:
-            memo.append((1,))
-            continue
         W = tables.W[n]
-        coeffs = [1]
-        for i in range(1, (n + 1) // 2):
-            total = 0
-            for k in range(n):
-                ck = memo[k]
-                j1 = k - i
-                if 0 <= j1 < len(ck):
-                    total += W[k] * ck[j1]
-                j2 = i - n + k
-                if 0 <= j2 < len(ck):
-                    total -= W[k] * ck[j2]
-            coeffs.append(total)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        memo.append(tuple(coeffs))
+        S = [0] * (n + 1)
+        for k in range(n):
+            Wk = W[k]
+            for j, c in enumerate(memo[k][0], n - k):
+                S[j] += Wk * c
+        memo.append(_palindromic_step(S))
     return memo[d]
 
 
 def kl_family(tables: WhitneyTables, d: int) -> IntPolynomial:
-    """P_d(t) by the corank-indexed linear recursion; no lattice involved."""
-    return IntPolynomial(_kl_coeffs(tables, d))
+    """P_d(t) by the family recursion; no lattice involved."""
+    return IntPolynomial(_pz(tables, d)[0])
 
 
 def z_family(tables: WhitneyTables, d: int) -> IntPolynomial:
     """Z_d(t) = sum_k W_d(k) t^{d-k} P_k(t)."""
-    if d > tables.d_max:
-        raise ValueError(f"d={d} exceeds table range d_max={tables.d_max}")
-    out = [0] * (d + 1)
-    for k in range(d + 1):
-        Wdk = tables.W[d][k]
-        for j, c in enumerate(_kl_coeffs(tables, k)):
-            out[d - k + j] += Wdk * c
-    return IntPolynomial(out)
+    return IntPolynomial(_pz(tables, d)[1])
 
 
 def p_from_z_inversion(tables: WhitneyTables, d: int) -> IntPolynomial:
     """P_d(t) = sum_k w_d(k) t^{d-k} Z_k(t): the inverse half of the
     transform between the P and Z generating sequences."""
+    tables._check_rank(d)
     out = [0] * (d + 1)
     for k in range(d + 1):
         wdk = tables.w[d][k]
         if wdk == 0:
             continue
-        zk = z_family(tables, k)
-        for j, c in enumerate(zk.coeffs):
-            out[d - k + j] += wdk * c
+        for j, c in enumerate(_pz(tables, k)[1], d - k):
+            out[j] += wdk * c
     return IntPolynomial(out)
 
 
@@ -264,19 +252,16 @@ def whitney_multi_family(tables: WhitneyTables, d: int, profile) -> int:
 
     The profile is corank-major, [i_r, ..., i_1], as everywhere else.
     """
+    tables._check_rank(d)
     chain = [int(i) for i in reversed(list(profile))] + [d]
-    total = 1
-    for j in range(len(chain) - 1):
-        total *= tables.W_val(chain[j + 1], chain[j])
-        if total == 0:
-            return 0
-    return total
+    return prod(map(tables.W_val, chain[1:], chain))
 
 
 def kl_closed_family(tables: WhitneyTables, d: int, i: int) -> int:
     """c_d(i) by the closed formula over whitney_multi_family: each index
     tuple's chain ends at a_{r+1} + a_r = d, so its term is the product of
     W_{a_{t_{j+1}(S)}+a_j}(a_{t_j(S)}+a_{j-1})."""
+    tables._check_rank(d)
     return _closed_sum(i, d, lambda profile: whitney_multi_family(tables, d, profile), 0)
 
 
@@ -362,11 +347,7 @@ def series_identity_check(family: NiceFamily, order: int) -> bool:
         G_series.append(Gk)
 
     def poly_series(poly_of_d) -> TruncatedSeries:
-        polys = []
-        for d in range(N + 1):
-            p = poly_of_d(d)
-            polys.append(RatPolynomial([Fraction(c, factorial(d)) for c in p.coeffs]))
-        return TruncatedSeries(N, polys)
+        return TruncatedSeries(N, [poly_of_d(d) * Fraction(1, factorial(d)) for d in range(N + 1)])
 
     P_series = poly_series(lambda d: kl_family(tables, d))
     Z_series = poly_series(lambda d: z_family(tables, d))
@@ -374,10 +355,8 @@ def series_identity_check(family: NiceFamily, order: int) -> bool:
     rhs_P = TruncatedSeries.constant(N, 0)
     rhs_Z = TruncatedSeries.constant(N, 0)
     for k in range(N + 1):
-        zk = RatPolynomial(z_family(tables, k).coeffs)
-        pk = RatPolynomial(kl_family(tables, k).coeffs)
-        rhs_P = rhs_P + (g_series[k] * zk).divide_t_power(k)
-        rhs_Z = rhs_Z + (G_series[k] * pk).divide_t_power(k)
+        rhs_P = rhs_P + (g_series[k] * z_family(tables, k)).divide_t_power(k)
+        rhs_Z = rhs_Z + (G_series[k] * kl_family(tables, k)).divide_t_power(k)
     return P_series == rhs_P and Z_series == rhs_Z
 
 

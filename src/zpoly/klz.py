@@ -6,9 +6,11 @@ by four routes that must agree:
   * the palindromicity recursion expressing c(i) through contractions,
   * the closed alternating sum of multi-indexed Whitney numbers.
 
-One cached table, built by the palindromicity recursion in a single pass
-over pairs of flats, holds P and Z of every upper interval; z_polynomial,
-kl_via_mobius and kl_coeff_new_recursion read it.  kl_defining never does:
+One palindromic step turns the sum of t^{rk G} P_G over the flats G above
+the bottom into P and Z.  One cached table applies it to every upper
+interval in a single pass over pairs of flats, and the family recursion
+(families.py) to Whitney rows; z_polynomial, kl_via_mobius and
+kl_coeff_new_recursion read the table.  kl_defining never does:
 it solves the functional equation with its own per-flat P and Z, using
 mu(F, H) on every interval, and checks the equation in full.  Both solve
 one flat per orbit of the lattice's symmetry (FlatLattice.orbit_rep) and
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 
 from .matroid import FlatLattice, mobius_from_bottom, whitney_multi
@@ -100,24 +103,35 @@ def enumerate_index_tuples(i: int, rk: int) -> list:
 def closed_formula_terms(lat: FlatLattice, i: int) -> list:
     """The signed Whitney terms of the closed formula, for inspection:
     a list of (sign, profile, value) triples."""
-    return [(tup.sign, tup.profile(), whitney_multi(lat, tup.profile()))
-            for tup in enumerate_index_tuples(i, lat.rk_total)]
+    return [(sign, profile, whitney_multi(lat, profile))
+            for sign, profile in _signed_profiles(i, lat.rk_total)]
 
 
 # ---------------------------------------------------------------------------
 # the P/Z table: palindromicity of every Z_F, one pass over pairs F < G
 
 
+def _palindromic_step(S: list):
+    """(P, Z) of a rank-d matroid from the d + 1 coefficients of S = sum over
+    flats G above the bottom of t^{rk G} P_{M^G}, which becomes Z = P + S.
+    Z is palindromic and deg P < d / 2, so P[j] = S[d - j] - S[j]."""
+    d = len(S) - 1
+    p = [1] + [S[d - j] - S[j] for j in range(1, (d + 1) // 2)]
+    while p[-1] == 0:
+        p.pop()
+    for j, c in enumerate(p):
+        S[j] += c
+    return tuple(p), tuple(S)
+
+
 def _p_table(lat: FlatLattice):
     """(P, Z) of every upper interval [F, top], keyed by flat id, cached.
 
-    Z_F = P_F + S_F with S_F = sum over G > F of t^{rk G - rk F} P_G, and
-    deg P_F < crk F / 2; so palindromicity of Z_F fixes
-        P_F[j] = S_F[crk - j] - S_F[j]    for 1 <= j < crk / 2,
-    which is the recursion of kl_coeff_new_recursion at every flat.  One
-    sweep by decreasing rank over the pairs F < G fills both tables; a flat
-    whose orbit representative is not itself copies it, since the
-    representative is the orbit's last id and so came first.
+    S_F = sum over G > F of t^{rk G - rk F} P_G, and _palindromic_step turns
+    it into P_F and Z_F: the recursion of kl_coeff_new_recursion at every
+    flat.  One sweep by decreasing rank over the pairs F < G fills both
+    tables; a flat whose orbit representative is not itself copies it,
+    since the representative is the orbit's last id and so came first.
     z_polynomial, kl_via_mobius and kl_coeff_new_recursion read it;
     kl_defining does not.
     """
@@ -136,19 +150,12 @@ def _p_table(lat: FlatLattice):
             P[f], Z[f] = P[r], Z[r]
             continue
         rank_f = ranks[f]
-        crk = rk_total - rank_f
-        S = [0] * (crk + 1)
+        S = [0] * (rk_total - rank_f + 1)
         for g in ups[f]:
             base = ranks[g] - rank_f
             for j, c in enumerate(P[g]):
                 S[base + j] += c
-        p = [1] + [S[crk - j] - S[j] for j in range(1, (crk + 1) // 2)]
-        while p[-1] == 0:
-            p.pop()
-        for j, c in enumerate(p):
-            S[j] += c
-        P[f] = tuple(p)
-        Z[f] = tuple(S)
+        P[f], Z[f] = _palindromic_step(S)
     table = (tuple(P), tuple(Z))
     lat._cache["pz"] = table
     return table
@@ -260,6 +267,12 @@ def kl_defining(lat: FlatLattice) -> IntPolynomial:
 # the closed formula over Whitney numbers
 
 
+@lru_cache(maxsize=None)
+def _signed_profiles(i: int, rk: int) -> tuple:
+    """(sign, profile) of every index tuple of c(i) on a rank-rk matroid."""
+    return tuple((tup.sign, tup.profile()) for tup in enumerate_index_tuples(i, rk))
+
+
 def _closed_sum(i: int, rk: int, whitney, zero):
     """The closed formula for c(i) of a rank-rk matroid, over any Whitney
     source: zero plus sign * whitney(profile) for every index tuple, where
@@ -268,8 +281,8 @@ def _closed_sum(i: int, rk: int, whitney, zero):
     if i < 1:
         raise ValueError("closed formula applies for i >= 1")
     total = zero
-    for tup in enumerate_index_tuples(i, rk):
-        total = total + tup.sign * whitney(tup.profile())
+    for sign, profile in _signed_profiles(i, rk):
+        total = total + sign * whitney(profile)
     return total
 
 

@@ -11,34 +11,29 @@ from fractions import Fraction
 from math import comb, factorial
 
 
-class IntPolynomial:
-    """Univariate polynomial with arbitrary-precision integer coefficients.
-
-    Coefficients are stored low degree first.  The zero polynomial stores
-    an empty tuple; otherwise the last stored coefficient is nonzero.
-    """
+class _Polynomial:
+    """Univariate polynomial, coefficients low degree first; the last stored
+    one is nonzero, so zero stores ().  Subclasses fix the ring (_coerce) and
+    the scalars they equal.  Mixing in a RatPolynomial or a Fraction gives
+    the exact RatPolynomial."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
+        cs = list(map(self._coerce, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
 
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, i: int) -> int:
+    def coefficient(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return 0
+        return self._coerce(0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -47,73 +42,93 @@ class IntPolynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, IntPolynomial):
+        if type(other) is type(self):
             return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == (() if other == 0 else (other,))
+        if isinstance(other, self._scalars):
+            return self.coeffs == (() if other == 0 else (self._coerce(other),))
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+    def _promote(self, other):
+        """other as a polynomial, a Fraction as a RatPolynomial; None if neither."""
+        if isinstance(other, _Polynomial):    # first: isinstance on Fraction is slow
+            return other
+        if isinstance(other, (int, Fraction)):
+            return (RatPolynomial if isinstance(other, Fraction) else type(self))((other,))
+        return None
 
-    def __add__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
+    def __neg__(self):
+        return type(self)(tuple(-c for c in self.coeffs))
+
+    def __add__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        cls = type(other) if isinstance(other, RatPolynomial) else type(self)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial(out)
+        return cls(out)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
+    def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other) -> "IntPolynomial":
+    def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(tuple(other * c for c in self.coeffs))
+    def __mul__(self, other):
+        other = self._promote(other)
+        if other is None:
+            return NotImplemented
+        cls = type(other) if isinstance(other, RatPolynomial) else type(self)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPolynomial()
+            return cls()
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return IntPolynomial(out)
+        return cls(out)
 
     __rmul__ = __mul__
 
-    def shift(self, power: int) -> "IntPolynomial":
+    def shift(self, power: int):
         """Multiply by t**power."""
         if power < 0:
             raise ValueError("negative power")
-        if not self.coeffs:
-            return self
-        return IntPolynomial((0,) * power + self.coeffs)
+        return type(self)((0,) * power + self.coeffs)
 
     def __call__(self, x):
-        value = 0
+        value = self._coerce(0)
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
 
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+    def derivative(self):
+        return type(self)(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
+        return f"{type(self).__name__}({list(self.coeffs)})"
+
+
+class IntPolynomial(_Polynomial):
+    """Polynomial with arbitrary-precision integer coefficients."""
+
+    __slots__ = ()
+    _coerce = int
+    _scalars = int
+
+    @classmethod
+    def one(cls) -> "IntPolynomial":
+        return cls((1,))
 
     def __str__(self):
         return format_polynomial(self.coeffs)
@@ -145,7 +160,7 @@ def reverse(p: IntPolynomial, d: int) -> IntPolynomial:
     out = [0] * (d + 1)
     for i, c in enumerate(p.coeffs):
         out[d - i] = c
-    return IntPolynomial(out)
+    return type(p)(out)
 
 
 def is_palindromic(p: IntPolynomial, d: int) -> bool:
@@ -155,88 +170,16 @@ def is_palindromic(p: IntPolynomial, d: int) -> bool:
     return reverse(p, d) == p
 
 
-class RatPolynomial:
-    """Univariate polynomial with exact rational coefficients.
+class RatPolynomial(_Polynomial):
+    """Polynomial with exact rational coefficients.
 
     Fractions keep themselves in lowest terms with positive denominator,
     so normalization is automatic.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, RatPolynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == (() if other == 0 else (Fraction(other),))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __neg__(self):
-        return RatPolynomial(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPolynomial((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPolynomial(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatPolynomial((other,))
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPolynomial(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return RatPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, power: int) -> "RatPolynomial":
-        if power < 0:
-            raise ValueError("negative power")
-        if not self.coeffs:
-            return self
-        return RatPolynomial((Fraction(0),) * power + self.coeffs)
+    __slots__ = ()
+    _coerce = Fraction
+    _scalars = (int, Fraction)
 
     def divide_t_power(self, k: int) -> "RatPolynomial":
         """Divide by t**k; the k lowest coefficients must vanish."""
@@ -245,18 +188,6 @@ class RatPolynomial:
         if any(self.coeffs[i] != 0 for i in range(min(k, len(self.coeffs)))):
             raise ValueError("polynomial not divisible by t^%d" % k)
         return RatPolynomial(self.coeffs[k:])
-
-    def __call__(self, x):
-        value = Fraction(0)
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
-    def derivative(self) -> "RatPolynomial":
-        return RatPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def __repr__(self):
-        return f"RatPolynomial({[str(c) for c in self.coeffs]})"
 
 
 class TruncatedSeries:
@@ -306,6 +237,14 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
+    def _promote(self, other):
+        """other as a polynomial, a Fraction as a RatPolynomial; None if neither."""
+        if isinstance(other, _Polynomial):    # first: isinstance on Fraction is slow
+            return other
+        if isinstance(other, (int, Fraction)):
+            return (RatPolynomial if isinstance(other, Fraction) else type(self))((other,))
+        return None
+
     def __neg__(self):
         return TruncatedSeries(self.order, [-c for c in self.coeffs])
 
@@ -326,7 +265,7 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatPolynomial)):
+        if isinstance(other, (int, Fraction, _Polynomial)):
             return TruncatedSeries(self.order, [c * other for c in self.coeffs])
         self._check(other)
         n = self.order

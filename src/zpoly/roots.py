@@ -565,8 +565,6 @@ def conjecture_sweep(family: NiceFamily, d_max: int,
     """
     if tables is None:
         tables = build_tables(family, d_max)
-    if d_max > tables.d_max:
-        raise ValueError("d_max exceeds precomputed table range")
     zs = [z_family(tables, d) for d in range(d_max + 1)]
     jobs = [(str(family), d, zs[d].coeffs, zs[d - 1].coeffs, include_certificates)
             for d in range(1, d_max + 1)]

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from oracles import (gaussian_by_product, narayana_by_dyck_paths,
@@ -114,6 +117,45 @@ def test_kl_family_range_error():
         kl_family(tb, 4)
     with pytest.raises(ValueError):
         z_family(tb, 4)
+
+
+def test_kl_closed_family_range_error():
+    # the rank-6 member is out of range: c(1) of K7 is 42, not 0
+    tb = build_tables(BRAID, 3)
+    with pytest.raises(ValueError, match="table range"):
+        kl_closed_family(tb, 6, 1)
+    with pytest.raises(ValueError, match="table range"):
+        kl_closed_family(tb, 6, 3)    # no index tuples, so no table lookup
+
+
+def test_whitney_multi_family_range_error():
+    with pytest.raises(ValueError, match="table range"):
+        whitney_multi_family(build_tables(BRAID, 3), 6, [2, 1])
+
+
+def test_p_from_z_inversion_range_error():
+    with pytest.raises(ValueError, match="table range"):
+        p_from_z_inversion(build_tables(BRAID, 3), 6)
+
+
+def test_kl_family_negative_rank_after_memo():
+    tb = build_tables(BRAID, 6)
+    kl_family(tb, 6)
+    with pytest.raises(ValueError, match="table range"):
+        kl_family(tb, -1)
+    with pytest.raises(ValueError, match="table range"):
+        z_family(tb, -1)
+
+
+def test_family_answers_pinned_to_d60():
+    # sha256 of [[P_d, Z_d] for d = 0..60], json.dumps of coefficient lists
+    expected = {"braid": "e60030190e7a156b", "typeb": "65a95963447018b5",
+                "uniform:2": "fd9d19c6e6d4a0a9", "qvec:3": "fa3a22dc8115229d"}
+    for name, digest in expected.items():
+        tb = build_tables(parse_family(name), 60)
+        rows = [[list(kl_family(tb, d).coeffs), list(z_family(tb, d).coeffs)]
+                for d in range(61)]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == digest, name
 
 
 def test_z_family_examples():

@@ -141,3 +141,19 @@ def test_series_divide_t_power():
     assert shifted.coeffs[2] == RatPolynomial((3,))
     with pytest.raises(ValueError):
         TruncatedSeries.u_monomial(3, RatPolynomial((1,)), 1).divide_t_power(1)
+
+
+def test_mixed_int_and_rat_operands_are_exact():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    assert IntPolynomial([1, 1]) * RatPolynomial([third]) == RatPolynomial([third, third])
+    assert RatPolynomial([third]) * IntPolynomial([1, 1]) == RatPolynomial([third, third])
+    assert IntPolynomial([1]) + RatPolynomial([half]) == RatPolynomial([Fraction(3, 2)])
+    assert RatPolynomial([half]) + IntPolynomial([1]) == RatPolynomial([Fraction(3, 2)])
+    assert IntPolynomial([1]) - RatPolynomial([half]) == RatPolynomial([half])
+    assert IntPolynomial([1, 2]) * half == RatPolynomial([half, 1])
+    assert IntPolynomial([1]) != RatPolynomial([1])
+    assert not RatPolynomial([1]) == IntPolynomial([1])
+    assert type(IntPolynomial([1, 2]) * 3) is IntPolynomial
+    series = TruncatedSeries.constant(2, half)
+    assert series * IntPolynomial([1, 1]) == series * RatPolynomial([1, 1])
+    assert IntPolynomial([1, 1]) * series == series * RatPolynomial([1, 1])
