@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .families import BRAID, TYPE_B, lattice_spec, qvec_family
-from .matroid import GraphSpec, UniformSpec, enumerate_flats
+from .matroid import GraphSpec, UniformSpec
 
 
 def uniform_specs(max_ground: int = 9):
@@ -73,7 +73,3 @@ def small_corpus():
     return acceptance_corpus(max_uniform_ground=6, max_graph_vertices=4,
                              braid_dmax=4, typeb_dmax=3, qvec2_dmax=2)
 
-
-def corpus_lattices(corpus) -> list:
-    """Enumerate each spec in a (label, spec) corpus."""
-    return [(label, enumerate_flats(spec)) for label, spec in corpus]

@@ -19,7 +19,7 @@ from math import comb, factorial, prod
 
 from .klz import _closed_sum, _palindromic_step
 from .matroid import (ExplicitFlats, GraphSpec, LinearVectors, MatroidSpec,
-                      UniformSpec)
+                      UniformSpec, _bits, _enumerate_by_covers, _vectors_oracle)
 from .polyarith import (IntPolynomial, RatPolynomial, TruncatedSeries,
                         series_exp, series_inv, series_log, series_sqrt_inv)
 
@@ -394,42 +394,11 @@ def lattice_spec(family: NiceFamily, d: int) -> MatroidSpec:
 def qvec_flats(q: int, d: int):
     """(ground size, flats) of the matroid of all nonzero vectors of F_q^d,
     with flats the subspaces.  Element i is the vector whose base-q digits,
-    least significant first, are those of i + 1.  Implemented for prime q
-    (vector arithmetic is mod q); the Whitney tables cover general prime
-    powers."""
+    least significant first, are those of i + 1.  Implemented for prime q:
+    the flats come from the vector oracle with residuals mod q; the Whitney
+    tables cover general prime powers."""
     if any(q % p == 0 for p in range(2, q)) or q < 2:
         raise ValueError("lattice realization needs q prime")
-    if d == 0:
-        return 0, (frozenset(),)
-    vectors = []
-    for code in range(1, q ** d):
-        v = []
-        c = code
-        for _ in range(d):
-            v.append(c % q)
-            c //= q
-        vectors.append(tuple(v))
-    index = {v: i for i, v in enumerate(vectors)}
-    zero = (0,) * d
-
-    def span(sub: frozenset, v) -> frozenset:
-        # span(S, v) = {s + c v : s in S + {0}, c in F_q} - {0}
-        return frozenset(w for s in (zero, *sub) for c in range(q)
-                         for w in [tuple((x + c * y) % q for x, y in zip(s, v))] if any(w))
-
-    subspaces = {frozenset(): None}
-    frontier = [frozenset()]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            placed = set(sub)    # the covers of sub partition the other vectors
-            for v in vectors:
-                if v not in placed:
-                    bigger = span(sub, v)
-                    placed |= bigger
-                    if bigger not in subspaces:
-                        subspaces[bigger] = None
-                        nxt.append(bigger)
-        frontier = nxt
-    flats = tuple(frozenset(index[v] for v in sub) for sub in subspaces)
-    return len(vectors), flats
+    vectors = [tuple(code // q ** k % q for k in range(d)) for code in range(1, q ** d)]
+    lat = _enumerate_by_covers(len(vectors), *_vectors_oracle(vectors, q), None, ())
+    return len(vectors), tuple(frozenset(_bits(m)) for m in lat.flats)

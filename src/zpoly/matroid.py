@@ -123,6 +123,8 @@ def matroid_spec_from_json(obj: dict) -> MatroidSpec:
             return ExplicitFlats(int(obj["ground"]), tuple(obj["flats"]))
     except KeyError as exc:
         raise ValueError(f"matroid JSON of type '{kind}' is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"matroid JSON of type '{kind}' is malformed: {exc}") from exc
     raise ValueError(f"unknown matroid type '{kind}' "
                      "(expected bases|graph|uniform|vectors|flats)")
 
@@ -335,7 +337,7 @@ def enumerate_flats(spec: MatroidSpec, flat_cap: int | None = None) -> FlatLatti
         _check_basis_exchange(spec)
         n, oracle = spec.ground, _bases_oracle(spec)
     elif isinstance(spec, LinearVectors):
-        n, oracle = len(spec.vectors), _vectors_oracle(spec)
+        n, oracle = len(spec.vectors), _vectors_oracle(spec.vectors)
     else:
         raise TypeError(f"not a matroid spec: {spec!r}")
     return _enumerate_by_covers(n, *oracle, flat_cap, symmetry)
@@ -542,69 +544,60 @@ def _primitive(v: tuple):
     return tuple(x // g for x in v) if g else None
 
 
-def _vectors_oracle(spec: LinearVectors):
-    """Covers by residual directions.  The state of a flat F maps every
-    element outside F to its primitive residual modulo span(F), the image
-    under a fraction-free elimination map whose kernel is span(F).  So x
-    lies in cl(F + e) iff x and e have the same residual, and the covers of
-    F are the classes of equal residual."""
+def _vectors_oracle(vectors, p: int = 0):
+    """Covers by residual directions, over Q (p = 0) or over the prime field
+    F_p.  The state of a flat F maps every element outside F to its residual
+    modulo span(F), the image under a fraction-free elimination map whose
+    kernel is span(F), scaled to one representative per line: primitive with
+    first nonzero entry positive over Q, first nonzero entry 1 over F_p.  So
+    x lies in cl(F + e) iff x and e have the same residual, and the covers
+    of F are the classes of equal residual."""
+    if p:
+        inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
+
+        def line(v: tuple):
+            v = [x % p for x in v]
+            lead = next((x for x in v if x), 0)
+            return tuple(x * inverse[lead] % p for x in v) if lead else None
+    else:
+        line = _primitive
     bottom, res = 0, {}
-    for e, v in enumerate(spec.vectors):
-        r = _primitive(v)
+    for e, v in enumerate(vectors):
+        r = line(v)
         if r is None:
             bottom |= 1 << e
         else:
             res[e] = r
 
-    def eliminate(res: dict, p: tuple) -> dict:
-        # one fraction-free step on the first nonzero column c of p (p[c] > 0)
-        c = next(i for i, x in enumerate(p) if x)
-        pc = p[c]
-        return {e: r if not r[c] else _primitive(tuple(pc * a - r[c] * b for a, b in zip(r, p)))
-                for e, r in res.items() if r != p}
+    def eliminate(res: dict, d: tuple) -> dict:
+        # one fraction-free step on the first nonzero column c of d, taken
+        # once per distinct residual
+        c = next(i for i, x in enumerate(d) if x)
+        dc = d[c]
+        image = {r: r if not r[c] else line(tuple(dc * a - r[c] * b for a, b in zip(r, d)))
+                 for r in set(res.values()) if r != d}
+        return {e: image[r] for e, r in res.items() if r != d}
 
     def covers_of(fmask: int, res: dict):
         classes = {}
         for e, r in res.items():
             classes[r] = classes.get(r, 0) | 1 << e
-        for p, members in classes.items():
-            yield fmask | members, lambda p=p: eliminate(res, p)
+        for d, members in classes.items():
+            yield fmask | members, lambda d=d: eliminate(res, d)
 
     return (bottom, res), covers_of
 
 
 def bareiss_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
-
-    All intermediate values stay integers; divisions are exact.
-    """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+    """Rank over Q of an integer matrix: the number of fraction-free
+    elimination steps (the vector oracle's) that empty the residuals of
+    its rows."""
+    (_, res), covers_of = _vectors_oracle(rows)
     rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nrows):
-            factor = m[r][col]
-            row = m[r]
-            top = m[rank]
-            for c in range(col + 1, ncols):
-                num = row[c] * pivot - factor * top[c]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("Bareiss division not exact")
-                row[c] = q
-            row[col] = 0
-        prev = pivot
+    while res:
+        _, make_state = next(covers_of(0, res))
+        res = make_state()
         rank += 1
-        if rank == nrows:
-            break
     return rank
 
 

@@ -190,6 +190,15 @@ class RatPolynomial(_Polynomial):
         return RatPolynomial(self.coeffs[k:])
 
 
+def _rat_polynomial(c) -> RatPolynomial:
+    """A polynomial, a coefficient sequence or a scalar as a RatPolynomial."""
+    if isinstance(c, RatPolynomial):
+        return c
+    if isinstance(c, _Polynomial):
+        c = c.coeffs
+    return RatPolynomial(c if hasattr(c, "__iter__") else (c,))
+
+
 class TruncatedSeries:
     """Power series in u truncated at order N, coefficients in Q[t].
 
@@ -202,8 +211,7 @@ class TruncatedSeries:
     def __init__(self, order: int, coeffs=()):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = [c if isinstance(c, RatPolynomial) else RatPolynomial(c if hasattr(c, "__iter__") else (c,))
-              for c in coeffs]
+        cs = [_rat_polynomial(c) for c in coeffs]
         if len(cs) > order + 1:
             cs = cs[: order + 1]
         while len(cs) < order + 1:
@@ -213,7 +221,8 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, order: int, value) -> "TruncatedSeries":
-        return cls(order, [RatPolynomial((value,))])
+        """The series value * u**0, value a scalar or a polynomial in t."""
+        return cls(order, [value])
 
     @classmethod
     def u_monomial(cls, order: int, poly: RatPolynomial, upower: int) -> "TruncatedSeries":
@@ -237,19 +246,11 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.order, self.coeffs))
 
-    def _promote(self, other):
-        """other as a polynomial, a Fraction as a RatPolynomial; None if neither."""
-        if isinstance(other, _Polynomial):    # first: isinstance on Fraction is slow
-            return other
-        if isinstance(other, (int, Fraction)):
-            return (RatPolynomial if isinstance(other, Fraction) else type(self))((other,))
-        return None
-
     def __neg__(self):
         return TruncatedSeries(self.order, [-c for c in self.coeffs])
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, _Polynomial)):
             other = TruncatedSeries.constant(self.order, other)
         self._check(other)
         return TruncatedSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -257,8 +258,6 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.order, other)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -48,7 +48,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .families import NiceFamily, WhitneyTables, build_tables, z_family
+from .families import NiceFamily, build_tables, z_family
 from .polyarith import IntPolynomial, RatPolynomial
 
 # --- primitive integer polynomial helpers (low degree first, no trailing 0s)
@@ -553,7 +553,6 @@ def _sweep_cell(args):
 
 
 def conjecture_sweep(family: NiceFamily, d_max: int,
-                     tables: WhitneyTables | None = None,
                      threads: int | None = None,
                      include_certificates: bool = False) -> list:
     """For d = 1..d_max check negative-real-rootedness of Z_d and the
@@ -563,8 +562,7 @@ def conjecture_sweep(family: NiceFamily, d_max: int,
     threads > 1 fans the independent d-cells out to a process pool
     (ZPOLY_THREADS is read by the CLI, not here).
     """
-    if tables is None:
-        tables = build_tables(family, d_max)
+    tables = build_tables(family, d_max)
     zs = [z_family(tables, d) for d in range(d_max + 1)]
     jobs = [(str(family), d, zs[d].coeffs, zs[d - 1].coeffs, include_certificates)
             for d in range(1, d_max + 1)]

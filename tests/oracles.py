@@ -127,6 +127,26 @@ def rank_by_fractions(vectors):
     return rank
 
 
+def rank_mod_p(vectors, p):
+    """Rank over F_p (p prime) by Gaussian elimination with inverses
+    pow(x, -1, p)."""
+    rows = [[x % p for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [a * inv % p for a in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def bases_by_fractions(vectors):
     """Every maximal independent subset of the vectors, as index tuples."""
     r = rank_by_fractions(vectors)

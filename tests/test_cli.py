@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zpoly.cli import main
 
 
@@ -67,6 +69,20 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "compute", "kl", "--matroid-json", "{broken")
     assert code == 2
     assert "column" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"type": "graph", "vertices": 3, "edges": [1, 2]},
+    {"type": "bases", "ground": 3, "bases": [1]},
+    {"type": "vectors", "vectors": [1, 2]},
+    {"type": "flats", "ground": 2, "flats": [0]},
+    {"type": "uniform", "m": None, "d": 2},
+])
+def test_malformed_matroid_json_is_usage_error(capsys, payload):
+    code, _, err = run(capsys, "compute", "kl", "--matroid-json", json.dumps(payload))
+    assert code == 2
+    assert f"matroid JSON of type '{payload['type']}' is malformed" in err
+    assert "Traceback" not in err
 
 
 def test_flat_cap_exit(capsys):

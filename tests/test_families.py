@@ -296,7 +296,8 @@ def _qvec_vector(q, d, i):
     return tuple((i + 1) // q ** k % q for k in range(d))
 
 
-@pytest.mark.parametrize("q,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+@pytest.mark.parametrize("q,d", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2),
+                                 (7, 2)])
 def test_qvec_flats_against_brute_force(q, d):
     ground, flats = qvec_flats(q, d)
     assert ground == q ** d - 1

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (bases_by_fractions, chain_count_naive,
                      flats_by_naive_closure, lattice_as_sets, mobius_naive,
-                     rank_by_fractions, satisfies_basis_exchange)
+                     rank_by_fractions, rank_mod_p, satisfies_basis_exchange)
 from zpoly import (ExplicitBases, ExplicitFlats, FlatCapExceeded, FlatLattice, GraphSpec,
                    IntPolynomial, LinearVectors, UniformSpec, bareiss_rank,
                    characteristic_polynomial, contraction, enumerate_flats,
                    localization, matroid_spec_from_json, mobius_from_bottom,
                    whitney_multi)
+from zpoly.matroid import _enumerate_by_covers, _vectors_oracle
 
 
 def k_complete(n):
@@ -296,6 +297,31 @@ def test_closure_enumerators_against_naive_closure(vectors):
     want = flats_by_naive_closure(n, lambda s: rank_by_fractions([vectors[e] for e in s]))
     for spec in (LinearVectors(vectors), ExplicitBases(n, bases_by_fractions(vectors))):
         _assert_lattice(spec, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_configurations(), st.sampled_from([2, 3, 5]))
+def test_prime_field_oracle_against_naive_closure(vectors, p):
+    # the same integer configurations read mod p: reduction makes more
+    # zero and parallel vectors, and entries outside range(p) test the reduction
+    n = len(vectors)
+    lat = _enumerate_by_covers(n, *_vectors_oracle(vectors, p), None, ())
+    assert (lat.flats, lat.ranks, lat.covers) == flats_by_naive_closure(
+        n, lambda s: rank_mod_p([vectors[e] for e in s], p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_bareiss_rank_against_fractions(rnd):
+    cols = rnd.randint(0, 5)
+    rows = [[rnd.choice([0, 0, 1, -1, rnd.randint(-50, 50)]) for _ in range(cols)]
+            for _ in range(rnd.randint(0, 6))]
+    if rows and rnd.random() < 0.3:
+        rows.append([0] * cols)
+    if len(rows) > 1 and rnd.random() < 0.3:
+        a, b = rnd.sample(rows, 2)
+        rows.append([rnd.randint(-3, 3) * x + rnd.randint(-3, 3) * y for x, y in zip(a, b)])
+    assert bareiss_rank(rows) == rank_by_fractions(rows)
 
 
 def _assert_lattice(spec, want):

@@ -127,6 +127,18 @@ def test_series_exp_log_roundtrip_random(tail):
     assert s * series_inv(s) == TruncatedSeries.constant(order, 1)
 
 
+def test_series_take_integer_polynomials():
+    one_plus_t = IntPolynomial([1, 1])
+    want = RatPolynomial([1, 1])
+    assert TruncatedSeries(2, [one_plus_t]) == TruncatedSeries(2, [want])
+    assert TruncatedSeries.constant(2, one_plus_t) == TruncatedSeries(2, [want])
+    s = TruncatedSeries.constant(2, 1)
+    assert s + one_plus_t == s + want == TruncatedSeries(2, [RatPolynomial([2, 1])])
+    assert s - one_plus_t == s - want == TruncatedSeries(2, [RatPolynomial([0, -1])])
+    assert one_plus_t + s == s + one_plus_t
+    assert one_plus_t - s == -(s - one_plus_t)
+
+
 def test_rat_polynomial_normalization():
     p = RatPolynomial([Fraction(2, 4), Fraction(0), Fraction(0)])
     assert p.degree == 0
