@@ -1,10 +1,10 @@
 """Lattices of flats: construction from several matroid encodings and the
 poset computations everything else is built on (Mobius values, characteristic
-polynomials, multi-indexed Whitney numbers).  One multichain counter
-serves the plain Whitney numbers and the equivariant fixed-chain counts.
+polynomials, multi-indexed Whitney numbers).  One breadth-first cover
+enumerator builds every encoding's lattice, explicit flat lists included;
+one multichain counter serves plain and equivariant fixed-chain counts.
 
-Flats are ground-set bitmasks (Python ints); the order is subset inclusion.
-Since flats of a matroid are ordered by containment this is exact.  Closure
+Flats are ground-set bitmasks (Python ints), ordered by inclusion.  Closure
 based enumeration always yields the geometric lattice of the simplification,
 which is all the downstream computations care about: loops and parallel
 elements need no special handling.
@@ -110,17 +110,26 @@ def matroid_spec_from_json(obj: dict) -> MatroidSpec:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("matroid JSON must be an object with a 'type' field")
     kind = obj["type"]
+
+    def integer(x):
+        if type(x) is not int:      # int() would truncate 1.9 and read true as 1
+            raise TypeError(f"{x!r} is not an integer")
+        return x
+
+    def rows(key: str) -> tuple:
+        return tuple(tuple(map(integer, row)) for row in obj[key])
+
     try:
         if kind == "uniform":
-            return UniformSpec(int(obj["m"]), int(obj["d"]))
+            return UniformSpec(integer(obj["m"]), integer(obj["d"]))
         if kind == "graph":
-            return GraphSpec(int(obj["vertices"]), tuple(tuple(e) for e in obj["edges"]))
+            return GraphSpec(integer(obj["vertices"]), rows("edges"))
         if kind == "bases":
-            return ExplicitBases(int(obj["ground"]), tuple(obj["bases"]))
+            return ExplicitBases(integer(obj["ground"]), rows("bases"))
         if kind == "vectors":
-            return LinearVectors(tuple(tuple(v) for v in obj["vectors"]))
+            return LinearVectors(rows("vectors"))
         if kind == "flats":
-            return ExplicitFlats(int(obj["ground"]), tuple(obj["flats"]))
+            return ExplicitFlats(integer(obj["ground"]), rows("flats"))
     except KeyError as exc:
         raise ValueError(f"matroid JSON of type '{kind}' is missing field {exc}") from exc
     except TypeError as exc:
@@ -221,10 +230,7 @@ class FlatLattice:
         index = {m: i for i, m in enumerate(flats)}
         if len(index) != len(flats):
             raise ValueError("duplicate flats")
-        counts = [0] * (self.rk_total + 1) if flats else []
-        for i, r in enumerate(ranks):
-            counts[r] += 1
-        if flats and counts[0] != 1:
+        if flats and ranks.count(0) != 1:
             raise ValueError("bottom flat is not unique")
         for f, cs in enumerate(self.covers):
             for c in cs:
@@ -317,10 +323,10 @@ def localization(lat: FlatLattice, fid: int) -> FlatLattice:
 def enumerate_flats(spec: MatroidSpec, flat_cap: int | None = None) -> FlatLattice:
     """Enumerate all flats of the matroid described by spec.
 
-    Generated encodings share one cover-oracle enumerator; explicit flat
-    lists are validated and covered by their minimal strict supersets.
-    flat_cap bounds the flat count, bottom included: FlatCapExceeded is
-    raised as soon as one flat too many has been generated.  Uniform and
+    Every encoding, an explicit flat list too, runs one cover-oracle
+    enumerator; a flat list is checked cover by cover as it runs.  flat_cap
+    bounds the flat count, bottom included: FlatCapExceeded is raised as
+    soon as one flat too many has been generated.  Uniform and
     graph lattices carry the symmetry their encoding shows (see
     _graph_symmetry); the others carry none.
     """
@@ -602,54 +608,47 @@ def bareiss_rank(rows) -> int:
 
 
 def _lattice_from_explicit_flats(spec: ExplicitFlats, flat_cap: int | None) -> FlatLattice:
+    """A listed family as a cover oracle: the state of a flat F is the listed
+    flats over F by (size, mask), and the bottom's is the whole list.  Each
+    scanned m must meet F, and each cover g found before it, in F or g (else
+    the meet is unlisted); it is a cover if it holds no such g.  Then the
+    lattice must be graded, and the covers of each F must cover E - F.
+
+    Sound: each e outside F then lies in one cover G, and a listed A over F
+    that holds e holds G, so cl(F + e) = G.  (From the top down: were A
+    scanned before G, it would hold an earlier cover G1; the cover of G that
+    holds a point of G1 holds G1 and, strictly, G1's cover that holds e, so
+    it is two ranks above G1, not one.)  A maximal reached flat inside a
+    listed A, or in A & B, that were not all of it would have a cover inside
+    it too; so every listed flat is reached, and every meet is listed.
+    """
     n = spec.ground
-    masks = sorted({_mask(f, n) for f in spec.flats})
-    if len(masks) != len(spec.flats):
+    listed = sorted({_mask(f, n) for f in spec.flats}, key=lambda m: (m.bit_count(), m))
+    if len(listed) != len(spec.flats):
         raise ValueError("duplicate flats in explicit list")
-    full = (1 << n) - 1
-    index = {m: i for i, m in enumerate(masks)}
-    if full not in index:
+    if not listed or listed[-1] != (1 << n) - 1:
         raise ValueError("explicit flats must contain the full ground set")
-    for a, b in combinations(masks, 2):
-        if a & b not in index:
-            raise ValueError(
-                f"explicit flats not closed under intersection: "
-                f"{sorted(_bits(a))} ^ {sorted(_bits(b))}")
-    # Covers are the minimal strict supersets.  By size order every strict
-    # superset comes later, and one that contains no cover found so far is
-    # itself a cover (a flat in between would contain one).
-    masks.sort(key=int.bit_count)
-    covers = [[] for _ in masks]
-    for i, a in enumerate(masks):
-        found = covers[i]
-        for j in range(i + 1, len(masks)):
-            b = masks[j]
-            if b & a == a and not any(masks[c] & b == masks[c] for c in found):
-                found.append(j)
-    # Ranks from the covers in size order; graded means every lower cover of
-    # a flat gets it the same rank.
-    ranks = [0] * len(masks)
-    for i, found in enumerate(covers):
-        for j in found:
-            ranks[j] = ranks[i] + 1
-    if any(ranks[j] != ranks[i] + 1 for i, found in enumerate(covers) for j in found):
+
+    def covers_of(fmask: int, above: list):
+        found = [fmask]             # F, then the covers found so far
+        for m in above[1:]:
+            for g in found:
+                if m & g not in (fmask, g):
+                    raise ValueError(f"explicit flats not closed under intersection: "
+                                     f"{sorted(_bits(g))} ^ {sorted(_bits(m))}")
+            if not any(m & g == g != fmask for g in found):
+                found.append(m)
+                yield m, lambda m=m: [x for x in above if x & m == m]
+
+    lat = _enumerate_by_covers(n, (listed[0], listed), covers_of, flat_cap, ())
+    if any(lat.ranks[c] != r + 1 for r, cs in zip(lat.ranks, lat.covers) for c in cs):
         raise ValueError("explicit flats do not form a graded lattice")
-    if sum(1 for r in ranks if r == 0) != 1:
-        raise ValueError("explicit flats must have a unique bottom")
-    # the enumerators' count, taken in (rank, mask) order
-    for count, rank in enumerate(sorted(ranks), 1):
-        _check_cap(count, flat_cap, rank)
-    # the flat axiom: the covers of a flat F partition E - F.  Two covers
-    # meet in F, since their meet is a flat between, so only the union can
-    # fall short.
-    for a, found in zip(masks, covers):
-        union = a
-        for j in found:
-            union |= masks[j]
-        if union != full:
+    for a, cs in zip(lat.flats, lat.covers):
+        # the scan made the covers meet in a, so their rests are disjoint
+        if a + sum(lat.flats[c] ^ a for c in cs) != listed[-1]:
             raise ValueError(f"explicit flats violate the cover partition axiom: the covers "
                              f"of {sorted(_bits(a))} do not partition the rest of the ground set")
-    return FlatLattice(masks, ranks, covers, n)
+    return lat
 
 
 # ---------------------------------------------------------------------------

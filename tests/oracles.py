@@ -174,6 +174,23 @@ def flats_by_naive_closure(n, rank):
     return (tuple(sum(1 << e for e in f) for f in order), tuple(rk[f] for f in order), covers)
 
 
+def is_flat_family(n, family):
+    """The flat axioms on frozensets over range(n), straight from the
+    definition: the ground set is listed, the family is closed under
+    pairwise intersection, and for every F the minimal strict supersets,
+    less F, partition the rest of the ground set."""
+    sets = set(family)
+    ground = frozenset(range(n))
+    if ground not in sets or any(a & b not in sets for a in sets for b in sets):
+        return False
+    for F in sets:
+        over = [G for G in sets if F < G]
+        rests = [G - F for G in over if not any(H < G for H in over)]
+        if sum(map(len, rests)) != len(ground - F) or frozenset().union(*rests) != ground - F:
+            return False
+    return True
+
+
 def subspaces_by_brute_force(q, d):
     """Every subset of F_q^d - {0} closed under addition and scaling (q
     prime).  Such a set is a union of scaling classes {cv : c != 0}, so the

@@ -77,6 +77,12 @@ def test_usage_errors(capsys):
     {"type": "vectors", "vectors": [1, 2]},
     {"type": "flats", "ground": 2, "flats": [0]},
     {"type": "uniform", "m": None, "d": 2},
+    {"type": "vectors", "vectors": [[0.5, 1], [1, 2]]},
+    {"type": "uniform", "m": 1.9, "d": 2},
+    {"type": "uniform", "m": True, "d": 2},
+    {"type": "flats", "ground": 2, "flats": [[], [0.7], [1], [0, 1]]},
+    {"type": "graph", "vertices": 3, "edges": [[0, "1"]]},
+    {"type": "bases", "ground": "3", "bases": [[0, 1]]},
 ])
 def test_malformed_matroid_json_is_usage_error(capsys, payload):
     code, _, err = run(capsys, "compute", "kl", "--matroid-json", json.dumps(payload))

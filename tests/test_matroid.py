@@ -3,8 +3,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (bases_by_fractions, chain_count_naive,
-                     flats_by_naive_closure, lattice_as_sets, mobius_naive,
+from oracles import (_ranks_by_chains, bases_by_fractions, chain_count_naive,
+                     flats_by_naive_closure, is_flat_family, lattice_as_sets, mobius_naive,
                      rank_by_fractions, rank_mod_p, satisfies_basis_exchange)
 from zpoly import (ExplicitBases, ExplicitFlats, FlatCapExceeded, FlatLattice, GraphSpec,
                    IntPolynomial, LinearVectors, UniformSpec, bareiss_rank,
@@ -73,6 +73,27 @@ def test_explicit_flats_error_messages():
     with pytest.raises(ValueError, match=r"covers of \[0\] do not partition"):
         # the Boolean lattice without [0, 2]: [0] is covered by [0, 1] alone
         enumerate_flats(ExplicitFlats(3, [[], [0], [1], [2], [0, 1], [1, 2], [0, 1, 2]]))
+
+
+def test_explicit_flats_against_the_flat_axioms_on_four_elements():
+    # every family of subsets of {0, 1, 2, 3} that lists the ground set:
+    # the lattices accepted are exactly the families of flats, ranked by chains
+    ground = frozenset(range(4))
+    proper = [frozenset(s) for k in range(4) for s in combinations(range(4), k)]
+    accepted = 0
+    for pick in range(1 << len(proper)):
+        family = [ground] + [s for i, s in enumerate(proper) if pick >> i & 1]
+        try:
+            lat = enumerate_flats(ExplicitFlats(4, family))
+        except ValueError:
+            assert not is_flat_family(4, family), family
+            continue
+        assert is_flat_family(4, family), family
+        ranks = {frozenset(lat.flat_elements(f)): r for f, r in enumerate(lat.ranks)}
+        assert ranks == _ranks_by_chains(family), family
+        accepted += 1
+    assert accepted == 68       # the matroids on four labelled elements
+
 
 def test_bases_spec():
     # U_{1,2} as explicit bases

@@ -32,3 +32,25 @@ def test_src_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in sys.stdlib_module_names]
     assert not found, f"non-stdlib imports in src/zpoly: {found}"
+
+
+def test_one_lattice_builder():
+    # lattices come from the cover enumerator, or are cut from one; a
+    # second builder would need its own checks and its own flat cap
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, path, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call)
+                    and ast.unparse(child.func).rpartition(".")[2] == "FlatLattice"
+                    and scope[-1:] != ("_enumerate_by_covers",)
+                    and scope[-2:] != ("FlatLattice", "_sublattice")):
+                found.append(f"{path.name}:{child.lineno} in {'.'.join(scope) or 'module'}")
+            visit(child, path, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, ())
+    assert not found, f"FlatLattice built outside _enumerate_by_covers: {found}"
