@@ -381,6 +381,7 @@ def cmd_bench(args) -> int:
         agree = slow == fast
         rows.append({"method": "lattice-defining", "d": d, "millis": slow_ms,
                      "enumeration_millis": enum_ms, "flats": lat.n, "orbits": lat.n_orbits,
+                     "orbit_pairs": sum(len(lat.uppers()[f]) for f in lat.orbit_size),
                      "checksum": _checksum(slow)})
         report["agree"] = agree
         report["speedup"] = slow_ms / max(min(times), 1e-9)

@@ -14,7 +14,8 @@ kl_coeff_new_recursion read the table.  kl_defining never does:
 it solves the functional equation with its own per-flat P and Z, using
 mu(F, H) on every interval, and checks the equation in full.  Both solve
 one flat per orbit of the lattice's symmetry (FlatLattice.orbit_rep) and
-copy the result to the rest of the orbit.
+copy the result to the rest of the orbit; the verifier's bottom row and
+kl_via_mobius add each orbit once, weighted by its size.
 
 The closed formula is one sum, _closed_sum, over any Whitney source: lattice
 multichains, family tables, h-products, or one class's fixed chains.
@@ -29,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 
-from .matroid import FlatLattice, mobius_from_bottom, whitney_multi
+from .matroid import FlatLattice, _orbit_mobius, mobius_from_bottom, whitney_multi
 from .polyarith import IntPolynomial
 
 
@@ -172,7 +173,8 @@ def kl_via_mobius(lat: FlatLattice) -> IntPolynomial:
     Z = _p_table(lat)[1]
     mu = mobius_from_bottom(lat)
     out = [0] * (lat.rk_total + 1)
-    for f, m in enumerate(mu):
+    for f, k in lat.orbit_size.items():     # Z and mu are constant on orbits
+        m = k * mu[f]
         if m:
             base = lat.ranks[f]
             for j, c in enumerate(Z[f]):
@@ -206,8 +208,10 @@ def _defining_table(lat: FlatLattice):
     and its low half (degrees <= crk/2) must vanish.  mu(F, .) comes from a
     scalar sweep over chains F <= H <= G; the polynomial work is two sums
     over pairs.  Only orbit representatives are solved and checked, each
-    over its whole interval [F, top]; the other flats copy theirs.  Shares
-    nothing with _p_table and is not cached.
+    over its whole interval [F, top]; the other flats copy theirs.  At the
+    bottom, mu(bottom, .), P and Z are constant on orbits, so its row takes
+    mu from _orbit_mobius and adds each orbit once, weighted by its size.
+    Shares nothing with _p_table and is not cached.
     """
     n = lat.n
     ranks = lat.ranks
@@ -227,22 +231,29 @@ def _defining_table(lat: FlatLattice):
         if crk == 0:
             P[f] = Z[f] = (1,)
             continue
-        ups_f = ups[f]
         S = [0] * (crk + 1)         # sum over G > F of t^{rk G - rk F} P_G
         T = [0] * (crk + 1)         # sum over H > F of mu(F, H) Z_H
-        for g in ups_f:
-            acc[g] += 1
-            base = ranks[g] - rank_f
-            for j, c in enumerate(P[g]):
-                S[base + j] += c
-        for h in ups_f:             # by increasing rank: acc[h] is complete
-            m = -acc[h]
-            acc[h] = 0
-            if m:
-                for g in ups[h]:
-                    acc[g] += m
+        if f == lat.bottom_id:
+            for h, k, w in list(zip(*_orbit_mobius(lat)))[1:]:  # w = k mu(bottom, H)
+                for j, c in enumerate(P[h]):
+                    S[ranks[h] + j] += k * c
                 for j, c in enumerate(Z[h]):
-                    T[j] += m * c
+                    T[j] += w * c
+        else:
+            ups_f = ups[f]
+            for g in ups_f:
+                acc[g] += 1
+                base = ranks[g] - rank_f
+                for j, c in enumerate(P[g]):
+                    S[base + j] += c
+            for h in ups_f:         # by increasing rank: acc[h] is complete
+                m = -acc[h]
+                acc[h] = 0
+                if m:
+                    for g in ups[h]:
+                        acc[g] += m
+                    for j, c in enumerate(Z[h]):
+                        T[j] += m * c
         if S[crk] + T[crk] != 1:
             raise RuntimeError("functional equation must have leading tail 1")
         p = [1] + [S[crk - i] + T[crk - i] for i in range(1, (crk + 1) // 2)]

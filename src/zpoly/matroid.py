@@ -3,6 +3,9 @@ poset computations everything else is built on (Mobius values, characteristic
 polynomials, multi-indexed Whitney numbers).  One breadth-first cover
 enumerator builds every encoding's lattice, explicit flat lists included;
 one multichain counter serves plain and equivariant fixed-chain counts.
+Mobius values from the bottom and plain multichain counts are constant on
+the orbits of a lattice's symmetry, so they walk only the orbit
+representatives' up-sets, weighted by orbit size.
 
 Flats are ground-set bitmasks (Python ints), ordered by inclusion.  Closure
 based enumeration always yields the geometric lattice of the simplification,
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -28,7 +30,6 @@ class FlatCapExceeded(ValueError):
 def _mask(elements: Iterable[int], n: int) -> int:
     m = 0
     for e in elements:
-        e = int(e)
         if not 0 <= e < n:
             raise ValueError(f"element {e} outside ground set of size {n}")
         m |= 1 << e
@@ -44,6 +45,12 @@ def _bits(mask: int):
         e += 1
 
 
+def _integer(x) -> int:
+    if type(x) is not int:          # int() would truncate 1.9 and read True as 1
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 @dataclass(frozen=True)
 class UniformSpec:
     """Uniform matroid of rank d on m + d elements."""
@@ -51,7 +58,7 @@ class UniformSpec:
     d: int
 
     def __post_init__(self):
-        if self.m < 0 or self.d < 0:
+        if _integer(self.m) < 0 or _integer(self.d) < 0:
             raise ValueError("uniform matroid needs m >= 0 and d >= 0")
 
 
@@ -62,7 +69,8 @@ class GraphSpec:
     edges: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        _integer(self.vertices)
+        object.__setattr__(self, "edges", tuple(tuple(map(_integer, e)) for e in self.edges))
         for u, v in self.edges:
             if not (0 <= u < self.vertices and 0 <= v < self.vertices):
                 raise ValueError(f"edge ({u},{v}) outside vertex range")
@@ -75,7 +83,8 @@ class ExplicitBases:
     bases: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "bases", tuple(frozenset(int(e) for e in b) for b in self.bases))
+        _integer(self.ground)
+        object.__setattr__(self, "bases", tuple(frozenset(map(_integer, b)) for b in self.bases))
         if not self.bases:
             raise ValueError("at least one basis required")
 
@@ -86,7 +95,7 @@ class LinearVectors:
     vectors: tuple
 
     def __post_init__(self):
-        vecs = tuple(tuple(int(x) for x in v) for v in self.vectors)
+        vecs = tuple(tuple(map(_integer, v)) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
         if vecs and len({len(v) for v in vecs}) != 1:
             raise ValueError("vectors must share a common dimension")
@@ -99,37 +108,30 @@ class ExplicitFlats:
     flats: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "flats", tuple(frozenset(int(e) for e in f) for f in self.flats))
+        _integer(self.ground)
+        object.__setattr__(self, "flats", tuple(frozenset(map(_integer, f)) for f in self.flats))
 
 
 MatroidSpec = Union[UniformSpec, GraphSpec, ExplicitBases, LinearVectors, ExplicitFlats]
 
 
 def matroid_spec_from_json(obj: dict) -> MatroidSpec:
-    """Decode the documented JSON matroid format (see README)."""
+    """Decode the documented JSON matroid format (see README); the spec
+    constructors reject numbers that are not integers."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("matroid JSON must be an object with a 'type' field")
     kind = obj["type"]
-
-    def integer(x):
-        if type(x) is not int:      # int() would truncate 1.9 and read true as 1
-            raise TypeError(f"{x!r} is not an integer")
-        return x
-
-    def rows(key: str) -> tuple:
-        return tuple(tuple(map(integer, row)) for row in obj[key])
-
     try:
         if kind == "uniform":
-            return UniformSpec(integer(obj["m"]), integer(obj["d"]))
+            return UniformSpec(obj["m"], obj["d"])
         if kind == "graph":
-            return GraphSpec(integer(obj["vertices"]), rows("edges"))
+            return GraphSpec(obj["vertices"], obj["edges"])
         if kind == "bases":
-            return ExplicitBases(integer(obj["ground"]), rows("bases"))
+            return ExplicitBases(obj["ground"], obj["bases"])
         if kind == "vectors":
-            return LinearVectors(rows("vectors"))
+            return LinearVectors(obj["vectors"])
         if kind == "flats":
-            return ExplicitFlats(integer(obj["ground"]), rows("flats"))
+            return ExplicitFlats(obj["ground"], obj["flats"])
     except KeyError as exc:
         raise ValueError(f"matroid JSON of type '{kind}' is missing field {exc}") from exc
     except TypeError as exc:
@@ -149,12 +151,13 @@ class FlatLattice:
     names a flat one of them maps off the lattice).  orbit_rep[f] is the
     last id in the orbit of flat f under the group they generate; the ids
     of an orbit share a rank, and without symmetry orbit_rep is range(n).
-    P and Z of an upper interval depend only on the contraction, so they
-    are constant on orbits.
+    orbit_size maps each representative, ascending, to its orbit's size.
+    P and Z of an upper interval depend only on the contraction, and
+    mu(bottom, F) and the multichain counts above F only on F's orbit.
     """
 
     __slots__ = ("flats", "ranks", "covers", "rk_total", "n_ground", "ground_mask", "symmetry",
-                 "orbit_rep", "_cache")
+                 "orbit_rep", "orbit_size", "_cache")
 
     def __init__(self, flats: Sequence[int], ranks: Sequence[int], covers: Sequence[Sequence[int]],
                  n_ground: int, symmetry: Sequence[Sequence[int]] = ()):
@@ -170,7 +173,7 @@ class FlatLattice:
         self.ground_mask = self.flats[-1]
         self._cache = {}
         self.symmetry = tuple(tuple(g) for g in symmetry)
-        self.orbit_rep = _orbit_representatives(self)
+        self.orbit_rep, self.orbit_size = _orbit_representatives(self)
 
     @property
     def n(self) -> int:
@@ -195,7 +198,7 @@ class FlatLattice:
 
     @property
     def n_orbits(self) -> int:
-        return sum(1 for f, r in enumerate(self.orbit_rep) if f == r)
+        return len(self.orbit_size)
 
     def uppers(self):
         """uppers()[i] = ids of flats strictly above flat i, ascending (= by rank)."""
@@ -224,23 +227,18 @@ class FlatLattice:
         return ups
 
     def validate(self):
-        """Graded-lattice sanity check: cover ranks and existence of meets."""
-        flats = self.flats
-        ranks = self.ranks
-        index = {m: i for i, m in enumerate(flats)}
-        if len(index) != len(flats):
-            raise ValueError("duplicate flats")
-        if flats and ranks.count(0) != 1:
-            raise ValueError("bottom flat is not unique")
-        for f, cs in enumerate(self.covers):
-            for c in cs:
-                if ranks[c] != ranks[f] + 1:
-                    raise ValueError(f"cover {f} -> {c} does not increase rank by 1")
-                if flats[f] & flats[c] != flats[f]:
-                    raise ValueError(f"cover {f} -> {c} is not an inclusion")
-        for i, j in combinations(range(len(flats)), 2):
-            if flats[i] & flats[j] not in index:
-                raise ValueError(f"meet of flats {i} and {j} is not a flat")
+        """Lattice check: the flats alone, rebuilt as an explicit list (meets,
+        grading and cover partition checked cover by cover), must give these
+        ranks and covers.  The elements outside the top join every flat,
+        which keeps meets, covers and the id order."""
+        rest = (1 << self.n_ground) - 1 & ~self.ground_mask
+        full = _lattice_from_explicit_flats(
+            ExplicitFlats(self.n_ground, [_bits(m | rest) for m in self.flats]), None)
+        if (tuple(m ^ rest for m in full.flats), full.ranks) != (self.flats, self.ranks):
+            raise ValueError("flat ranks are not the lengths of chains from the bottom")
+        for f, (mine, true) in enumerate(zip(self.covers, full.covers)):
+            if mine != true:
+                raise ValueError(f"flat {f} lists covers {list(mine)}; they are {list(true)}")
 
     def _sublattice(self, member_ids, rank_offset: int) -> "FlatLattice":
         members = sorted(member_ids)
@@ -277,15 +275,16 @@ def flat_permutation(lat: FlatLattice, g) -> list:
 
 
 def _orbit_representatives(lat: FlatLattice):
-    """orbit_rep of the lattice: the orbit of each flat not yet reached,
-    by decreasing id, closed under the generators' flat permutations."""
+    """(orbit_rep, orbit_size) of the lattice: the orbit of each flat not
+    yet reached, by decreasing id, closed under the generators' flat
+    permutations."""
     if not lat.symmetry:
-        return range(lat.n)
+        return range(lat.n), dict.fromkeys(range(lat.n), 1)
     for g in lat.symmetry:
         if sorted(g) != list(range(lat.n_ground)):
             raise ValueError(f"not a permutation of 0..{lat.n_ground - 1}: {g}")
     images = [flat_permutation(lat, g) for g in lat.symmetry]
-    rep = [None] * lat.n
+    rep, size = [None] * lat.n, {}
     for f in reversed(range(lat.n)):
         if rep[f] is None:
             rep[f] = f
@@ -296,7 +295,8 @@ def _orbit_representatives(lat: FlatLattice):
                     if rep[y] is None:
                         rep[y] = f
                         orbit.append(y)
-    return tuple(rep)
+            size[f] = len(orbit)
+    return tuple(rep), dict(reversed(size.items()))
 
 
 def contraction(lat: FlatLattice, fid: int) -> FlatLattice:
@@ -655,23 +655,37 @@ def _lattice_from_explicit_flats(spec: ExplicitFlats, flat_cap: int | None) -> F
 # poset computations
 
 
-def mobius_from_bottom(lat: FlatLattice):
-    """mu(bottom, F) for every flat, by the defining recursion, cached."""
-    mu = lat._cache.get("mobius")
-    if mu is not None:
-        return mu
-    n = lat.n
+def _orbit_mobius(lat: FlatLattice):
+    """(hs, ks, ws): the orbit representatives H by increasing rank, |O_H|
+    and |O_H| mu(bottom, H), constant on orbits as every symmetry fixes the
+    bottom.  Each G adds |O_G| mu(bottom, G) at rep[H'] for every H' > G; as
+    |O_G| #{H' in O_H : G < H'} = |O_H| #{G' in O_G : G' < H}, that leaves
+    -|O_H| mu(bottom, H) at H, which |O_H| must divide."""
     ups = lat.uppers()
-    acc = [0] * n
-    mu = [0] * n
-    order = [lat.bottom_id] + list(ups[lat.bottom_id])
-    for f in order:
-        m = 1 if f == lat.bottom_id else -acc[f]
-        mu[f] = m
-        for g in ups[f]:
-            acc[g] += m
-    mu = tuple(mu)
-    lat._cache["mobius"] = mu
+    rep = lat.orbit_rep if lat.symmetry else None
+    hs, ks = list(lat.orbit_size), list(lat.orbit_size.values())
+    acc = [0] * lat.n
+    acc[lat.bottom_id] = -1
+    ws = []
+    for h, k in zip(hs, ks):
+        w = -acc[h]                 # complete: ids are in rank order
+        if w % k:
+            raise RuntimeError(f"mobius value {w}/{k} on the orbit of flat {h} is not "
+                               "an integer: the orbits are not those of the symmetry")
+        ws.append(w)
+        if w:
+            for g in ups[h] if rep is None else map(rep.__getitem__, ups[h]):
+                acc[g] += w
+    return hs, ks, ws
+
+
+def mobius_from_bottom(lat: FlatLattice):
+    """mu(bottom, F) for every flat, cached: one sweep over the orbit
+    representatives' up-sets, copied to each orbit."""
+    mu = lat._cache.get("mobius")
+    if mu is None:
+        at = {h: w // k for h, k, w in zip(*_orbit_mobius(lat))}
+        mu = lat._cache["mobius"] = tuple(map(at.__getitem__, lat.orbit_rep))
     return mu
 
 
@@ -688,7 +702,9 @@ def _multichain_counts(lat: FlatLattice, fixed, anchors, profile: tuple, memo: d
     """counts[f], at each anchor f (sorted ids), of the multichains of flats
     F with fixed[F] of the given corank profile whose lowest flat contains
     f.  Memoized per profile suffix in `memo`; the Whitney recursion over
-    contractions makes suffixes shareable.  All flags set: the plain count."""
+    contractions makes suffixes shareable.  fixed None: the plain count,
+    constant on orbits, so the anchors are the orbit representatives and
+    every flat reads its representative's count."""
     vec = memo.get(profile)
     if vec is not None:
         return vec
@@ -703,7 +719,8 @@ def _multichain_counts(lat: FlatLattice, fixed, anchors, profile: tuple, memo: d
         # and every up-set meets it in one slice; mask that range once
         lo = bisect_left(lat.ranks, target)
         hi = bisect_left(lat.ranks, target + 1)
-        out[lo:hi] = [c if x else 0 for c, x in zip(prev[lo:hi], fixed[lo:hi])]
+        out[lo:hi] = (map(prev.__getitem__, lat.orbit_rep[lo:hi]) if fixed is None else
+                      [c if x else 0 for c, x in zip(prev[lo:hi], fixed[lo:hi])])
         ups = lat.uppers()
         for f in anchors[:bisect_left(anchors, lo)]:
             ups_f = ups[f]
@@ -722,4 +739,4 @@ def whitney_multi(lat: FlatLattice, profile) -> int:
     """
     profile = tuple(int(i) for i in profile)
     memo = lat._cache.setdefault("whitney", {})
-    return _multichain_counts(lat, (True,) * lat.n, range(lat.n), profile, memo)[lat.bottom_id]
+    return _multichain_counts(lat, None, list(lat.orbit_size), profile, memo)[lat.bottom_id]

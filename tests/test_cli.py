@@ -186,6 +186,15 @@ def test_bench_small(capsys):
     assert len(checksums) == 1
 
 
+def test_bench_reports_orbit_pairs(capsys):
+    # K8: the up-sets of its 22 orbit representatives hold 5,666 of the
+    # 163,754 interval pairs
+    code, out, _ = run(capsys, "bench", "braid", "--d", "7", "--reps", "1")
+    assert code == 0
+    row = json.loads(out)["rows"][1]
+    assert (row["flats"], row["orbits"], row["orbit_pairs"]) == (4140, 22, 5666)
+
+
 def test_bench_trivial(capsys):
     code, out, _ = run(capsys, "bench", "braid", "--d", "0")
     assert code == 0

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import chain_count_naive, z_naive
 from zpoly import (BRAID, TYPE_B, ExplicitFlats, GraphSpec, IntPolynomial, KlMethod,
                    LinearVectors, UniformSpec, build_tables, conjecture_sweep, contraction,
-                   enumerate_flats, is_palindromic, kl_by_method, kl_defining, kl_family,
-                   lattice_spec, localization, uniform_family, whitney_multi, z_family,
-                   z_polynomial)
-from zpoly.klz import _defining_table, _p_table
+                   enumerate_flats, is_palindromic, kl_by_method, kl_coeff_closed, kl_defining,
+                   kl_family, lattice_spec, localization, mobius_from_bottom, uniform_family,
+                   whitney_multi, z_family, z_polynomial)
+from zpoly.klz import _defining_table, _p_table, _signed_profiles
 
 
 def random_multigraph(draw):
@@ -134,6 +134,39 @@ def twin_multigraphs(draw):
 @settings(max_examples=60, deadline=None)
 def test_orbit_path_equals_full_path_on_twin_multigraphs(spec):
     _assert_orbit_path_is_full_path(enumerate_flats(spec))
+
+
+def _assert_orbit_sweeps_are_full_sweeps(lat):
+    """Mobius values, the Whitney number of every closed-formula profile,
+    every closed-formula coefficient and the defining table of a lattice
+    swept on orbits equal those of its flats given as ExplicitFlats, which
+    carry no symmetry."""
+    full = enumerate_flats(ExplicitFlats(lat.n_ground, [lat.flat_elements(f)
+                                                        for f in range(lat.n)]))
+    assert full.flats == lat.flats and full.n_orbits == full.n
+    assert mobius_from_bottom(lat) == mobius_from_bottom(full)
+    rk = lat.rk_total
+    for i in range(1, rk // 2 + 2):
+        for _, profile in _signed_profiles(i, rk):
+            assert whitney_multi(lat, profile) == whitney_multi(full, profile), profile
+        assert kl_coeff_closed(lat, i) == kl_coeff_closed(full, i), i
+    assert _defining_table(lat) == _defining_table(full)
+
+
+def test_orbit_sweeps_equal_full_sweeps_on_braid_and_uniform():
+    for nv in range(4, 9):
+        lat = enumerate_flats(lattice_spec(BRAID, nv - 1))
+        assert lat.n_orbits < lat.n
+        _assert_orbit_sweeps_are_full_sweeps(lat)
+    for m in range(10):
+        for d in range(10 - m):
+            _assert_orbit_sweeps_are_full_sweeps(enumerate_flats(UniformSpec(m, d)))
+
+
+@given(twin_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_orbit_sweeps_equal_full_sweeps_on_twin_multigraphs(spec):
+    _assert_orbit_sweeps_are_full_sweeps(enumerate_flats(spec))
 
 
 def test_k9_orbit_tables_equal_family():

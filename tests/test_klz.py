@@ -171,6 +171,25 @@ def test_defining_route_never_reads_the_table():
         assert z_polynomial(lat) == IntPolynomial([7])
 
 
+def test_orbits_that_merge_two_mobius_values_are_an_error():
+    # K5's rank-2 orbits are 10 triangles (mu = 2) and 15 pairs of disjoint
+    # edges (mu = 1); merged, the orbit sweep leaves 35 to share among 25
+    lat = braid(4)
+    rank2 = lat.flats_of_rank(2)
+    reps = sorted({lat.orbit_rep[f] for f in rank2})
+    assert [lat.orbit_size[r] for r in reps] == [15, 10]
+    orbit_rep = list(lat.orbit_rep)
+    for f in rank2:
+        orbit_rep[f] = reps[-1]
+    lat.orbit_rep = tuple(orbit_rep)
+    lat.orbit_size = {r: orbit_rep.count(r) for r in sorted(set(orbit_rep))}
+    assert lat.orbit_size[reps[-1]] == 25
+    with pytest.raises(RuntimeError, match="not an integer"):
+        mobius_from_bottom(lat)
+    with pytest.raises(RuntimeError, match="not an integer"):
+        kl_defining(lat)
+
+
 def test_defining_route_checks_tail_and_low_half():
     # dropping one pair from the up-sets breaks the chains the defining
     # equation sums over; both of its checks must catch some of these

@@ -75,6 +75,48 @@ def test_explicit_flats_error_messages():
         enumerate_flats(ExplicitFlats(3, [[], [0], [1], [2], [0, 1], [1, 2], [0, 1, 2]]))
 
 
+def test_validate_accepts_lattices_and_their_intervals():
+    lat = enumerate_flats(k_complete(5))
+    lat.validate()
+    for f in (0, 5, 20, lat.top_id):
+        contraction(lat, f).validate()
+        localization(lat, f).validate()     # its top is not the ground set
+
+
+BOOLEAN3 = [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
+
+
+@pytest.mark.parametrize("flats, ranks, covers, ground, message", [
+    ([0b00, 0b01, 0b01, 0b11], [0, 1, 1, 2], [[1, 2], [3], [3], []], 2, "duplicate"),
+    # [0, 1] ^ [1, 2] = [1] is not a flat
+    ([0b000, 0b011, 0b110, 0b111], [0, 1, 1, 2], [[1, 2], [3], [3], []], 3,
+     "closed under intersection"),
+    # the Boolean lattice on two elements with its top at rank 3
+    ([0b00, 0b01, 0b10, 0b11], [0, 1, 1, 3], [[1, 2], [3], [3], []], 2, "ranks"),
+    # [0] lists [1, 2] as a cover in place of [0, 1]
+    (BOOLEAN3, [0, 1, 1, 1, 2, 2, 2, 3],
+     [[1, 2, 3], [5, 6], [4, 6], [5, 6], [7], [7], [7], []], 3, r"flat 1 lists covers \[5, 6\]"),
+], ids=["duplicate-flats", "missing-meet", "ungraded-cover", "cover-not-inclusion"])
+def test_validate_rejects(flats, ranks, covers, ground, message):
+    lat = FlatLattice(flats, ranks, covers, ground)
+    with pytest.raises(ValueError, match=message):
+        lat.validate()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: UniformSpec(1.9, 2), lambda: UniformSpec(True, 2), lambda: UniformSpec(1, 2.0),
+    lambda: GraphSpec(3.0, [(0, 1)]), lambda: GraphSpec(3, [(0, 1.0)]),
+    lambda: GraphSpec(3, [(False, 1)]), lambda: ExplicitBases(True, [[0]]),
+    lambda: ExplicitBases(3, [[0, 1.5]]), lambda: LinearVectors([[0.5, 1], [1, 2]]),
+    lambda: LinearVectors([[True, 0]]), lambda: ExplicitFlats(2.0, [[], [0, 1]]),
+    lambda: ExplicitFlats(2, [[], [0.7], [1], [0, 1]]),
+])
+def test_spec_constructors_reject_floats_and_bools(make):
+    # int() would truncate them: [[0.5, 1], [1, 2]] would read as rank 2
+    with pytest.raises(TypeError, match="is not an integer"):
+        make()
+
+
 def test_explicit_flats_against_the_flat_axioms_on_four_elements():
     # every family of subsets of {0, 1, 2, 3} that lists the ground set:
     # the lattices accepted are exactly the families of flats, ranked by chains
