@@ -4,7 +4,7 @@ real-root isolation, and equivariant refinements."""
 
 from .polyarith import (IntPolynomial, RatPolynomial, TruncatedSeries,
                         format_polynomial, is_palindromic, reverse, series_exp,
-                        series_inv, series_log, series_sqrt_inv)
+                        series_log)
 from .matroid import (ExplicitBases, ExplicitFlats, FlatCapExceeded,
                       FlatLattice, GraphSpec, LinearVectors, MatroidSpec,
                       UniformSpec, bareiss_rank, characteristic_polynomial,

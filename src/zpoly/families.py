@@ -2,12 +2,16 @@
 type-B reflection arrangement, uniform U_{m,d}, and the full vector matroid
 over F_q.
 
-Whitney tables W_d(k) / w_d(k) are filled from the families' counting
-formulas.  P_d and Z_d then come from the family recursion, never touching a
-lattice: the P/Z table's palindromic step (klz._palindromic_step) over
-Whitney rows, since the W_d(k) flats of corank k each contract to the rank-k
-member.  Every entry point checks d against the tables' range.  Everything
-cross-validates against the lattice-based computations at small rank.
+Whitney tables W_d(k) / w_d(k) are filled by corank k.  Braid and type B are
+the Dowling lattices Q_d(G) of a group of order m = 1 and m = 2 (Dowling, A
+class of geometric lattices based on finite groups, JCTB 14, 1973), and one
+row recurrence in m fills both; the uniform and F_q families use their
+counting formulas.  P_d and Z_d then come from the family recursion, never
+touching a lattice: the P/Z table's palindromic step (klz._palindromic_step)
+over Whitney rows, since the W_d(k) flats of corank k each contract to the
+rank-k member.  Every entry point checks d against the tables' range.
+Everything cross-validates against the lattice-based computations at small
+rank.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ from math import comb, factorial, prod
 
 from .klz import _closed_sum, _palindromic_step
 from .matroid import (ExplicitFlats, GraphSpec, LinearVectors, MatroidSpec,
-                      UniformSpec, _bits, _enumerate_by_covers, _vectors_oracle)
+                      UniformSpec, _bits, _enumerate_by_covers, _integer,
+                      _vectors_oracle)
 from .polyarith import (IntPolynomial, RatPolynomial, TruncatedSeries,
-                        series_exp, series_inv, series_log, series_sqrt_inv)
+                        series_exp, series_log)
 
 
 def binomial(n: int, k: int) -> int:
@@ -105,10 +110,10 @@ class NiceFamily:
             if self.param is not None:
                 raise ValueError(f"{self.kind} takes no parameter")
         elif self.kind == "uniform":
-            if self.param is None or self.param < 1:
+            if self.param is None or _integer(self.param) < 1:
                 raise ValueError("uniform family needs m >= 1")
         elif self.kind == "qvec":
-            if self.param is None or not _is_prime_power(self.param):
+            if self.param is None or not _is_prime_power(_integer(self.param)):
                 raise ValueError("qvec family needs a prime power q >= 2")
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
@@ -165,25 +170,36 @@ class WhitneyTables:
         return 0
 
 
+# |G| of the Dowling lattice Q_d(G) that is each family's rank-d member
+_DOWLING_ORDER = {"braid": 1, "typeb": 2}
+
+
+def _dowling_rows(m: int, d_max: int):
+    """W and w of Q_d(G), |G| = m, for d <= d_max, by corank k:
+    W_d(k) = W_{d-1}(k-1) + (1 + mk) W_{d-1}(k), and
+    w_d(k) = w_{d-1}(k-1) - (1 + m(d-1)) w_{d-1}(k), since
+    chi_d(t) = chi_{d-1}(t) (t - 1 - m(d-1))."""
+    W, w = [[1]], [[1]]
+    for d in range(1, d_max + 1):
+        Wp, wp, root = W[-1], w[-1], 1 + m * (d - 1)
+        W.append([x + (1 + m * k) * y for k, (x, y) in enumerate(zip([0] + Wp, Wp + [0]))])
+        w.append([x - root * y for x, y in zip([0] + wp, wp + [0])])
+    return W, w
+
+
 def build_tables(family: NiceFamily, d_max: int) -> WhitneyTables:
-    """Fill the Whitney tables from the family's counting formulas."""
-    if d_max < 0:
+    """Fill the Whitney tables: braid and typeb by the Dowling recurrence
+    (Dowling 1973) with m = 1 and m = 2, the others from their counting
+    formulas."""
+    if _integer(d_max) < 0:
         raise ValueError("d_max must be nonnegative")
     kind, p = family.kind, family.param
+    if kind in _DOWLING_ORDER:
+        return WhitneyTables(family, d_max, *_dowling_rows(_DOWLING_ORDER[kind], d_max))
     W = []
     w = []
     for d in range(d_max + 1):
-        if kind == "braid":
-            Wrow = [stirling2(d + 1, k + 1) for k in range(d + 1)]
-            wrow = [stirling1_signed(d + 1, k + 1) for k in range(d + 1)]
-        elif kind == "typeb":
-            Wrow = [sum(2 ** (j - k) * binomial(d, j) * stirling2(j, k)
-                        for j in range(k, d + 1))
-                    for k in range(d + 1)]
-            wrow = [(-1) ** (d - k) * sum((-2) ** (d - j) * binomial(j, k) * stirling1_signed(d, j)
-                                          for j in range(k, d + 1))
-                    for k in range(d + 1)]
-        elif kind == "uniform":
+        if kind == "uniform":
             Wrow = [1 if k == 0 else binomial(d + p, k + p) for k in range(d + 1)]
             wrow = []
             for k in range(d + 1):
@@ -287,45 +303,35 @@ def q_shift_check(q: int, d_max: int) -> bool:
 def series_identity_check(family: NiceFamily, order: int) -> bool:
     """Verify, to the given order in u with exact rational-polynomial
     coefficients, the exponential generating-function identities of the braid
-    and type-B families:
+    and type-B families, the Dowling lattices with m = 1 and m = 2:
 
       * the closed forms of g_k (EGF of w_d(k)) and G_k (EGF of W_d(k)),
+          G_k = e^{tu} ((e^{m tu} - 1) / m)^k / k!,
+          g_k = (1 + m tu)^{-1/m} (log(1 + m tu) / m)^k / k!,
       * P(t,u) = sum_k t^{-k} Z_k(t) g_k(tu) and
         Z(t,u) = sum_k t^{-k} P_k(t) G_k(tu).
     """
     if order > 16:
         raise ValueError("order capped at 16")
-    if family.kind not in ("braid", "typeb"):
+    m = _DOWLING_ORDER.get(family.kind)
+    if m is None:
         raise ValueError("series identities are implemented for braid and typeb")
     tables = build_tables(family, order)
     N = order
 
-    one = TruncatedSeries.constant(N, 1)
     tu = TruncatedSeries.u_monomial(N, RatPolynomial((0, 1)), 1)
+    mtu = tu * m
+    log_mtu = series_log(mtu + 1)
+    exp_tu = series_exp(tu)
+    root = series_exp(log_mtu * Fraction(-1, m))     # (1 + m tu)^{-1/m}
+    expm1 = (series_exp(mtu) - 1) * Fraction(1, m)
+    logm = log_mtu * Fraction(1, m)
 
-    if family.kind == "braid":
-        log1tu = series_log(one + tu)
-        inv1tu = series_inv(one + tu)
-        exp_tu = series_exp(tu)
-        expm1 = exp_tu - 1
+    def g_closed(k):
+        return root * (logm ** k) * Fraction(1, factorial(k))
 
-        def g_closed(k):
-            return inv1tu * (log1tu ** k) * Fraction(1, factorial(k))
-
-        def G_closed(k):
-            return exp_tu * (expm1 ** k) * Fraction(1, factorial(k))
-    else:
-        two_tu = tu * 2
-        log2tu = series_log(one + two_tu)
-        sqrtinv = series_sqrt_inv(one + two_tu)
-        exp_tu = series_exp(tu)
-        expm1_2 = series_exp(two_tu) - 1
-
-        def g_closed(k):
-            return sqrtinv * (log2tu ** k) * Fraction(1, 2 ** k * factorial(k))
-
-        def G_closed(k):
-            return exp_tu * (expm1_2 ** k) * Fraction(1, 2 ** k * factorial(k))
+    def G_closed(k):
+        return exp_tu * (expm1 ** k) * Fraction(1, factorial(k))
 
     def egf(column) -> TruncatedSeries:
         polys = []

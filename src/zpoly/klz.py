@@ -14,8 +14,8 @@ kl_coeff_new_recursion read the table.  kl_defining never does:
 it solves the functional equation with its own per-flat P and Z, using
 mu(F, H) on every interval, and checks the equation in full.  Both solve
 one flat per orbit of the lattice's symmetry (FlatLattice.orbit_rep) and
-copy the result to the rest of the orbit; the verifier's bottom row and
-kl_via_mobius add each orbit once, weighted by its size.
+copy the result to the rest of the orbit; the bottom rows of both tables
+and kl_via_mobius add each orbit once, weighted by its size.
 
 The closed formula is one sum, _closed_sum, over any Whitney source: lattice
 multichains, family tables, h-products, or one class's fixed chains.
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .matroid import FlatLattice, _orbit_mobius, mobius_from_bottom, whitney_multi
 from .polyarith import IntPolynomial
@@ -133,6 +133,7 @@ def _p_table(lat: FlatLattice):
     flat.  One sweep by decreasing rank over the pairs F < G fills both
     tables; a flat whose orbit representative is not itself copies it,
     since the representative is the orbit's last id and so came first.
+    The bottom row adds each orbit once, weighted by its size.
     z_polynomial, kl_via_mobius and kl_coeff_new_recursion read it;
     kl_defining does not.
     """
@@ -142,6 +143,7 @@ def _p_table(lat: FlatLattice):
     ranks = lat.ranks
     rk_total = lat.rk_total
     rep = lat.orbit_rep
+    bottom = lat.bottom_id
     ups = lat.uppers()
     P = [None] * lat.n
     Z = [None] * lat.n
@@ -152,10 +154,14 @@ def _p_table(lat: FlatLattice):
             continue
         rank_f = ranks[f]
         S = [0] * (rk_total - rank_f + 1)
-        for g in ups[f]:
+        if f == bottom:             # P is constant on orbits: each once, weighted
+            above = [(g, k) for g, k in lat.orbit_size.items() if g != f]
+        else:
+            above = zip(ups[f], repeat(1))
+        for g, k in above:
             base = ranks[g] - rank_f
             for j, c in enumerate(P[g]):
-                S[base + j] += c
+                S[base + j] += k * c
         P[f], Z[f] = _palindromic_step(S)
     table = (tuple(P), tuple(Z))
     lat._cache["pz"] = table

@@ -8,7 +8,7 @@ problem domain stay small) and immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 
 class _Polynomial:
@@ -340,28 +340,4 @@ def series_log(s: TruncatedSeries) -> TruncatedSeries:
     result = TruncatedSeries.constant(s.order, 0)
     for k, power in _powers_of_zero_constant(r):
         result = result + power * Fraction((-1) ** (k + 1), k)
-    return result
-
-
-def series_inv(s: TruncatedSeries) -> TruncatedSeries:
-    """1/s for a series with constant term 1."""
-    if s.constant_term() != RatPolynomial((1,)):
-        raise ValueError("series_inv requires constant term 1")
-    r = 1 - s
-    result = TruncatedSeries.constant(s.order, 1)
-    for _, power in _powers_of_zero_constant(r):
-        result = result + power
-    return result
-
-
-def series_sqrt_inv(s: TruncatedSeries) -> TruncatedSeries:
-    """(1+r)**(-1/2) for s = 1 + r with constant term 1."""
-    if s.constant_term() != RatPolynomial((1,)):
-        raise ValueError("series_sqrt_inv requires constant term 1")
-    r = s - 1
-    result = TruncatedSeries.constant(s.order, 1)
-    for k, power in _powers_of_zero_constant(r):
-        # binomial(-1/2, k) = (-1)^k * C(2k, k) / 4^k
-        coeff = Fraction((-1) ** k * comb(2 * k, k), 4 ** k)
-        result = result + power * coeff
     return result

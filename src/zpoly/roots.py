@@ -274,12 +274,10 @@ class InterlaceVerdict:
     kind is NONE.  Then it is a 0-based position in the increasing order of
     the distinct roots of f/h and g/h, h = gcd(f, g): the first position
     where the roots stop alternating f, g, f, ..., or, when they alternate,
-    the position of the first multiple root of f/h, which then has one."""
+    the position of the first multiple root of f/h, which then has one.
+    Every verdict is truthy, NONE included: read kind."""
     kind: InterlaceKind
     witness: int | None = None
-
-    def __bool__(self):
-        return self.kind is not InterlaceKind.NONE
 
 
 def squarefree_part(p: IntPolynomial) -> RatPolynomial:

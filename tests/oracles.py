@@ -7,6 +7,7 @@ enumeration) and shares no code path with the library internals it checks.
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, factorial
 
 from zpoly import IntPolynomial
 
@@ -228,8 +229,9 @@ def stirling2_by_enumeration(n, k):
     return sum(1 for p in set_partitions(list(range(n))) if len(p) == k)
 
 
-def stirling1_by_polynomial(n, k):
-    """Coefficient of t^k in t(t-1)...(t-n+1), multiplied out term by term."""
+def falling_factorial_coeffs(n):
+    """Coefficients of t(t-1)...(t-n+1), low to high, multiplied out term by
+    term."""
     coeffs = [1]
     for i in range(n):
         nxt = [0] * (len(coeffs) + 1)
@@ -237,7 +239,37 @@ def stirling1_by_polynomial(n, k):
             nxt[j + 1] += c
             nxt[j] += -i * c
         coeffs = nxt
+    return coeffs
+
+
+def stirling1_by_polynomial(n, k):
+    """Coefficient of t^k in t(t-1)...(t-n+1)."""
+    coeffs = falling_factorial_coeffs(n)
     return coeffs[k] if 0 <= k < len(coeffs) else 0
+
+
+def stirling2_by_inclusion_exclusion(n, k):
+    """Surjections of an n-set onto a k-set, counted by inclusion-exclusion,
+    divided by k!."""
+    return sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1)) // factorial(k)
+
+
+def typeb_whitney_by_double_sums(d_max):
+    """(W, w) of the type-B arrangement for d <= d_max by the classical double
+    sums over Stirling numbers:
+        W_d(k) = sum_j 2^{j-k} C(d, j) S(j, k),
+        w_d(k) = (-1)^{d-k} sum_j (-2)^{d-j} C(j, k) s(d, j)."""
+    S = [[stirling2_by_inclusion_exclusion(j, k) for k in range(j + 1)]
+         for j in range(d_max + 1)]
+    W, w = [], []
+    for d in range(d_max + 1):
+        s = falling_factorial_coeffs(d)
+        W.append([sum(2 ** (j - k) * comb(d, j) * S[j][k] for j in range(k, d + 1))
+                  for k in range(d + 1)])
+        w.append([(-1) ** (d - k) * sum((-2) ** (d - j) * comb(j, k) * s[j]
+                                        for j in range(k, d + 1))
+                  for k in range(d + 1)])
+    return W, w
 
 
 def narayana_by_dyck_paths(n, k):

@@ -5,8 +5,9 @@ import pytest
 
 from oracles import (gaussian_by_product, narayana_by_dyck_paths,
                      stirling1_by_polynomial, stirling2_by_enumeration,
-                     subspaces_by_brute_force)
-from zpoly import (BRAID, TYPE_B, IntPolynomial, NiceFamily, binomial,
+                     subspaces_by_brute_force, typeb_whitney_by_double_sums)
+from zpoly import families
+from zpoly import (BRAID, TYPE_B, IntPolynomial, NiceFamily, WhitneyTables, binomial,
                    build_tables, characteristic_polynomial, enumerate_flats,
                    gaussian_binomial, is_palindromic, kl_closed_family,
                    kl_defining, kl_family, lattice_spec, narayana,
@@ -88,6 +89,33 @@ def test_tables_match_lattice_counts():
             for k in range(d + 1):
                 assert tb.W[d][k] == whitney_multi(lat, [k]), (family, d, k)
                 assert tb.w[d][k] == chi.coefficient(k), (family, d, k)
+
+
+def test_dowling_tables_braid_equal_stirling_numbers():
+    tb = build_tables(BRAID, 60)
+    for d in range(61):
+        assert tb.W[d] == [stirling2(d + 1, k + 1) for k in range(d + 1)], d
+        assert tb.w[d] == [stirling1_signed(d + 1, k + 1) for k in range(d + 1)], d
+
+
+def test_dowling_tables_typeb_equal_double_sums():
+    tb = build_tables(TYPE_B, 60)
+    assert (tb.W, tb.w) == typeb_whitney_by_double_sums(60)
+
+
+def test_integer_parameters_only():
+    for bad in (True, 2.0, 1.5):
+        with pytest.raises(TypeError):
+            uniform_family(bad)
+        with pytest.raises(TypeError):
+            build_tables(BRAID, bad)
+    with pytest.raises(TypeError):
+        qvec_family(True)
+    with pytest.raises(TypeError):
+        build_tables(uniform_family(2), 3.0)
+    with pytest.raises(ValueError):
+        parse_family("uniform:1.5")
+    assert build_tables(BRAID, 1).d_max == 1
 
 
 def test_typeb_w_matches_exponent_product():
@@ -288,6 +316,23 @@ def test_series_identities_small():
         series_identity_check(BRAID, 17)
     with pytest.raises(ValueError):
         series_identity_check(uniform_family(1), 4)
+
+
+@pytest.mark.parametrize("family", [BRAID, TYPE_B], ids=str)
+@pytest.mark.parametrize("table, d, k", [("W", 4, 2), ("w", 5, 1), ("W", 6, 6)])
+def test_series_identity_catches_a_changed_table_entry(monkeypatch, family, table, d, k):
+    real = families.build_tables
+
+    def changed(fam, d_max):
+        tb = real(fam, d_max)
+        rows = [list(row) for row in getattr(tb, table)]
+        rows[d][k] += 1
+        W, w = (rows, tb.w) if table == "W" else (tb.W, rows)
+        return WhitneyTables(fam, d_max, W, w)
+
+    assert series_identity_check(family, 6)
+    monkeypatch.setattr(families, "build_tables", changed)
+    assert not series_identity_check(family, 6)
 
 
 def _qvec_vector(q, d, i):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (interlace_by_sorted_roots, interlace_witness_by_sorted_roots,
                      poly_from_roots, sign_changes_on_grid)
-from zpoly import (BRAID, TYPE_B, IntPolynomial, InterlaceKind, SturmCertificate,
-                   build_tables, certify_roots, check_certificate,
+from zpoly import (BRAID, TYPE_B, IntPolynomial, InterlaceKind, InterlaceVerdict,
+                   SturmCertificate, build_tables, certify_roots, check_certificate,
                    conjecture_sweep, count_negative_real_roots, interlaces,
                    is_log_concave, is_negative_real_rooted, is_palindromic,
                    isolate_roots, parse_family, qvec_family, squarefree_part,
@@ -109,6 +109,14 @@ def test_interlace_examples():
     assert v.kind is InterlaceKind.WEAK
     v = interlaces(IntPolynomial([1, 6, 6, 1]), IntPolynomial([1, 3, 1]))
     assert v.kind is InterlaceKind.STRICT
+
+
+def test_every_verdict_is_truthy():
+    # NONE is a verdict like the others; only _interlace's None means "not rooted"
+    for kind in InterlaceKind:
+        assert InterlaceVerdict(kind)
+    v = interlaces(poly_from_roots([-1, -4, -5]), poly_from_roots([-2, -3]))
+    assert v and v.kind is InterlaceKind.NONE
 
 
 def test_interlace_errors():
