@@ -155,8 +155,9 @@ class WhitneyTables:
     _pz: list = field(default_factory=list, repr=False)
 
     def _check_rank(self, d: int) -> None:
-        """Raise ValueError unless the tables reach the rank-d member."""
-        if not 0 <= d <= self.d_max:
+        """Raise TypeError unless d is an int, ValueError unless the tables
+        reach the rank-d member."""
+        if not 0 <= _integer(d) <= self.d_max:
             raise ValueError(f"d={d} outside table range 0..{self.d_max}")
 
     def W_val(self, d: int, k: int) -> int:
@@ -372,7 +373,7 @@ def series_identity_check(family: NiceFamily, order: int) -> bool:
 
 def lattice_spec(family: NiceFamily, d: int) -> MatroidSpec:
     """A matroid spec whose lattice of flats realizes the rank-d member."""
-    if d < 0:
+    if _integer(d) < 0:
         raise ValueError("rank must be nonnegative")
     kind, p = family.kind, family.param
     if kind == "braid":

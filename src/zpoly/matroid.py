@@ -3,9 +3,11 @@ poset computations everything else is built on (Mobius values, characteristic
 polynomials, multi-indexed Whitney numbers).  One breadth-first cover
 enumerator builds every encoding's lattice, explicit flat lists included;
 one multichain counter serves plain and equivariant fixed-chain counts.
-Mobius values from the bottom and plain multichain counts are constant on
-the orbits of a lattice's symmetry, so they walk only the orbit
-representatives' up-sets, weighted by orbit size.
+A symmetric lattice is built orbit by orbit: the cover oracle runs at one
+flat per orbit, and the covers and up-sets of the other flats are symmetry
+images of those of the flat they were reached from.  Mobius values from
+the bottom and plain multichain counts are constant on orbits, so they
+walk only the orbit representatives' up-sets, weighted by orbit size.
 
 Flats are ground-set bitmasks (Python ints), ordered by inclusion.  Closure
 based enumeration always yields the geometric lattice of the simplification,
@@ -147,33 +149,39 @@ class FlatLattice:
     so id 0 is the bottom flat and id n-1 the top.  Immutable after
     construction; the private cache only memoizes derived data.
 
-    symmetry holds ground-set permutations that preserve flats (an error
-    names a flat one of them maps off the lattice).  orbit_rep[f] is the
-    last id in the orbit of flat f under the group they generate; the ids
-    of an orbit share a rank, and without symmetry orbit_rep is range(n).
-    orbit_size maps each representative, ascending, to its orbit's size.
-    P and Z of an upper interval depend only on the contraction, and
-    mu(bottom, F) and the multichain counts above F only on F's orbit.
+    symmetry holds ground-set permutations that preserve flats, so lattice
+    automorphisms.  images, when given, holds their permutations of the
+    given flat ids and is trusted; else an error names a flat one of them
+    maps off the lattice.  orbit_rep[f] is the last id in the orbit of
+    flat f under the group they generate; the ids of an orbit share a
+    rank, and without symmetry orbit_rep is range(n).  orbit_size maps
+    each representative, ascending, to its orbit's size.  P and Z of an
+    upper interval depend only on the contraction, and mu(bottom, F) and
+    the multichain counts above F only on F's orbit.  The up-set of g(F)
+    is g's image of the up-set of F.
     """
 
     __slots__ = ("flats", "ranks", "covers", "rk_total", "n_ground", "ground_mask", "symmetry",
-                 "orbit_rep", "orbit_size", "_cache")
+                 "orbit_rep", "orbit_size", "_orbit_tree", "_cache")
 
     def __init__(self, flats: Sequence[int], ranks: Sequence[int], covers: Sequence[Sequence[int]],
-                 n_ground: int, symmetry: Sequence[Sequence[int]] = ()):
+                 n_ground: int, symmetry: Sequence[Sequence[int]] = (), images=None):
         order = sorted(range(len(flats)), key=lambda i: (ranks[i], flats[i]))
         old_to_new = [0] * len(flats)
         for new, old in enumerate(order):
             old_to_new[old] = new
         self.flats = tuple(flats[old] for old in order)
         self.ranks = tuple(ranks[old] for old in order)
-        self.covers = tuple(tuple(sorted(old_to_new[c] for c in covers[old])) for old in order)
+        self.covers = tuple(tuple(sorted(map(old_to_new.__getitem__, covers[old])))
+                            for old in order)
         self.rk_total = self.ranks[-1] if self.ranks else 0
         self.n_ground = n_ground
         self.ground_mask = self.flats[-1]
         self._cache = {}
         self.symmetry = tuple(tuple(g) for g in symmetry)
-        self.orbit_rep, self.orbit_size = _orbit_representatives(self)
+        if images is not None:
+            images = [[old_to_new[image[old]] for old in order] for image in images]
+        self.orbit_rep, self.orbit_size, self._orbit_tree = _orbit_representatives(self, images)
 
     @property
     def n(self) -> int:
@@ -201,7 +209,9 @@ class FlatLattice:
         return len(self.orbit_size)
 
     def uppers(self):
-        """uppers()[i] = ids of flats strictly above flat i, ascending (= by rank)."""
+        """uppers()[i] = ids of flats strictly above flat i, ascending (= by
+        rank).  Rows are merged from the covers' rows only at the first flat
+        of each orbit; the orbit tree maps them to the rest of the orbit."""
         ups = self._cache.get("uppers")
         if ups is not None:
             return ups
@@ -209,7 +219,12 @@ class FlatLattice:
         covers = self.covers
         ups = [None] * n
         seen = bytearray(n)
-        for f in range(n - 1, -1, -1):
+        order, parent, via = self._orbit_tree or (range(n - 1, -1, -1), [None] * n, None)
+        for f in order:
+            x = parent[f]
+            if x is not None:
+                ups[f] = sorted(map(via[f].__getitem__, ups[x]))
+                continue
             out = []
             for c in covers[f]:
                 if not seen[c]:
@@ -249,10 +264,9 @@ class FlatLattice:
         return FlatLattice(flats, ranks, covers, self.n_ground)
 
 
-def flat_permutation(lat: FlatLattice, g) -> list:
-    """The permutation of flat ids induced by the ground permutation g, or
-    ValueError if g maps some flat off the lattice.  Masks are mapped a
-    byte at a time through tables of g's images."""
+def _byte_tables(g) -> list:
+    """(offset, table) pairs: a mask's image under g is the OR of
+    table[mask >> offset & 255]."""
     tables = []
     for lo in range(0, len(g), 8):
         table = [0] * (1 << min(8, len(g) - lo))
@@ -260,6 +274,13 @@ def flat_permutation(lat: FlatLattice, g) -> list:
             low = b & -b
             table[b] = table[b ^ low] | 1 << g[lo + low.bit_length() - 1]
         tables.append((lo, table))
+    return tables
+
+
+def flat_permutation(lat: FlatLattice, g) -> list:
+    """The permutation of flat ids induced by the ground permutation g, or
+    ValueError if g maps some flat off the lattice."""
+    tables = _byte_tables(g)
     index = {m: i for i, m in enumerate(lat.flats)}
     image = []
     for fid, mask in enumerate(lat.flats):
@@ -274,17 +295,21 @@ def flat_permutation(lat: FlatLattice, g) -> list:
     return image
 
 
-def _orbit_representatives(lat: FlatLattice):
-    """(orbit_rep, orbit_size) of the lattice: the orbit of each flat not
-    yet reached, by decreasing id, closed under the generators' flat
-    permutations."""
+def _orbit_representatives(lat: FlatLattice, images):
+    """(orbit_rep, orbit_size, tree) of the lattice: the orbit of each flat
+    not yet reached, by decreasing id, closed under the generators' flat
+    permutations.  The tree (order, parent, via) lists the flats in that
+    walk, and each flat y but an orbit's first was reached from parent[y]
+    by the permutation via[y]; without symmetry it is empty."""
     if not lat.symmetry:
-        return range(lat.n), dict.fromkeys(range(lat.n), 1)
+        return range(lat.n), dict.fromkeys(range(lat.n), 1), ()
     for g in lat.symmetry:
         if sorted(g) != list(range(lat.n_ground)):
             raise ValueError(f"not a permutation of 0..{lat.n_ground - 1}: {g}")
-    images = [flat_permutation(lat, g) for g in lat.symmetry]
+    if images is None:
+        images = [flat_permutation(lat, g) for g in lat.symmetry]
     rep, size = [None] * lat.n, {}
+    order, parent, via = [], [None] * lat.n, [None] * lat.n
     for f in reversed(range(lat.n)):
         if rep[f] is None:
             rep[f] = f
@@ -295,8 +320,10 @@ def _orbit_representatives(lat: FlatLattice):
                     if rep[y] is None:
                         rep[y] = f
                         orbit.append(y)
+                        parent[y], via[y] = x, image
             size[f] = len(orbit)
-    return tuple(rep), dict(reversed(size.items()))
+            order += orbit
+    return tuple(rep), dict(reversed(size.items())), (order, parent, via)
 
 
 def contraction(lat: FlatLattice, fid: int) -> FlatLattice:
@@ -356,37 +383,63 @@ def _check_cap(count: int, flat_cap: int | None, rank: int):
 
 def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None,
                          symmetry) -> FlatLattice:
-    """Breadth-first enumeration from a cover oracle.
+    """Breadth-first enumeration from a cover oracle, one orbit at a time.
 
     bottom is (mask, state) for the bottom flat; covers_of(mask, state)
     yields one (cover_mask, make_state) pair per cover of the flat, each
     cover once, and make_state() is called only the first time that cover
     is reached, so a state lives only while its flat is on the frontier.
     The covers of a flat F partition E - F, so an oracle needs one closure
-    per cover, not one per element.  The lattice carries the given
-    symmetry.
+    per cover, not one per element.
+
+    symmetry holds ground permutations that map flats to flats, and the
+    lattice carries it.  Each new flat's orbit is closed under them at
+    once, so the oracle runs only at the first flat of each orbit; a flat
+    that a generator reached from x takes the image of x's covers.
     """
+    tables = [_byte_tables(g) for g in symmetry]
+    images = [[] for _ in symmetry]     # images[j][x]: id of generator j's image of flat x
+    flats, ranks, covers, index = [], [], [], {}
+    tree = []                           # (y, x, images[j]): generator j reached y from x
+
+    def reach(mask: int, rank: int) -> int:
+        """Add a new flat and the rest of its orbit, which take the next
+        ids breadth first; the new flat's id."""
+        first = x = len(flats)
+        index[mask] = x
+        flats.append(mask)
+        _check_cap(x + 1, flat_cap, rank)
+        while x < len(flats):           # the orbit grows while it is walked
+            for image, byte_tables in zip(images, tables):
+                m = 0
+                for lo, table in byte_tables:
+                    m |= table[flats[x] >> lo & 255]
+                if m not in index:
+                    index[m] = len(flats)
+                    flats.append(m)
+                    _check_cap(len(flats), flat_cap, rank)
+                    tree.append((index[m], x, image))
+                image.append(index[m])  # flats are mapped in id order
+            x += 1
+        ranks.extend([rank] * (x - first))
+        covers.extend([] for _ in range(x - first))
+        return first
+
     bmask, bstate = bottom
-    flats, ranks, covers = [bmask], [0], [[]]
-    index = {bmask: 0}
-    _check_cap(1, flat_cap, 0)
-    frontier = [(0, bstate)]
+    frontier = [(reach(bmask, 0), bstate)]
     while frontier:
         new_frontier = []
         for fid, state in frontier:
             for gmask, make_state in covers_of(flats[fid], state):
                 cid = index.get(gmask)
                 if cid is None:
-                    cid = len(flats)
-                    index[gmask] = cid
-                    flats.append(gmask)
-                    ranks.append(ranks[fid] + 1)
-                    covers.append([])
-                    _check_cap(len(flats), flat_cap, ranks[cid])
+                    cid = reach(gmask, ranks[fid] + 1)
                     new_frontier.append((cid, make_state()))
                 covers[fid].append(cid)
         frontier = new_frontier
-    return FlatLattice(flats, ranks, covers, n, symmetry)
+    for y, x, image in tree:            # x comes before y
+        covers[y] = list(map(image.__getitem__, covers[x]))
+    return FlatLattice(flats, ranks, covers, n, symmetry, images)
 
 
 def symmetric_generators(points: list, n: int) -> list:
@@ -463,53 +516,53 @@ def _uniform_oracle(spec: UniformSpec):
 
 def _graph_oracle(spec: GraphSpec):
     """A flat of a graphic matroid is the set of edges inside the blocks of
-    a vertex partition whose blocks are connected; that partition is the
-    state, and the loops are the bottom.  The covers merge two blocks joined
-    by at least one edge and add the edges between them.  Two different
-    merges add disjoint, nonempty edge sets, so no cover is yielded twice."""
-    nv = spec.vertices
-    pair_mask = [[0] * nv for _ in range(nv)]
+    a vertex partition whose blocks are connected; the state holds each
+    block's mask of incident edges, and the loops are the bottom.  The
+    edges between disjoint blocks A and B are inc[A] & inc[B], where a loop
+    never shows up.  The covers merge two blocks joined by at least one
+    edge, add those edges, and give the new block inc[A] | inc[B].  Two
+    different merges add disjoint, nonempty edge sets, so no cover is
+    yielded twice."""
+    inc = [0] * spec.vertices
     loops = 0
     for idx, (u, v) in enumerate(spec.edges):
-        pair_mask[u][v] |= 1 << idx
-        pair_mask[v][u] |= 1 << idx
+        inc[u] |= 1 << idx
+        inc[v] |= 1 << idx
         if u == v:
             loops |= 1 << idx
 
     def merge(blocks: tuple, a: int, b: int) -> tuple:
-        return tuple(bl for i, bl in enumerate(blocks) if i not in (a, b)) + (blocks[a] + blocks[b],)
+        return tuple(bl for i, bl in enumerate(blocks) if i not in (a, b)) + (blocks[a] | blocks[b],)
 
     def covers_of(fmask: int, blocks: tuple):
-        k = len(blocks)
-        for a in range(k):
-            for b in range(a + 1, k):
-                between = 0
-                for u in blocks[a]:
-                    row = pair_mask[u]
-                    for v in blocks[b]:
-                        between |= row[v]
+        for a, inc_a in enumerate(blocks):
+            for b in range(a + 1, len(blocks)):
+                between = inc_a & blocks[b]
                 if between:
                     yield fmask | between, lambda a=a, b=b: merge(blocks, a, b)
 
-    return (loops, tuple((v,) for v in range(nv))), covers_of
+    return (loops, tuple(inc)), covers_of
 
 
 def _check_basis_exchange(spec: ExplicitBases):
+    """Exchange fails at a basis B1 and x in B1 iff some basis B2 misses
+    A = {x} + {y : B1 - x + y is a basis}; each distinct A is checked once."""
     sizes = {len(b) for b in spec.bases}
     if len(sizes) != 1:
         raise ValueError(f"bases have unequal cardinalities {sorted(sizes)}")
     masks = {_mask(b, spec.ground) for b in spec.bases}
     full = (1 << spec.ground) - 1
+    missed_by = {}                      # A -> a basis disjoint from A, or None
     for b1 in masks:
-        # (x, every y with B1 - x + y a basis), as bitmasks
-        swaps = [(1 << x, sum(1 << y for y in _bits(full & ~b1)
-                              if b1 & ~(1 << x) | 1 << y in masks)) for x in _bits(b1)]
-        for b2 in masks:
-            for xb, ys in swaps:
-                if b1 & ~b2 & xb and not ys & b2:
-                    raise ValueError(
-                        "basis exchange fails: B1=%s B2=%s x=%s"
-                        % (sorted(_bits(b1)), sorted(_bits(b2)), xb.bit_length() - 1))
+        outside = [1 << y for y in _bits(full & ~b1)]
+        for x in _bits(b1):
+            rest = b1 & ~(1 << x)
+            a = sum(y for y in outside if rest | y in masks) | 1 << x
+            if a not in missed_by:
+                missed_by[a] = next((b2 for b2 in masks if not b2 & a), None)
+            if missed_by[a] is not None:
+                raise ValueError("basis exchange fails: B1=%s B2=%s x=%s"
+                                 % (sorted(_bits(b1)), sorted(_bits(missed_by[a])), x))
 
 
 def _bases_oracle(spec: ExplicitBases):

@@ -162,6 +162,26 @@ def satisfies_basis_exchange(bases):
                for b1 in bs for b2 in bs for x in b1 - b2)
 
 
+def graph_rank(vertices, edges):
+    """rank(S) = vertices - components of (V, S), by union-find."""
+    def rank(s):
+        parent = list(range(vertices))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        joined = 0
+        for e in s:
+            a, b = find(edges[e][0]), find(edges[e][1])
+            if a != b:
+                parent[a] = b
+                joined += 1
+        return joined
+    return rank
+
+
 def flats_by_naive_closure(n, rank):
     """(flats, ranks, covers) in FlatLattice's id order, from a rank function
     on frozensets: the flats are cl(S) = {x : rank(S + x) = rank(S)} for

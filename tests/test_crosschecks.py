@@ -4,13 +4,14 @@ matroids, not just the named corpus."""
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import chain_count_naive, z_naive
+from oracles import chain_count_naive, graph_rank, z_naive
 from zpoly import (BRAID, TYPE_B, ExplicitFlats, GraphSpec, IntPolynomial, KlMethod,
                    LinearVectors, UniformSpec, build_tables, conjecture_sweep, contraction,
                    enumerate_flats, is_palindromic, kl_by_method, kl_coeff_closed, kl_defining,
                    kl_family, lattice_spec, localization, mobius_from_bottom, uniform_family,
                    whitney_multi, z_family, z_polynomial)
 from zpoly.klz import _defining_table, _p_table, _signed_profiles
+from zpoly.matroid import _enumerate_by_covers, _graph_oracle, _graph_symmetry, _uniform_oracle
 
 
 def random_multigraph(draw):
@@ -92,6 +93,7 @@ def _assert_orbit_path_is_full_path(lat):
     full = enumerate_flats(ExplicitFlats(lat.n_ground, [lat.flat_elements(f)
                                                         for f in range(lat.n)]))
     assert full.flats == lat.flats and full.n_orbits == full.n
+    assert full.covers == lat.covers and full.uppers() == lat.uppers()
     assert _p_table(lat) == _p_table(full)
     assert _defining_table(lat) == _defining_table(full)
 
@@ -134,6 +136,45 @@ def twin_multigraphs(draw):
 @settings(max_examples=60, deadline=None)
 def test_orbit_path_equals_full_path_on_twin_multigraphs(spec):
     _assert_orbit_path_is_full_path(enumerate_flats(spec))
+
+
+def _assert_orbit_enumeration_is_full_enumeration(spec, oracle):
+    """Enumerated one orbit at a time, the lattice of spec equals the one
+    its cover oracle gives without symmetry, up-sets included."""
+    lat = enumerate_flats(spec)
+    full = _enumerate_by_covers(lat.n_ground, *oracle, None, ())
+    assert (lat.flats, lat.ranks, lat.covers) == (full.flats, full.ranks, full.covers)
+    assert lat.uppers() == full.uppers()
+
+
+def test_orbit_enumeration_equals_full_enumeration_on_braid_and_uniform():
+    for nv in range(4, 9):
+        spec = lattice_spec(BRAID, nv - 1)
+        _assert_orbit_enumeration_is_full_enumeration(spec, _graph_oracle(spec))
+    for m in range(10):
+        for d in range(10 - m):
+            spec = UniformSpec(m, d)
+            _assert_orbit_enumeration_is_full_enumeration(spec, _uniform_oracle(spec))
+
+
+@given(twin_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_orbit_enumeration_equals_full_enumeration_on_twin_multigraphs(spec):
+    _assert_orbit_enumeration_is_full_enumeration(spec, _graph_oracle(spec))
+
+
+@given(twin_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_twin_symmetry_maps_flats_to_flats(spec):
+    # the enumerator inserts each generator's image of a flat unchecked;
+    # here every image must be closed: any edge added raises the rank
+    full = _enumerate_by_covers(len(spec.edges), *_graph_oracle(spec), None, ())
+    rank = graph_rank(spec.vertices, spec.edges)
+    for g in _graph_symmetry(spec):
+        for f in range(full.n):
+            image = {g[e] for e in full.flat_elements(f)}
+            r = rank(image)
+            assert all(rank(image | {e}) > r for e in range(len(g)) if e not in image), (g, f)
 
 
 def _assert_orbit_sweeps_are_full_sweeps(lat):

@@ -118,6 +118,20 @@ def test_integer_parameters_only():
     assert build_tables(BRAID, 1).d_max == 1
 
 
+def test_integer_ranks_only():
+    # a bool rank would read as 0 or 1: P_1, 1 + t and K2
+    tables = build_tables(BRAID, 5)
+    for bad in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            kl_family(tables, bad)
+        with pytest.raises(TypeError):
+            z_family(tables, bad)
+        with pytest.raises(TypeError):
+            lattice_spec(BRAID, bad)
+    assert kl_family(tables, 1) == IntPolynomial([1])
+    assert lattice_spec(BRAID, 1).edges == ((0, 1),)
+
+
 def test_typeb_w_matches_exponent_product():
     # chi of the type-B arrangement is (t-1)(t-3)...(t-(2d-1))
     tb = build_tables(TYPE_B, 8)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (_ranks_by_chains, bases_by_fractions, chain_count_naive,
-                     flats_by_naive_closure, is_flat_family, lattice_as_sets, mobius_naive,
-                     rank_by_fractions, rank_mod_p, satisfies_basis_exchange)
+                     flats_by_naive_closure, graph_rank, is_flat_family, lattice_as_sets,
+                     mobius_naive, rank_by_fractions, rank_mod_p, satisfies_basis_exchange)
 from zpoly import (ExplicitBases, ExplicitFlats, FlatCapExceeded, FlatLattice, GraphSpec,
                    IntPolynomial, LinearVectors, UniformSpec, bareiss_rank,
                    characteristic_polynomial, contraction, enumerate_flats,
@@ -311,6 +311,7 @@ def test_flat_cap_message_says_how_far():
     # (spec, cap, rank of the flat that passes the cap)
     cases = [(UniformSpec(0, 9), 100, 3),     # ranks hold 1, 9, 36, 84, ... flats
              (k_complete(5), 20, 2),          # 1, 10, 25, 15, 1
+             (k_complete(6), 40, 2),          # 1, 15, 65, ...: passed inside an orbit's closure
              (k5_flats, 20, 2),
              (k4_vectors, 10, 2),             # 1, 6, 7, 1
              (k4_bases, 7, 2),
@@ -397,26 +398,6 @@ def _assert_lattice(spec, want):
     assert enumerate_flats(spec, flat_cap=lat.n).n == lat.n
 
 
-def _graph_rank(vertices, edges):
-    """rank(S) = vertices - components of (V, S), by union-find."""
-    def rank(s):
-        parent = list(range(vertices))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        joined = 0
-        for e in s:
-            a, b = find(edges[e][0]), find(edges[e][1])
-            if a != b:
-                parent[a] = b
-                joined += 1
-        return joined
-    return rank
-
-
 @st.composite
 def multigraphs(draw):
     """Up to 6 vertices and 9 edges, with loops and parallel edges drawn
@@ -442,7 +423,7 @@ def multigraphs(draw):
 def test_graph_enumerator_against_naive_closure(graph):
     vertices, edges = graph
     _assert_lattice(GraphSpec(vertices, edges),
-                    flats_by_naive_closure(len(edges), _graph_rank(vertices, edges)))
+                    flats_by_naive_closure(len(edges), graph_rank(vertices, edges)))
 
 
 def _is_automorphism(lat, g):
