@@ -498,11 +498,15 @@ class ClassFunctionTable:
 def _check_action(lat: FlatLattice, group: PermGroup):
     """Raise unless the group acts on the ground set by flat-preserving
     permutations.  Checking the generators suffices: flat-preserving
-    permutations are closed under composition."""
+    permutations are closed under composition.  The lattice remembers the
+    generators that passed."""
     if group.n != lat.n_ground:
         raise ValueError("group degree does not match ground set size")
-    for g in group.generators:
-        flat_permutation(lat, g)
+    checked = lat._cache.setdefault("actions", set())
+    for g in map(tuple, group.generators):
+        if g not in checked:
+            flat_permutation(lat, g)
+            checked.add(g)
 
 
 def _fixed_flags(lat: FlatLattice, g):

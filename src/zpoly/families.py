@@ -24,7 +24,7 @@ from math import comb, factorial, prod
 from .klz import _closed_sum, _palindromic_step
 from .matroid import (ExplicitFlats, GraphSpec, LinearVectors, MatroidSpec,
                       UniformSpec, _bits, _enumerate_by_covers, _integer,
-                      _vectors_oracle)
+                      _vectors_oracle, _vectors_symmetry)
 from .polyarith import (IntPolynomial, RatPolynomial, TruncatedSeries,
                         series_exp, series_log)
 
@@ -402,10 +402,12 @@ def qvec_flats(q: int, d: int):
     """(ground size, flats) of the matroid of all nonzero vectors of F_q^d,
     with flats the subspaces.  Element i is the vector whose base-q digits,
     least significant first, are those of i + 1.  Implemented for prime q:
-    the flats come from the vector oracle with residuals mod q; the Whitney
+    the flats come from the vector oracle with residuals mod q, one orbit
+    of the coordinate permutations and scalings at a time; the Whitney
     tables cover general prime powers."""
     if any(q % p == 0 for p in range(2, q)) or q < 2:
         raise ValueError("lattice realization needs q prime")
     vectors = [tuple(code // q ** k % q for k in range(d)) for code in range(1, q ** d)]
-    lat = _enumerate_by_covers(len(vectors), *_vectors_oracle(vectors, q), None, ())
+    lat = _enumerate_by_covers(len(vectors), *_vectors_oracle(vectors, q), None,
+                               _vectors_symmetry(vectors, q))
     return len(vectors), tuple(frozenset(_bits(m)) for m in lat.flats)

@@ -3,11 +3,15 @@ poset computations everything else is built on (Mobius values, characteristic
 polynomials, multi-indexed Whitney numbers).  One breadth-first cover
 enumerator builds every encoding's lattice, explicit flat lists included;
 one multichain counter serves plain and equivariant fixed-chain counts.
-A symmetric lattice is built orbit by orbit: the cover oracle runs at one
-flat per orbit, and the covers and up-sets of the other flats are symmetry
-images of those of the flat they were reached from.  Mobius values from
-the bottom and plain multichain counts are constant on orbits, so they
-walk only the orbit representatives' up-sets, weighted by orbit size.
+A symmetric lattice is built orbit by orbit, with the symmetry its
+encoding shows: any permutation of a uniform matroid's ground set, of a
+graph's twin vertices, or of a vector configuration's coordinates, with
+sign changes (scalings over F_p), that keeps its lines.  The cover oracle
+runs at one flat per orbit, and the covers and up-sets of the other flats
+are symmetry images of those of the flat they were reached from.  Mobius
+values from the bottom and plain multichain counts are constant on
+orbits, so they walk only the orbit representatives' up-sets, weighted by
+orbit size.
 
 Flats are ground-set bitmasks (Python ints), ordered by inclusion.  Closure
 based enumeration always yields the geometric lattice of the simplification,
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence, Union
 
@@ -269,10 +274,10 @@ def _byte_tables(g) -> list:
     table[mask >> offset & 255]."""
     tables = []
     for lo in range(0, len(g), 8):
-        table = [0] * (1 << min(8, len(g) - lo))
-        for b in range(1, len(table)):
-            low = b & -b
-            table[b] = table[b ^ low] | 1 << g[lo + low.bit_length() - 1]
+        table = [0]
+        for e in g[lo:lo + 8]:      # each bit doubles the table; the new half has its image
+            image = 1 << e
+            table += [t | image for t in table]
         tables.append((lo, table))
     return tables
 
@@ -353,9 +358,9 @@ def enumerate_flats(spec: MatroidSpec, flat_cap: int | None = None) -> FlatLatti
     Every encoding, an explicit flat list too, runs one cover-oracle
     enumerator; a flat list is checked cover by cover as it runs.  flat_cap
     bounds the flat count, bottom included: FlatCapExceeded is raised as
-    soon as one flat too many has been generated.  Uniform and
-    graph lattices carry the symmetry their encoding shows (see
-    _graph_symmetry); the others carry none.
+    soon as one flat too many has been generated.  Uniform, graph and
+    vector lattices carry the symmetry their encoding shows (see
+    _graph_symmetry and _vectors_symmetry); bases lattices carry none.
     """
     if isinstance(spec, ExplicitFlats):
         return _lattice_from_explicit_flats(spec, flat_cap)
@@ -371,6 +376,7 @@ def enumerate_flats(spec: MatroidSpec, flat_cap: int | None = None) -> FlatLatti
         n, oracle = spec.ground, _bases_oracle(spec)
     elif isinstance(spec, LinearVectors):
         n, oracle = len(spec.vectors), _vectors_oracle(spec.vectors)
+        symmetry = _vectors_symmetry(spec.vectors)
     else:
         raise TypeError(f"not a matroid spec: {spec!r}")
     return _enumerate_by_covers(n, *oracle, flat_cap, symmetry)
@@ -458,6 +464,21 @@ def symmetric_generators(points: list, n: int) -> list:
     return out
 
 
+def _slot_permutations(n: int, slots: dict, key_maps) -> list:
+    """For each map of slot keys, the permutation of range(n) that sends the
+    k-th element of each slot to the k-th element of the slot its key maps
+    to (the maps must keep slot sizes); identities are left out."""
+    out = []
+    for key_map in key_maps:
+        image = list(range(n))
+        for key, ids in slots.items():
+            for e, t in zip(ids, slots[key_map(key)]):
+                image[e] = t
+        if image != list(range(n)):
+            out.append(image)
+    return out
+
+
 def _graph_symmetry(spec: GraphSpec) -> list:
     """Edge permutations generating the permutations of twin vertices.
     Twins have equal loop counts and equal edge multiplicities to every
@@ -483,17 +504,65 @@ def _graph_symmetry(spec: GraphSpec) -> list:
                 break
         else:
             classes.append([v])
-    out = []
-    for cls in classes:
-        for sigma in symmetric_generators(cls, nv):
-            image = list(range(len(spec.edges)))
-            for (u, v), ids in slots.items():
-                a, b = sigma[u], sigma[v]
-                for e, t in zip(ids, slots[(min(a, b), max(a, b))]):
-                    image[e] = t
-            if any(e != t for e, t in enumerate(image)):
-                out.append(image)
-    return out
+    return _slot_permutations(len(spec.edges), slots, [
+        lambda uv, sigma=sigma: tuple(sorted(map(sigma.__getitem__, uv)))
+        for cls in classes for sigma in symmetric_generators(cls, nv)])
+
+
+def _vectors_symmetry(vectors, p: int = 0) -> list:
+    """Ground permutations induced by coordinate permutations and by
+    scalings of one coordinate (by -1 over Q, by a primitive root over
+    F_p) that map each line of the configuration onto a line of equal
+    multiplicity.  Such a map is a linear automorphism, hence a matroid
+    automorphism; it sends the k-th element of a line to the k-th element
+    of its image line, and loops stay fixed.  Coordinates i and j are
+    joined when their transposition is one; it moves only the lines
+    nonzero at i or j and keeps how many lines are nonzero at each
+    coordinate, so only pairs with equal counts are tried.  All
+    transpositions inside a joined class are then in the group, so the
+    class carries symmetric_generators, plus the scaling of its first
+    coordinate when that is a symmetry."""
+    line = _line_of(p)
+    slots = {}                  # line -> element ids in order
+    for e, v in enumerate(vectors):
+        r = line(v)
+        if r is not None:
+            slots.setdefault(r, []).append(e)
+    if not slots:
+        return []
+    dim = len(next(iter(slots)))
+    support = [[r for r in slots if r[i]] for i in range(dim)]
+    root = -1 if not p else next(
+        (g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), None)
+
+    def permute(sigma, c=None):  # coordinate sigma[i] goes to i; then c is scaled by root
+        def key_map(r):
+            w = [r[i] for i in sigma]
+            if c is not None:
+                w[c] *= root
+            return line(w)
+        return key_map
+
+    def preserves(key_map, lines) -> bool:
+        return all(len(slots.get(key_map(r), ())) == len(slots[r]) for r in lines)
+
+    label = list(range(dim))    # the class of each coordinate joined so far
+    for i, j in combinations(range(dim), 2):
+        if len(support[i]) == len(support[j]) and label[i] != label[j]:
+            swap = list(range(dim))
+            swap[i], swap[j] = j, i
+            if preserves(permute(swap), support[i] + support[j]):
+                label = [label[i] if x == label[j] else x for x in label]
+    classes = {}
+    for i, x in enumerate(label):
+        classes.setdefault(x, []).append(i)
+    key_maps = []
+    for cls in classes.values():
+        key_maps += map(permute, symmetric_generators(cls, dim))
+        scale = permute(range(dim), cls[0])
+        if root is not None and preserves(scale, support[cls[0]]):
+            key_maps.append(scale)
+    return _slot_permutations(len(vectors), slots, key_maps)
 
 
 def _uniform_oracle(spec: UniformSpec):
@@ -603,6 +672,20 @@ def _primitive(v: tuple):
     return tuple(x // g for x in v) if g else None
 
 
+def _line_of(p: int):
+    """The representative of a vector's line, None for the zero vector:
+    primitive with first nonzero entry positive over Q (p = 0), first
+    nonzero entry 1 over F_p."""
+    if not p:
+        return _primitive
+    inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
+
+    def line(v):
+        scale = inverse[next((x for x in v if x % p), 0) % p]
+        return tuple(x * scale % p for x in v) if scale else None
+    return line
+
+
 def _vectors_oracle(vectors, p: int = 0):
     """Covers by residual directions, over Q (p = 0) or over the prime field
     F_p.  The state of a flat F maps every element outside F to its residual
@@ -611,15 +694,7 @@ def _vectors_oracle(vectors, p: int = 0):
     first nonzero entry positive over Q, first nonzero entry 1 over F_p.  So
     x lies in cl(F + e) iff x and e have the same residual, and the covers
     of F are the classes of equal residual."""
-    if p:
-        inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
-
-        def line(v: tuple):
-            v = [x % p for x in v]
-            lead = next((x for x in v if x), 0)
-            return tuple(x * inverse[lead] % p for x in v) if lead else None
-    else:
-        line = _primitive
+    line = _line_of(p)
     bottom, res = 0, {}
     for e, v in enumerate(vectors):
         r = line(v)

@@ -195,6 +195,17 @@ def test_bench_reports_orbit_pairs(capsys):
     assert (row["flats"], row["orbits"], row["orbit_pairs"]) == (4140, 22, 5666)
 
 
+def test_bench_typeb_reports_signed_permutation_orbits(capsys):
+    # type B, d = 5: the signed coordinate permutations leave
+    # sum_{j <= 5} p(j) = 19 orbits of its 648 flats
+    code, out, _ = run(capsys, "bench", "typeb", "--d", "5", "--reps", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["agree"] is True
+    row = report["rows"][1]
+    assert (row["flats"], row["orbits"]) == (648, 19)
+
+
 def test_bench_trivial(capsys):
     code, out, _ = run(capsys, "bench", "braid", "--d", "0")
     assert code == 0

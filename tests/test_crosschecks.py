@@ -2,16 +2,20 @@
 palindromic symmetry, and the Whitney recursion must agree on arbitrary
 matroids, not just the named corpus."""
 
+import random
+from itertools import combinations
+
 from hypothesis import given, settings, strategies as st
 
 from oracles import chain_count_naive, graph_rank, z_naive
 from zpoly import (BRAID, TYPE_B, ExplicitFlats, GraphSpec, IntPolynomial, KlMethod,
                    LinearVectors, UniformSpec, build_tables, conjecture_sweep, contraction,
                    enumerate_flats, is_palindromic, kl_by_method, kl_coeff_closed, kl_defining,
-                   kl_family, lattice_spec, localization, mobius_from_bottom, uniform_family,
-                   whitney_multi, z_family, z_polynomial)
+                   kl_family, lattice_spec, localization, mobius_from_bottom, qvec_flats,
+                   uniform_family, whitney_multi, z_family, z_polynomial)
 from zpoly.klz import _defining_table, _p_table, _signed_profiles
-from zpoly.matroid import _enumerate_by_covers, _graph_oracle, _graph_symmetry, _uniform_oracle
+from zpoly.matroid import (_bits, _enumerate_by_covers, _graph_oracle, _graph_symmetry,
+                           _uniform_oracle, _vectors_oracle, _vectors_symmetry, bareiss_rank)
 
 
 def random_multigraph(draw):
@@ -177,6 +181,117 @@ def test_twin_symmetry_maps_flats_to_flats(spec):
             assert all(rank(image | {e}) > r for e in range(len(g)) if e not in image), (g, f)
 
 
+def _root_vectors(kind: str, d: int) -> list:
+    """e_i - e_j (type A), e_i +- e_j (type D), and those with every e_i
+    (type B), in dimension d."""
+    out = [tuple(int(k == i) for k in range(d)) for i in range(d)] if kind == "B" else []
+    for i, j in combinations(range(d), 2):
+        for sign in (-1,) if kind == "A" else (-1, 1):
+            out.append(tuple(1 if k == i else sign if k == j else 0 for k in range(d)))
+    return out
+
+
+# orbits of their flats under all the signed coordinate permutations that
+# keep each configuration: p(d) for type A and sum_{j <= d} p(j) for type B
+ROOT_ORBITS = {("A", 2): 2, ("A", 3): 3, ("A", 4): 5, ("A", 5): 7,
+               ("B", 1): 2, ("B", 2): 4, ("B", 3): 7, ("B", 4): 12, ("B", 5): 19,
+               ("D", 2): 3, ("D", 3): 5, ("D", 4): 9, ("D", 5): 14}
+
+
+def _scrambled(rnd: random.Random, kind: str, vectors) -> list:
+    """The vectors under a random coordinate permutation, with random
+    coordinate signs for types B and D (they keep the other two types but
+    not type A, where _vectors_symmetry would find fewer symmetries), each
+    vector scaled by one of +-1, +-2, +-3, in shuffled order."""
+    d = len(vectors[0])
+    coord = rnd.sample(range(d), d)
+    signs = [1 if kind == "A" else rnd.choice((-1, 1)) for _ in range(d)]
+    out = []
+    for v in vectors:
+        scale = rnd.choice((-3, -2, -1, 1, 2, 3))
+        w = [0] * d
+        for i, x in enumerate(v):
+            w[coord[i]] = signs[i] * scale * x
+        out.append(tuple(w))
+    rnd.shuffle(out)
+    return out
+
+
+def test_orbit_path_equals_full_path_on_root_systems():
+    rnd = random.Random(0)
+    for (kind, d), orbits in ROOT_ORBITS.items():
+        vectors = _root_vectors(kind, d)
+        for vectors in [vectors, _scrambled(rnd, kind, vectors), _scrambled(rnd, kind, vectors)]:
+            spec = LinearVectors(vectors)
+            _assert_orbit_enumeration_is_full_enumeration(spec, _vectors_oracle(spec.vectors))
+            lat = enumerate_flats(spec)
+            assert lat.n_orbits == orbits, (kind, d, vectors)
+            _assert_orbit_path_is_full_path(lat)
+
+
+@st.composite
+def scrambled_root_systems(draw):
+    """(vectors, orbits): a type A, B or D configuration of dimension at
+    most 4, scrambled, with 0-2 zero vectors and either every vector, one
+    vector or none copied once more (each copy scaled on its own), in
+    shuffled order.  orbits is the expected orbit count when the line
+    multiplicities stay equal, else None.  From a seeded random source."""
+    rnd = draw(st.randoms(use_true_random=False))
+    kind, d = rnd.choice([key for key in ROOT_ORBITS if key[1] <= 4])
+    vectors = _scrambled(rnd, kind, _root_vectors(kind, d))
+    copies = rnd.choice(("all", "one", "none"))
+    extra = vectors if copies == "all" else [rnd.choice(vectors)] if copies == "one" else []
+    scales = rnd.choices((-2, -1, 1, 3), k=len(extra))
+    vectors += [tuple(k * x for x in v) for v, k in zip(extra, scales)]
+    vectors += [(0,) * d] * rnd.randint(0, 2)
+    rnd.shuffle(vectors)
+    return vectors, ROOT_ORBITS[kind, d] if copies != "one" else None
+
+
+@given(scrambled_root_systems())
+@settings(max_examples=40, deadline=None)
+def test_orbit_path_equals_full_path_on_scrambled_root_systems(case):
+    vectors, orbits = case
+    spec = LinearVectors(vectors)
+    _assert_orbit_enumeration_is_full_enumeration(spec, _vectors_oracle(spec.vectors))
+    lat = enumerate_flats(spec)
+    assert orbits is None or lat.n_orbits == orbits
+    _assert_orbit_path_is_full_path(lat)
+
+
+@given(scrambled_root_systems())
+@settings(max_examples=30, deadline=None)
+def test_vector_symmetry_maps_flats_to_flats(case):
+    # the enumerator inserts each generator's image of a flat unchecked;
+    # here every image must be closed: any element added raises the rank
+    vectors, _ = case
+    full = _enumerate_by_covers(len(vectors), *_vectors_oracle(vectors), None, ())
+
+    def rank(elements):
+        return bareiss_rank([vectors[e] for e in elements])
+
+    for g in _vectors_symmetry(vectors):
+        assert sorted(g) == list(range(len(vectors))), g
+        for f in range(full.n):
+            image = {g[e] for e in full.flat_elements(f)}
+            r = rank(image)
+            assert all(rank(image | {e}) > r for e in range(len(g)) if e not in image), (g, f)
+
+
+def test_qvec_orbit_enumeration_equals_full_enumeration():
+    for q, d_max in ((2, 6), (3, 4), (5, 2), (7, 2)):        # q^d <= 81
+        for d in range(d_max + 1):
+            vectors = [tuple(code // q ** k % q for k in range(d)) for code in range(1, q ** d)]
+            oracle = _vectors_oracle(vectors, q)
+            lat = _enumerate_by_covers(len(vectors), *oracle, None, _vectors_symmetry(vectors, q))
+            full = _enumerate_by_covers(len(vectors), *oracle, None, ())
+            assert (lat.flats, lat.ranks, lat.covers) == (full.flats, full.ranks, full.covers)
+            assert lat.uppers() == full.uppers()
+            assert d < 2 or lat.n_orbits < lat.n, (q, d)
+            assert qvec_flats(q, d) == (len(vectors),
+                                        tuple(frozenset(_bits(m)) for m in full.flats))
+
+
 def _assert_orbit_sweeps_are_full_sweeps(lat):
     """Mobius values, the Whitney number of every closed-formula profile,
     every closed-formula coefficient and the defining table of a lattice
@@ -218,6 +333,16 @@ def test_k9_orbit_tables_equal_family():
     P_def, Z_def = _defining_table(lat)
     assert P[0] == P_def[0] == kl_family(tables, 8).coeffs
     assert Z[0] == Z_def[0] == z_family(tables, 8).coeffs
+
+def test_typeb_d7_orbit_tables_equal_family():
+    lat = enumerate_flats(lattice_spec(TYPE_B, 7))
+    assert (lat.n, lat.n_orbits) == (28640, 45)         # sum_{j <= 7} p(j) = 45
+    tables = build_tables(TYPE_B, 7)
+    P, Z = _p_table(lat)
+    P_def, Z_def = _defining_table(lat)
+    assert P[0] == P_def[0] == kl_family(tables, 7).coeffs
+    assert Z[0] == Z_def[0] == z_family(tables, 7).coeffs
+
 
 def test_sweep_stretch_range_d30():
     # the desk-scale criterion stops at d = 20; the full range stays green

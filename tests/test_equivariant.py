@@ -141,6 +141,20 @@ def test_non_preserving_action_errors():
         equivariant_whitney_character(lat, bad, [1])
 
 
+def test_action_check_remembered_per_generator():
+    # the lattice remembers the generators that passed; a later group that
+    # shares one of them is still checked at its other generators
+    lat = enumerate_flats(GraphSpec(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+    good = PermGroup.from_generators(4, [(1, 0, 2, 3)])     # two triangle edges
+    first = equivariant_c_character(lat, good, 1)
+    assert equivariant_c_character(lat, good, 1) == first
+    bad = PermGroup.from_generators(4, [(1, 0, 2, 3), (3, 1, 2, 0)])
+    with pytest.raises(ValueError, match="off the lattice"):
+        equivariant_whitney_character(lat, bad, [1])
+    with pytest.raises(ValueError, match="off the lattice"):
+        equivariant_c_character(lat, bad, 1)
+
+
 def edge_action_group(n):
     """S_n acting on the edges of K_n."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
