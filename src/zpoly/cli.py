@@ -32,9 +32,6 @@ from .roots import conjecture_sweep, is_log_concave
 
 DEFAULT_FLAT_CAP = 2_000_000
 
-SUITES = ("palindrome", "crossmethod", "narayana", "gaussian", "qshift",
-          "roots", "interlace", "logconcave", "schur", "series")
-
 
 class UsageError(Exception):
     pass
@@ -313,25 +310,27 @@ def _suite_series(args):
     ]
 
 
+SUITES = {
+    "palindrome": _suite_palindrome,
+    "crossmethod": _suite_crossmethod,
+    "narayana": _suite_narayana,
+    "gaussian": _suite_gaussian,
+    "qshift": _suite_qshift,
+    "roots": lambda a: _sweep_checks(a, "roots"),
+    "interlace": lambda a: _sweep_checks(a, "interlace"),
+    "logconcave": _suite_logconcave,
+    "schur": _suite_schur,
+    "series": _suite_series,
+}
+
+
 def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITES:
         print(f"unknown suite {suite!r}; available: {', '.join(SUITES)}",
               file=sys.stderr)
         return 2
-    runner = {
-        "palindrome": _suite_palindrome,
-        "crossmethod": _suite_crossmethod,
-        "narayana": _suite_narayana,
-        "gaussian": _suite_gaussian,
-        "qshift": _suite_qshift,
-        "roots": lambda a: _sweep_checks(a, "roots"),
-        "interlace": lambda a: _sweep_checks(a, "interlace"),
-        "logconcave": _suite_logconcave,
-        "schur": _suite_schur,
-        "series": _suite_series,
-    }[suite]
-    checks = runner(args)
+    checks = SUITES[suite](args)
     ok = all(c["pass"] for c in checks)
     report = {"suite": suite, "pass": ok, "checks": checks}
     print(json.dumps(report, indent=2))

@@ -2,16 +2,17 @@
 type-B reflection arrangement, uniform U_{m,d}, and the full vector matroid
 over F_q.
 
-Whitney tables W_d(k) / w_d(k) are filled by corank k.  Braid and type B are
-the Dowling lattices Q_d(G) of a group of order m = 1 and m = 2 (Dowling, A
-class of geometric lattices based on finite groups, JCTB 14, 1973), and one
-row recurrence in m fills both; the uniform and F_q families use their
-counting formulas.  P_d and Z_d then come from the family recursion, never
-touching a lattice: the P/Z table's palindromic step (klz._palindromic_step)
-over Whitney rows, since the W_d(k) flats of corank k each contract to the
-rank-k member.  Every entry point checks d against the tables' range.
-Everything cross-validates against the lattice-based computations at small
-rank.
+Whitney tables W_d(k) / w_d(k) are filled by corank k.  Braid, type B and
+F_q are supersolvable with chi_d(t) = prod_{i<d} (t - r(i)), and one row
+recurrence in the exponents r(i) fills all three: r(i) = 1 + m i for the
+Dowling lattices Q_d(G) of a group of order m = 1 and m = 2 (Dowling, A
+class of geometric lattices based on finite groups, JCTB 14, 1973), r(i) =
+q^i for F_q (q-Pascal).  The uniform family uses its counting formula.
+P_d and Z_d then come from the family recursion, never touching a lattice:
+the P/Z table's palindromic step (klz._palindromic_step) over Whitney rows,
+since the W_d(k) flats of corank k each contract to the rank-k member.
+Every entry point checks d against the tables' range.  Everything
+cross-validates against the lattice-based computations at small rank.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def stirling1_signed(n: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """q-binomial coefficient by the q-Pascal recurrence
-    C_q(n,k) = C_q(n-1,k-1) + q^k C_q(n-1,k); 0 outside the triangle."""
+    C_q(n,k) = C_q(n-1,k-1) + q^k C_q(n-1,k); 0 outside the triangle.
+    The F_q Whitney tables do not use it, so it checks them independently."""
     if n < 0 or k < 0 or k > n:
         return 0
     if k == 0 or k == n:
@@ -175,45 +177,41 @@ class WhitneyTables:
 _DOWLING_ORDER = {"braid": 1, "typeb": 2}
 
 
-def _dowling_rows(m: int, d_max: int):
-    """W and w of Q_d(G), |G| = m, for d <= d_max, by corank k:
-    W_d(k) = W_{d-1}(k-1) + (1 + mk) W_{d-1}(k), and
-    w_d(k) = w_{d-1}(k-1) - (1 + m(d-1)) w_{d-1}(k), since
-    chi_d(t) = chi_{d-1}(t) (t - 1 - m(d-1))."""
+def _exponent_rows(r: list, d_max: int):
+    """W and w, by corank k, of a supersolvable family whose rank-d member
+    has chi_d(t) = prod_{i<d} (t - r[i]), for d <= d_max:
+    W_d(k) = W_{d-1}(k-1) + r[k] W_{d-1}(k), and
+    w_d(k) = w_{d-1}(k-1) - r[d-1] w_{d-1}(k)."""
     W, w = [[1]], [[1]]
     for d in range(1, d_max + 1):
-        Wp, wp, root = W[-1], w[-1], 1 + m * (d - 1)
-        W.append([x + (1 + m * k) * y for k, (x, y) in enumerate(zip([0] + Wp, Wp + [0]))])
+        Wp, wp, root = W[-1], w[-1], r[d - 1]
+        W.append([x + rk * y for rk, x, y in zip(r, [0] + Wp, Wp + [0])])
         w.append([x - root * y for x, y in zip([0] + wp, wp + [0])])
     return W, w
 
 
 def build_tables(family: NiceFamily, d_max: int) -> WhitneyTables:
-    """Fill the Whitney tables: braid and typeb by the Dowling recurrence
-    (Dowling 1973) with m = 1 and m = 2, the others from their counting
-    formulas."""
+    """Fill the Whitney tables: braid and typeb by the exponents 1 + m i of
+    the Dowling lattice with m = 1 and m = 2 (Dowling 1973), qvec by the
+    exponents q^i (q-Pascal), uniform from its counting formula."""
     if _integer(d_max) < 0:
         raise ValueError("d_max must be nonnegative")
     kind, p = family.kind, family.param
-    if kind in _DOWLING_ORDER:
-        return WhitneyTables(family, d_max, *_dowling_rows(_DOWLING_ORDER[kind], d_max))
+    if kind != "uniform":
+        m = _DOWLING_ORDER.get(kind)
+        r = [1 + m * i if m else p ** i for i in range(d_max + 1)]
+        return WhitneyTables(family, d_max, *_exponent_rows(r, d_max))
     W = []
     w = []
     for d in range(d_max + 1):
-        if kind == "uniform":
-            Wrow = [1 if k == 0 else binomial(d + p, k + p) for k in range(d + 1)]
-            wrow = []
-            for k in range(d + 1):
-                if k > 0 or d == 0:
-                    wrow.append((-1) ** (d - k) * binomial(d + p, k + p))
-                else:
-                    wrow.append(sum((-1) ** (d + j) * binomial(d + p, d + j)
-                                    for j in range(p + 1)))
-        else:  # qvec
-            Wrow = [gaussian_binomial(d, k, p) for k in range(d + 1)]
-            wrow = [(-1) ** (d - k) * p ** comb(d - k, 2) * gaussian_binomial(d, k, p)
-                    for k in range(d + 1)]
-        W.append(Wrow)
+        W.append([1 if k == 0 else binomial(d + p, k + p) for k in range(d + 1)])
+        wrow = []
+        for k in range(d + 1):
+            if k > 0 or d == 0:
+                wrow.append((-1) ** (d - k) * binomial(d + p, k + p))
+            else:
+                wrow.append(sum((-1) ** (d + j) * binomial(d + p, d + j)
+                                for j in range(p + 1)))
         w.append(wrow)
     return WhitneyTables(family, d_max, W, w)
 

@@ -4,14 +4,16 @@ polynomials, multi-indexed Whitney numbers).  One breadth-first cover
 enumerator builds every encoding's lattice, explicit flat lists included;
 one multichain counter serves plain and equivariant fixed-chain counts.
 A symmetric lattice is built orbit by orbit, with the symmetry its
-encoding shows: any permutation of a uniform matroid's ground set, of a
-graph's twin vertices, or of a vector configuration's coordinates, with
-sign changes (scalings over F_p), that keeps its lines.  The cover oracle
-runs at one flat per orbit, and the covers and up-sets of the other flats
-are symmetry images of those of the flat they were reached from.  Mobius
-values from the bottom and plain multichain counts are constant on
-orbits, so they walk only the orbit representatives' up-sets, weighted by
-orbit size.
+encoding shows: any permutation of a uniform matroid's ground set, and for
+graphs and vector configurations one finder's permutations of coordinates
+whose transpositions keep the slots of the ground set: a graph's twin
+vertices, which keep the edges keyed by endpoints, and a configuration's
+coordinates, with sign changes (scalings over F_p), that keep its lines.
+The cover oracle runs at one flat per orbit, and the covers and up-sets
+of the other flats are symmetry images of those of the flat they were
+reached from.  Mobius values from the bottom and plain multichain counts
+are constant on orbits, so they walk only the orbit representatives'
+up-sets, weighted by orbit size.
 
 Flats are ground-set bitmasks (Python ints), ordered by inclusion.  Closure
 based enumeration always yields the geometric lattice of the simplification,
@@ -464,87 +466,25 @@ def symmetric_generators(points: list, n: int) -> list:
     return out
 
 
-def _slot_permutations(n: int, slots: dict, key_maps) -> list:
-    """For each map of slot keys, the permutation of range(n) that sends the
-    k-th element of each slot to the k-th element of the slot its key maps
-    to (the maps must keep slot sizes); identities are left out."""
-    out = []
-    for key_map in key_maps:
-        image = list(range(n))
-        for key, ids in slots.items():
-            for e, t in zip(ids, slots[key_map(key)]):
-                image[e] = t
-        if image != list(range(n)):
-            out.append(image)
-    return out
-
-
-def _graph_symmetry(spec: GraphSpec) -> list:
-    """Edge permutations generating the permutations of twin vertices.
-    Twins have equal loop counts and equal edge multiplicities to every
-    other vertex; twinship is an equivalence, any permutation inside its
-    classes is a multigraph automorphism, and it maps the k-th edge between
-    u and v to the k-th edge between their images.  Identity edge
-    permutations (twins without edges) are left out."""
-    nv = spec.vertices
-    mult = [[0] * nv for _ in range(nv)]
-    slots = {}                  # sorted endpoints -> edge ids in order
-    for idx, (u, v) in enumerate(spec.edges):
-        mult[u][v] += 1
-        if u != v:
-            mult[v][u] += 1
-        slots.setdefault((min(u, v), max(u, v)), []).append(idx)
-    classes = []
-    for v in range(nv):
-        for cls in classes:
-            u = cls[0]
-            if mult[u][u] == mult[v][v] and all(
-                    mult[u][w] == mult[v][w] for w in range(nv) if w != u and w != v):
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    return _slot_permutations(len(spec.edges), slots, [
-        lambda uv, sigma=sigma: tuple(sorted(map(sigma.__getitem__, uv)))
-        for cls in classes for sigma in symmetric_generators(cls, nv)])
-
-
-def _vectors_symmetry(vectors, p: int = 0) -> list:
-    """Ground permutations induced by coordinate permutations and by
-    scalings of one coordinate (by -1 over Q, by a primitive root over
-    F_p) that map each line of the configuration onto a line of equal
-    multiplicity.  Such a map is a linear automorphism, hence a matroid
-    automorphism; it sends the k-th element of a line to the k-th element
-    of its image line, and loops stay fixed.  Coordinates i and j are
-    joined when their transposition is one; it moves only the lines
-    nonzero at i or j and keeps how many lines are nonzero at each
-    coordinate, so only pairs with equal counts are tried.  All
+def _coordinate_symmetry(n: int, slots: dict, support, permute, scale=None) -> list:
+    """Ground permutations of range(n) induced by permutations of the
+    coordinates 0..len(support)-1 that map each slot onto a slot of equal
+    size.  slots maps a key to its element ids in order, support[i] lists
+    the keys that involve coordinate i, permute(sigma) is the map of keys
+    under the coordinate permutation sigma, and scale(c), when given, a
+    further map of keys that involves only coordinate c.  Coordinates i and
+    j are joined when their transposition keeps the slots; it moves only
+    the keys in support[i] + support[j] and keeps how many keys involve
+    each coordinate, so only pairs with equal counts are tried.  All
     transpositions inside a joined class are then in the group, so the
     class carries symmetric_generators, plus the scaling of its first
-    coordinate when that is a symmetry."""
-    line = _line_of(p)
-    slots = {}                  # line -> element ids in order
-    for e, v in enumerate(vectors):
-        r = line(v)
-        if r is not None:
-            slots.setdefault(r, []).append(e)
-    if not slots:
-        return []
-    dim = len(next(iter(slots)))
-    support = [[r for r in slots if r[i]] for i in range(dim)]
-    root = -1 if not p else next(
-        (g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), None)
+    coordinate when that keeps the slots.  A key map sends the k-th element
+    of a slot to the k-th element of its image slot; identities are left
+    out."""
+    dim = len(support)
 
-    def permute(sigma, c=None):  # coordinate sigma[i] goes to i; then c is scaled by root
-        def key_map(r):
-            w = [r[i] for i in sigma]
-            if c is not None:
-                w[c] *= root
-            return line(w)
-        return key_map
-
-    def preserves(key_map, lines) -> bool:
-        return all(len(slots.get(key_map(r), ())) == len(slots[r]) for r in lines)
+    def preserves(key_map, keys) -> bool:
+        return all(len(slots.get(key_map(r), ())) == len(slots[r]) for r in keys)
 
     label = list(range(dim))    # the class of each coordinate joined so far
     for i, j in combinations(range(dim), 2):
@@ -556,13 +496,61 @@ def _vectors_symmetry(vectors, p: int = 0) -> list:
     classes = {}
     for i, x in enumerate(label):
         classes.setdefault(x, []).append(i)
-    key_maps = []
+    out = []
     for cls in classes.values():
-        key_maps += map(permute, symmetric_generators(cls, dim))
-        scale = permute(range(dim), cls[0])
-        if root is not None and preserves(scale, support[cls[0]]):
-            key_maps.append(scale)
-    return _slot_permutations(len(vectors), slots, key_maps)
+        key_maps = list(map(permute, symmetric_generators(cls, dim)))
+        if scale is not None and preserves(scale(cls[0]), support[cls[0]]):
+            key_maps.append(scale(cls[0]))
+        for key_map in key_maps:
+            image = list(range(n))
+            for key, ids in slots.items():
+                for e, t in zip(ids, slots[key_map(key)]):
+                    image[e] = t
+            if image != list(range(n)):
+                out.append(image)
+    return out
+
+
+def _graph_symmetry(spec: GraphSpec) -> list:
+    """Edge permutations generating the permutations of twin vertices: the
+    vertex transpositions that keep the edge slots, keyed by sorted
+    endpoints (a loop at u by (u, u)).  Those are the twins, with equal
+    loop counts and equal edge multiplicities to every other vertex."""
+    slots = {}                  # sorted endpoints -> edge ids in order
+    for idx, (u, v) in enumerate(spec.edges):
+        slots.setdefault((min(u, v), max(u, v)), []).append(idx)
+    support = [[uv for uv in slots if v in uv] for v in range(spec.vertices)]
+    return _coordinate_symmetry(len(spec.edges), slots, support, lambda sigma: (
+        lambda uv: tuple(sorted(map(sigma.__getitem__, uv)))))
+
+
+def _vectors_symmetry(vectors, p: int = 0) -> list:
+    """Ground permutations induced by coordinate permutations and by
+    scalings of one coordinate (by -1 over Q, by a primitive root over
+    F_p) that map each line of the configuration onto a line of equal
+    multiplicity.  Such a map is a linear automorphism, hence a matroid
+    automorphism; loops stay fixed.  The slots are the lines."""
+    line = _line_of(p)
+    slots = {}                  # line -> element ids in order
+    for e, v in enumerate(vectors):
+        r = line(v)
+        if r is not None:
+            slots.setdefault(r, []).append(e)
+    dim = len(vectors[0]) if vectors else 0
+    root = -1 if not p else next(
+        (g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), None)
+
+    def permute(sigma, c=None):  # coordinate sigma[i] goes to i; then c is scaled by root
+        def key_map(r):
+            w = [r[i] for i in sigma]
+            if c is not None:
+                w[c] *= root
+            return line(w)
+        return key_map
+
+    support = [[r for r in slots if r[i]] for i in range(dim)]
+    scale = None if root is None else lambda c: permute(range(dim), c)
+    return _coordinate_symmetry(len(vectors), slots, support, permute, scale)
 
 
 def _uniform_oracle(spec: UniformSpec):

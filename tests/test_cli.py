@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,33 @@ def test_compute_whitney_family(capsys):
                        "--d", "3", "--profile", "2,1")
     assert code == 0
     assert out.strip() == "18"
+
+
+K4_JSON = json.dumps({"type": "graph", "vertices": 4,
+                      "edges": [[i, j] for i in range(4) for j in range(i + 1, 4)]})
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["compute", "kl", "--family", "braid", "--d", "5"], "1 + 16t + 15t^2"),
+    (["compute", "z", "--matroid-json", K4_JSON], "1 + 7t + 7t^2 + t^3"),
+    (["compute", "whitney", "--matroid-json", K4_JSON, "--profile", "1"], "7"),
+    (["compute", "chi", "--family", "typeb", "--d", "3"], "-15 + 23t + -9t^2 + t^3"),
+])
+def test_compute_plain_output(capsys, argv, expected):
+    # chi of type B_3 is (t - 1)(t - 3)(t - 5)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.strip() == expected
+
+
+@pytest.mark.parametrize("method_args, method", [
+    ([], "defining"), (["--method", "defining"], "defining"), (["--method", "closed"], "closed"),
+])
+def test_compute_kl_single_method(capsys, method_args, method):
+    code, out, _ = run(capsys, "compute", "kl", "--matroid-json", K4_JSON,
+                       "--format", "json", *method_args)
+    assert code == 0
+    assert json.loads(out) == {"kl": [1, 1], "method": method}
 
 
 def test_compute_all_methods(capsys, tmp_path):
@@ -60,6 +88,15 @@ def test_compute_tables_csv(capsys):
     assert "braid,2,1,3,-3" in lines
 
 
+def test_compute_tables_json(capsys):
+    code, out, _ = run(capsys, "compute", "tables", "--family", "braid", "--d", "2",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 6
+    assert {"family": "braid", "d": 2, "k": 1, "W": 3, "w": -3} in rows
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "compute", "kl")
     assert code == 2
@@ -88,6 +125,23 @@ def test_malformed_matroid_json_is_usage_error(capsys, payload):
     code, _, err = run(capsys, "compute", "kl", "--matroid-json", json.dumps(payload))
     assert code == 2
     assert f"matroid JSON of type '{payload['type']}' is malformed" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (None, ["compute", "kl"], "cannot read"),
+    ("{broken", ["compute", "kl"], "line 1 column 2"),
+    (K4_JSON, ["compute", "tables"], "tables are family data"),
+    (K4_JSON, ["compute", "whitney"], "--profile required"),
+    (K4_JSON, ["compute", "whitney", "--profile", "1,x"], "bad profile '1,x'"),
+])
+def test_matroid_file_input_errors_exit_2(capsys, tmp_path, text, argv, message):
+    path = tmp_path / "matroid.json"
+    if text is not None:
+        path.write_text(text)
+    code, _, err = run(capsys, *argv, "--matroid", str(path))
+    assert code == 2
+    assert message in err
     assert "Traceback" not in err
 
 
@@ -133,6 +187,30 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
     assert "palindrome" in err
+
+
+@pytest.mark.parametrize("suite, prefix", [
+    ("crossmethod", "crossmethod:U(0,0)"), ("gaussian", "gaussian:q=2:d<=10"),
+])
+def test_verify_whole_suite(capsys, suite, prefix):
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 0
+    report = json.loads(out)
+    assert report["suite"] == suite and report["pass"] is True
+    assert report["checks"][0]["name"] == prefix
+
+
+def test_verify_roots_carries_certificates(capsys):
+    # Z_d of the braid family has d negative roots, one isolating interval each
+    code, out, _ = run(capsys, "verify", "roots", "--family", "braid", "--dmax", "4",
+                       "--certificates")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [len(c["certificate"]["isolating"]) for c in checks] == [1, 2, 3, 4]
+    assert all(Fraction(lo) < Fraction(hi) <= 0
+               for c in checks for lo, hi in c["certificate"]["isolating"])
+    code, out, _ = run(capsys, "verify", "roots", "--family", "braid", "--dmax", "4")
+    assert not any("certificate" in c for c in json.loads(out)["checks"])
 
 
 def test_verify_qshift(capsys):

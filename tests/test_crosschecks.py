@@ -3,6 +3,7 @@ palindromic symmetry, and the Whitney recursion must agree on arbitrary
 matroids, not just the named corpus."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
@@ -179,6 +180,47 @@ def test_twin_symmetry_maps_flats_to_flats(spec):
             image = {g[e] for e in full.flat_elements(f)}
             r = rank(image)
             assert all(rank(image | {e}) > r for e in range(len(g)) if e not in image), (g, f)
+
+
+@given(twin_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_every_twin_transposition_is_found(spec):
+    # twins by definition: equal loop counts and equal multiplicity to every
+    # other vertex.  The orbits of the symmetry-free lattice's flats under
+    # all twin transpositions, each mapping the k-th edge between two
+    # vertices to the k-th edge between their images, are the lattice's
+    full = _enumerate_by_covers(len(spec.edges), *_graph_oracle(spec), None, ())
+    index = {m: i for i, m in enumerate(full.flats)}
+    slots = {}
+    for e, (u, v) in enumerate(spec.edges):
+        slots.setdefault(tuple(sorted((u, v))), []).append(e)
+    mult = Counter(tuple(sorted(e)) for e in spec.edges)
+    images = []
+    for u, v in combinations(range(spec.vertices), 2):
+        others = [w for w in range(spec.vertices) if w not in (u, v)]
+        if mult[u, u] != mult[v, v] or any(
+                mult[tuple(sorted((u, w)))] != mult[tuple(sorted((v, w)))] for w in others):
+            continue
+        swap = {u: v, v: u}
+        g = list(range(len(spec.edges)))
+        for (a, b), ids in slots.items():
+            for e, t in zip(ids, slots[tuple(sorted((swap.get(a, a), swap.get(b, b))))]):
+                g[e] = t
+        images.append([index[sum(1 << g[e] for e in full.flat_elements(f))]
+                       for f in range(full.n)])
+    seen, orbits = set(), 0
+    for f in range(full.n):
+        if f not in seen:
+            orbits += 1
+            seen.add(f)
+            stack = [f]
+            while stack:
+                x = stack.pop()
+                for image in images:
+                    if image[x] not in seen:
+                        seen.add(image[x])
+                        stack.append(image[x])
+    assert enumerate_flats(spec).n_orbits == orbits, spec
 
 
 def _root_vectors(kind: str, d: int) -> list:

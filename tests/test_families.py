@@ -59,6 +59,18 @@ def test_family_validation():
     assert NiceFamily("qvec", 8).param == 8  # 2^3 is fine
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: parse_family("nope"), "unknown family kind 'nope'"),
+    (lambda: build_tables(BRAID, -1), "d_max must be nonnegative"),
+    (lambda: lattice_spec(BRAID, -1), "rank must be nonnegative"),
+    (lambda: qvec_flats(4, 2), "needs q prime"),
+    (lambda: q_shift_check(1, 3), "need q >= 2"),
+])
+def test_input_checks_raise(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_build_tables_examples():
     tb = build_tables(BRAID, 5)
     assert tb.W[3][1] == 7 and tb.W[3][2] == 6

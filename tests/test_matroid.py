@@ -117,6 +117,25 @@ def test_spec_constructors_reject_floats_and_bools(make):
         make()
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: enumerate_flats(ExplicitBases(2, [[0, 2]])), ValueError,
+     "element 2 outside ground set of size 2"),
+    (lambda: enumerate_flats(ExplicitFlats(2, [[], [0], [1], [0, 1, 2]])), ValueError,
+     "element 2 outside ground set of size 2"),
+    (lambda: UniformSpec(-1, 2), ValueError, "m >= 0 and d >= 0"),
+    (lambda: GraphSpec(2, [(0, 2)]), ValueError, r"edge \(0,2\) outside vertex range"),
+    (lambda: ExplicitBases(3, []), ValueError, "at least one basis"),
+    (lambda: LinearVectors([(1, 0), (1,)]), ValueError, "common dimension"),
+    (lambda: matroid_spec_from_json([]), ValueError, "must be an object"),
+    (lambda: localization(enumerate_flats(UniformSpec(1, 2)), 5), ValueError,
+     "invalid flat id 5"),
+    (lambda: enumerate_flats(object()), TypeError, "not a matroid spec"),
+])
+def test_input_checks_raise(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 def test_explicit_flats_against_the_flat_axioms_on_four_elements():
     # every family of subsets of {0, 1, 2, 3} that lists the ground set:
     # the lattices accepted are exactly the families of flats, ranked by chains
