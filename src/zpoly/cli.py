@@ -97,15 +97,10 @@ def cmd_compute(args) -> int:
         if family is None:
             raise UsageError("tables are family data; use --family")
         tables = build_tables(family, args.d)
-        rows = [(str(family), d, k, tables.W[d][k], tables.w[d][k])
+        rows = [{"family": str(family), "d": d, "k": k,
+                 "W": tables.W[d][k], "w": tables.w[d][k]}
                 for d in range(args.d + 1) for k in range(d + 1)]
-        if args.format == "json":
-            print(json.dumps([{"family": f, "d": d, "k": k, "W": W, "w": w}
-                              for f, d, k, W, w in rows], indent=2))
-        else:
-            print("family,d,k,W,w")
-            for row in rows:
-                print(",".join(str(x) for x in row))
+        _emit(args, rows, [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows])
         return 0
 
     use_family_path = (family is not None and target in ("kl", "z", "whitney")
@@ -177,11 +172,14 @@ def _parse_profile(text):
 # verify
 
 
+def _corpus(args):
+    return (corpus_mod.small_corpus() if args.corpus == "small"
+            else corpus_mod.acceptance_corpus())
+
+
 def _suite_palindrome(args):
     checks = []
-    corpus = (corpus_mod.small_corpus() if args.corpus == "small"
-              else corpus_mod.acceptance_corpus())
-    for label, spec in corpus:
+    for label, spec in _corpus(args):
         lat = enumerate_flats(spec)
         # z_polynomial is palindromic by construction; Z assembled from the
         # defining equation's own P values is what the theorem speaks about
@@ -198,9 +196,7 @@ def _suite_palindrome(args):
 
 def _suite_crossmethod(args):
     checks = []
-    corpus = (corpus_mod.small_corpus() if args.corpus == "small"
-              else corpus_mod.acceptance_corpus())
-    for label, spec in corpus:
+    for label, spec in _corpus(args):
         lat = enumerate_flats(spec)
         polys = {m: kl_by_method(lat, m) for m in KlMethod}
         ok = len({tuple(p.coeffs) for p in polys.values()}) == 1

@@ -7,7 +7,8 @@ F_q are supersolvable with chi_d(t) = prod_{i<d} (t - r(i)), and one row
 recurrence in the exponents r(i) fills all three: r(i) = 1 + m i for the
 Dowling lattices Q_d(G) of a group of order m = 1 and m = 2 (Dowling, A
 class of geometric lattices based on finite groups, JCTB 14, 1973), r(i) =
-q^i for F_q (q-Pascal).  The uniform family uses its counting formula.
+q^i for F_q (q-Pascal).  U_{m,d} has one signed row per rank, w_d(k) =
+(-1)^{d-k} C(d+m, k+m) = +-W_d(k) for k >= 1, closed by chi(1) = 0.
 P_d and Z_d then come from the family recursion, never touching a lattice:
 the P/Z table's palindromic step (klz._palindromic_step) over Whitney rows,
 since the W_d(k) flats of corank k each contract to the rank-k member.
@@ -94,7 +95,6 @@ def _is_prime_power(q: int) -> bool:
             while q % p == 0:
                 q //= p
             return q == 1
-    return False
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,13 @@ def qvec_family(q: int) -> NiceFamily:
 def parse_family(text: str) -> NiceFamily:
     """Parse 'braid', 'typeb', 'uniform:m', 'qvec:q'."""
     kind, _, param = text.strip().lower().partition(":")
-    if param:
-        return NiceFamily(kind, int(param))
-    return NiceFamily(kind)
+    if not param:
+        return NiceFamily(kind)
+    try:
+        value = int(param)
+    except ValueError:
+        raise ValueError(f"family {text!r}: parameter {param!r} is not an integer") from None
+    return NiceFamily(kind, value)
 
 
 @dataclass
@@ -193,7 +197,8 @@ def _exponent_rows(r: list, d_max: int):
 def build_tables(family: NiceFamily, d_max: int) -> WhitneyTables:
     """Fill the Whitney tables: braid and typeb by the exponents 1 + m i of
     the Dowling lattice with m = 1 and m = 2 (Dowling 1973), qvec by the
-    exponents q^i (q-Pascal), uniform from its counting formula."""
+    exponents q^i (q-Pascal), uniform from one signed row per rank whose
+    entry at corank 0 makes chi(1) = 0."""
     if _integer(d_max) < 0:
         raise ValueError("d_max must be nonnegative")
     kind, p = family.kind, family.param
@@ -201,18 +206,11 @@ def build_tables(family: NiceFamily, d_max: int) -> WhitneyTables:
         m = _DOWLING_ORDER.get(kind)
         r = [1 + m * i if m else p ** i for i in range(d_max + 1)]
         return WhitneyTables(family, d_max, *_exponent_rows(r, d_max))
-    W = []
-    w = []
-    for d in range(d_max + 1):
-        W.append([1 if k == 0 else binomial(d + p, k + p) for k in range(d + 1)])
-        wrow = []
-        for k in range(d + 1):
-            if k > 0 or d == 0:
-                wrow.append((-1) ** (d - k) * binomial(d + p, k + p))
-            else:
-                wrow.append(sum((-1) ** (d + j) * binomial(d + p, d + j)
-                                for j in range(p + 1)))
-        w.append(wrow)
+    W, w = [[1]], [[1]]
+    for d in range(1, d_max + 1):
+        row = [(-1) ** (d - k) * comb(d + p, k + p) for k in range(1, d + 1)]
+        W.append([1] + list(map(abs, row)))
+        w.append([-sum(row)] + row)     # chi(1) = 0 for d >= 1
     return WhitneyTables(family, d_max, W, w)
 
 

@@ -24,7 +24,7 @@ elements need no special handling.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -124,29 +124,26 @@ class ExplicitFlats:
 MatroidSpec = Union[UniformSpec, GraphSpec, ExplicitBases, LinearVectors, ExplicitFlats]
 
 
+_JSON_SPECS = {"bases": ExplicitBases, "graph": GraphSpec, "uniform": UniformSpec,
+               "vectors": LinearVectors, "flats": ExplicitFlats}
+
+
 def matroid_spec_from_json(obj: dict) -> MatroidSpec:
-    """Decode the documented JSON matroid format (see README); the spec
+    """Decode the documented JSON matroid format (see README): the type names
+    a spec class, and the other fields are the class's fields.  The spec
     constructors reject numbers that are not integers."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("matroid JSON must be an object with a 'type' field")
     kind = obj["type"]
+    spec = _JSON_SPECS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ValueError(f"unknown matroid type '{kind}' (expected {'|'.join(_JSON_SPECS)})")
     try:
-        if kind == "uniform":
-            return UniformSpec(obj["m"], obj["d"])
-        if kind == "graph":
-            return GraphSpec(obj["vertices"], obj["edges"])
-        if kind == "bases":
-            return ExplicitBases(obj["ground"], obj["bases"])
-        if kind == "vectors":
-            return LinearVectors(obj["vectors"])
-        if kind == "flats":
-            return ExplicitFlats(obj["ground"], obj["flats"])
+        return spec(*(obj[f.name] for f in fields(spec)))
     except KeyError as exc:
         raise ValueError(f"matroid JSON of type '{kind}' is missing field {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"matroid JSON of type '{kind}' is malformed: {exc}") from exc
-    raise ValueError(f"unknown matroid type '{kind}' "
-                     "(expected bases|graph|uniform|vectors|flats)")
 
 
 class FlatLattice:

@@ -292,6 +292,20 @@ def typeb_whitney_by_double_sums(d_max):
     return W, w
 
 
+def uniform_whitney_by_binomials(m, d_max):
+    """(W, w) of U(m, d) for d <= d_max by counting subsets: the flats of
+    corank k >= 1 are the (d-k)-subsets of the d + m elements, each a Boolean
+    interval, and mu(bottom, top) is the alternating sum
+        w_d(0) = sum_{j=0}^{m} (-1)^{d+j} C(d+m, d+j)."""
+    W, w = [], []
+    for d in range(d_max + 1):
+        W.append([1 if k == 0 else comb(d + m, k + m) for k in range(d + 1)])
+        w.append([(-1) ** (d - k) * comb(d + m, k + m) if k > 0 or d == 0
+                  else sum((-1) ** (d + j) * comb(d + m, d + j) for j in range(m + 1))
+                  for k in range(d + 1)])
+    return W, w
+
+
 def narayana_by_dyck_paths(n, k):
     """Number of Dyck paths of semilength n with exactly k peaks."""
     def paths(ups, downs, height):

@@ -65,6 +65,15 @@ def test_compute_all_methods(capsys, tmp_path):
     assert all(line.endswith("1 + t") for line in lines[:-1])
 
 
+def test_compute_all_methods_lists_the_family_route(capsys):
+    code, out, _ = run(capsys, "compute", "kl", "--family", "braid", "--d", "4",
+                       "--all-methods")
+    assert code == 0
+    assert out.strip().splitlines() == [
+        "defining: 1 + 5t", "mobius: 1 + 5t", "recursion: 1 + 5t",
+        "closed: 1 + 5t", "family: 1 + 5t", "AGREE"]
+
+
 def test_compute_json_output_low_to_high(capsys):
     code, out, _ = run(capsys, "compute", "z", "--family", "qvec:2",
                        "--d", "2", "--format", "json")
@@ -106,6 +115,12 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "compute", "kl", "--matroid-json", "{broken")
     assert code == 2
     assert "column" in err
+    code, _, err = run(capsys, "compute", "kl", "--family", "uniform:x", "--d", "2")
+    assert code == 2
+    assert "family 'uniform:x': parameter 'x' is not an integer" in err
+    code, _, err = run(capsys, "compute", "nope")
+    assert code == 2
+    assert "invalid choice" in err
 
 
 @pytest.mark.parametrize("payload", [

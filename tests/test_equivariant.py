@@ -206,6 +206,33 @@ def test_braid_edge_action_character():
     assert group.conjugacy_respects(table.values)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: (UniformSpec(2, 3), PermGroup.symmetric(5), (1, 0, 2, 3, 4)),
+    lambda: (lattice_spec(BRAID, 3), edge_action_group(4), None),
+], ids=["recognised-sym5", "enumerated-s4-on-k4-edges"])
+def test_conjugacy_respects_sees_one_changed_value(make):
+    spec, group, changed = make()
+    table = equivariant_c_character(enumerate_flats(spec), group, 1)
+    assert group.conjugacy_respects(table.values)
+    if changed is None:     # any element off the identity: S_4 has no centre
+        changed = next(g for g in group.elements if g != group.identity)
+    values = dict(table.values)
+    values[changed] += 1
+    assert not group.conjugacy_respects(values)
+
+
+def test_sym_function_equality_negation_and_text():
+    f = equivariant_c_uniform(1, 3, 1)
+    assert str(f) == "-h[3,1] + h[2,2]"
+    assert str(-f) == "h[3,1] - h[2,2]"
+    assert -(-f) == f and hash(-(-f)) == hash(f)
+    assert f != SymFunction("s", 4, f.terms)
+    assert SymFunction("h", 2, {(2,): 1}) != SymFunction("h", 3, {(3,): 1})
+    assert f != f.terms
+    assert str(f - f) == "0" and (f - f).is_zero()
+    assert str(SymFunction("h", 3, {(2, 1): 2, (1, 1, 1): -3})) == "2*h[2,1] - 3*h[1,1,1]"
+
+
 def brute_fixed_chains(lat, g, profile):
     """Count profile multichains of g-fixed flats by direct iteration."""
     from itertools import product as iproduct

@@ -5,7 +5,8 @@ import pytest
 
 from oracles import (gaussian_by_product, narayana_by_dyck_paths,
                      stirling1_by_polynomial, stirling2_by_enumeration,
-                     subspaces_by_brute_force, typeb_whitney_by_double_sums)
+                     subspaces_by_brute_force, typeb_whitney_by_double_sums,
+                     uniform_whitney_by_binomials)
 from zpoly import families
 from zpoly import (BRAID, TYPE_B, IntPolynomial, NiceFamily, WhitneyTables, binomial,
                    build_tables, characteristic_polynomial, enumerate_flats,
@@ -61,6 +62,9 @@ def test_family_validation():
 
 @pytest.mark.parametrize("make, message", [
     (lambda: parse_family("nope"), "unknown family kind 'nope'"),
+    (lambda: parse_family("uniform:x"), "family 'uniform:x': parameter 'x' is not an integer"),
+    (lambda: parse_family("qvec:1"), "qvec family needs a prime power q >= 2"),
+    (lambda: parse_family("qvec:6"), "qvec family needs a prime power q >= 2"),
     (lambda: build_tables(BRAID, -1), "d_max must be nonnegative"),
     (lambda: lattice_spec(BRAID, -1), "rank must be nonnegative"),
     (lambda: qvec_flats(4, 2), "needs q prime"),
@@ -113,6 +117,12 @@ def test_dowling_tables_braid_equal_stirling_numbers():
 def test_dowling_tables_typeb_equal_double_sums():
     tb = build_tables(TYPE_B, 60)
     assert (tb.W, tb.w) == typeb_whitney_by_double_sums(60)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_uniform_tables_equal_subset_counts(m):
+    tb = build_tables(uniform_family(m), 60)
+    assert (tb.W, tb.w) == uniform_whitney_by_binomials(m, 60)
 
 
 def test_integer_parameters_only():

@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import kl_naive, z_naive
-from zpoly import (GraphSpec, IntPolynomial, KlMethod, UniformSpec,
+from zpoly import (GraphSpec, IndexTuple, IntPolynomial, KlMethod, UniformSpec,
                    closed_formula_terms, contraction, enumerate_flats,
                    enumerate_index_tuples, is_palindromic, kl_by_method,
                    kl_coeff_closed, kl_coeff_new_recursion, kl_defining,
@@ -118,6 +118,17 @@ def test_index_tuple_counts():
         assert enumerate_index_tuples(i, 2 * i) == []
     with pytest.raises(ValueError):
         enumerate_index_tuples(0, 5)
+
+
+@pytest.mark.parametrize("r, subset, a, message", [
+    (1, frozenset(), (0, 1), r"r\+2 entries"),
+    (1, frozenset(), (1, 2, 3), "a_0 must be 0"),
+    (1, frozenset(), (0, 2, 2), "strictly increasing"),
+    (1, frozenset({2}), (0, 1, 2), "subset of"),
+])
+def test_index_tuple_rejects(r, subset, a, message):
+    with pytest.raises(ValueError, match=message):
+        IndexTuple(r, subset, a)
 
 
 def test_index_tuple_profiles_positive():

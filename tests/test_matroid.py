@@ -1,4 +1,7 @@
+import json
+import re
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +14,7 @@ from zpoly import (ExplicitBases, ExplicitFlats, FlatCapExceeded, FlatLattice, G
                    characteristic_polynomial, contraction, enumerate_flats,
                    localization, matroid_spec_from_json, mobius_from_bottom,
                    whitney_multi)
-from zpoly.matroid import _enumerate_by_covers, _vectors_oracle
+from zpoly.matroid import _JSON_SPECS, _enumerate_by_covers, _vectors_oracle
 
 
 def k_complete(n):
@@ -517,6 +520,15 @@ def test_json_round_trip():
         matroid_spec_from_json({"type": "nope"})
     with pytest.raises(ValueError):
         matroid_spec_from_json({"type": "uniform", "m": 1})
+
+
+def test_readme_json_examples_decode():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Matroid JSON format", 1)[1]
+    block = re.sub(r"//[^\n]*", "", section.split("```jsonc", 1)[1].split("```", 1)[0])
+    examples = json.loads("[" + re.sub(r"\}\s*\{", "},{", block) + "]")
+    assert sorted(obj["type"] for obj in examples) == sorted(_JSON_SPECS)
+    assert [enumerate_flats(matroid_spec_from_json(obj)).n for obj in examples] == [12, 5, 5, 5, 4]
 
 
 def test_graded_validation_on_corpus():

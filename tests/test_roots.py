@@ -71,6 +71,8 @@ def test_isolation_examples():
     assert iso[0][0] < Fraction(-1, 2) <= iso[0][1]
     with pytest.raises(ValueError, match="Sturm counts"):
         isolate_roots(IntPolynomial([1, 0, 1]))
+    with pytest.raises(ValueError, match="must not vanish at 0"):
+        certify_roots(IntPolynomial([0, 1, 1]))
 
 
 def test_certificate_structure():
@@ -461,6 +463,9 @@ def test_half_degree_examples():
     assert roots._half_degree((1, 7, 7, 1)) == [4, 1]
     assert roots._half_degree((1, 3, 1)) == [1, 1]  # t^2 + 3t + 1 = t(s + 3)
     assert roots._half_degree((1, 2)) is None
+    # only deg f = deg g + 1 is decided in half the degree
+    assert not roots._half_degree_strict((1, 3, 1), (1, 3, 1))
+    assert not roots._half_degree_strict((1, 2), (1, 3, 1))
     tables = build_tables(BRAID, 12)
     z = [z_family(tables, d).coeffs for d in range(13)]
     for d in range(1, 13):
