@@ -327,6 +327,8 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     checks = SUITES[suite](args)
+    if not checks:
+        raise UsageError(f"suite {suite!r} ran no checks")
     ok = all(c["pass"] for c in checks)
     report = {"suite": suite, "pass": ok, "checks": checks}
     print(json.dumps(report, indent=2))
@@ -345,12 +347,13 @@ def _checksum(poly: IntPolynomial) -> str:
 def cmd_bench(args) -> int:
     family = parse_family(args.family)
     d = args.d
-    reps = args.reps
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
     tables = build_tables(family, d)
 
     rows = []
     times = []
-    for _ in range(max(1, reps)):
+    for _ in range(args.reps):
         fresh = build_tables(family, d)
         t0 = time.perf_counter()
         fast = kl_family(fresh, d)

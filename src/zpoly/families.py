@@ -10,8 +10,8 @@ class of geometric lattices based on finite groups, JCTB 14, 1973), r(i) =
 q^i for F_q (q-Pascal).  U_{m,d} has one signed row per rank, w_d(k) =
 (-1)^{d-k} C(d+m, k+m) = +-W_d(k) for k >= 1, closed by chi(1) = 0.
 P_d and Z_d then come from the family recursion, never touching a lattice:
-the P/Z table's palindromic step (klz._palindromic_step) over Whitney rows,
-since the W_d(k) flats of corank k each contract to the rank-k member.
+the P/Z table's solver (klz._pz_solve) with one row per rank, since the
+W_d(k) flats of corank k each contract to the rank-k member.
 Every entry point checks d against the tables' range.  Everything
 cross-validates against the lattice-based computations at small rank.
 """
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .klz import _closed_sum, _palindromic_step
+from .klz import _closed_sum, _pz_solve
 from .matroid import (ExplicitFlats, GraphSpec, LinearVectors, MatroidSpec,
                       UniformSpec, _bits, _enumerate_by_covers, _integer,
                       _vectors_oracle, _vectors_symmetry)
@@ -158,7 +158,7 @@ class WhitneyTables:
     d_max: int
     W: list
     w: list
-    _pz: list = field(default_factory=list, repr=False)
+    _pz: tuple = field(default_factory=lambda: ([], []), repr=False)
 
     def _check_rank(self, d: int) -> None:
         """Raise TypeError unless d is an int, ValueError unless the tables
@@ -217,22 +217,19 @@ def build_tables(family: NiceFamily, d_max: int) -> WhitneyTables:
 def _pz(tables: WhitneyTables, d: int) -> tuple:
     """(P_d, Z_d) coefficient tuples, memoized over ranks 0..d.
 
-    The flats above the bottom of the rank-d member are W_d(k) flats of each
-    corank k < d, each contracting to the rank-k member; so
-    S_d = sum_{k<d} W_d(k) t^{d-k} P_k, and _palindromic_step completes it.
+    The flats above the bottom of the rank-n member are W_n(k) flats of
+    each corank k < n, each contracting to the rank-k member: the rows of
+    klz._pz_solve, with the rank as corank.
     """
     tables._check_rank(d)
-    memo = tables._pz
-    while len(memo) <= d:
-        n = len(memo)
-        W = tables.W[n]
-        S = [0] * (n + 1)
-        for k in range(n):
-            Wk = W[k]
-            for j, c in enumerate(memo[k][0], n - k):
-                S[j] += Wk * c
-        memo.append(_palindromic_step(S))
-    return memo[d]
+    P, Z = tables._pz
+    n = len(P)
+    if n <= d:      # the memo takes the new ranks only once all are solved
+        P, Z = P + [None] * (d + 1 - n), Z + [None] * (d + 1 - n)
+        W = tables.W
+        _pz_solve(range(n, d + 1), list(range(d + 1)), lambda r: enumerate(W[r][:r]), P, Z)
+        tables._pz = P, Z
+    return P[d], Z[d]
 
 
 def kl_family(tables: WhitneyTables, d: int) -> IntPolynomial:
@@ -308,8 +305,8 @@ def series_identity_check(family: NiceFamily, order: int) -> bool:
       * P(t,u) = sum_k t^{-k} Z_k(t) g_k(tu) and
         Z(t,u) = sum_k t^{-k} P_k(t) G_k(tu).
     """
-    if order > 16:
-        raise ValueError("order capped at 16")
+    if not 0 <= order <= 16:
+        raise ValueError(f"order must be in 0..16 (capped at 16), got {order}")
     m = _DOWLING_ORDER.get(family.kind)
     if m is None:
         raise ValueError("series identities are implemented for braid and typeb")

@@ -6,16 +6,15 @@ by four routes that must agree:
   * the palindromicity recursion expressing c(i) through contractions,
   * the closed alternating sum of multi-indexed Whitney numbers.
 
-One palindromic step turns the sum of t^{rk G} P_G over the flats G above
-the bottom into P and Z.  One cached table applies it to every upper
-interval in a single pass over pairs of flats, and the family recursion
-(families.py) to Whitney rows; z_polynomial, kl_via_mobius and
-kl_coeff_new_recursion read the table.  kl_defining never does:
-it solves the functional equation with its own per-flat P and Z, using
-mu(F, H) on every interval, and checks the equation in full.  Both solve
-one flat per orbit of the lattice's symmetry (FlatLattice.orbit_rep) and
-copy the result to the rest of the orbit; the bottom rows of both tables
-and kl_via_mobius add each orbit once, weighted by its size.
+One solver, _pz_solve, turns the sum of t^{rk G} P_G over the flats G
+above a flat into its P and Z by palindromicity.  The cached table runs it
+at each orbit representative (FlatLattice.orbit_rep) over the orbits above
+it, and the family recursion (families.py) over Whitney rows; z_polynomial,
+kl_via_mobius and kl_coeff_new_recursion read the table.  kl_defining never
+does: it solves the functional equation with its own P and Z, using mu(F,
+H) on every interval, one flat per orbit, and checks it in full.  The
+bottom rows of both tables and kl_via_mobius add each orbit once, weighted
+by its size.
 
 The closed formula is one sum, _closed_sum, over any Whitney source: lattice
 multichains, family tables, h-products, or one class's fixed chains.
@@ -25,6 +24,7 @@ All arithmetic is exact big-integer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -109,61 +109,53 @@ def closed_formula_terms(lat: FlatLattice, i: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the P/Z table: palindromicity of every Z_F, one pass over pairs F < G
+# the P/Z table: palindromicity of every Z_F, one solve per orbit
 
 
-def _palindromic_step(S: list):
-    """(P, Z) of a rank-d matroid from the d + 1 coefficients of S = sum over
-    flats G above the bottom of t^{rk G} P_{M^G}, which becomes Z = P + S.
-    Z is palindromic and deg P < d / 2, so P[j] = S[d - j] - S[j]."""
-    d = len(S) - 1
-    p = [1] + [S[d - j] - S[j] for j in range(1, (d + 1) // 2)]
-    while p[-1] == 0:
-        p.pop()
-    for j, c in enumerate(p):
-        S[j] += c
-    return tuple(p), tuple(S)
+def _pz_solve(keys, corank, rows, P, Z):
+    """Fill P[f] and Z[f] for each f of keys in turn.  rows(f) yields (g, k)
+    pairs, g solved before f: S = sum of k t^{crk f - crk g} P[g] is the sum
+    over flats G above F of t^{rk G - rk F} P_G.  Z = P + S is palindromic
+    and deg P < crk / 2, so P[j] = S[crk - j] - S[j]."""
+    for f in keys:
+        d = corank[f]
+        S = [0] * (d + 1)
+        for g, k in rows(f):
+            for j, c in enumerate(P[g], d - corank[g]):
+                S[j] += k * c
+        p = [1] + [S[d - j] - S[j] for j in range(1, (d + 1) // 2)]
+        while p[-1] == 0:
+            p.pop()
+        for j, c in enumerate(p):
+            S[j] += c
+        P[f] = tuple(p)
+        Z[f] = tuple(S)
 
 
 def _p_table(lat: FlatLattice):
     """(P, Z) of every upper interval [F, top], keyed by flat id, cached.
 
-    S_F = sum over G > F of t^{rk G - rk F} P_G, and _palindromic_step turns
-    it into P_F and Z_F: the recursion of kl_coeff_new_recursion at every
-    flat.  One sweep by decreasing rank over the pairs F < G fills both
-    tables; a flat whose orbit representative is not itself copies it,
-    since the representative is the orbit's last id and so came first.
-    The bottom row adds each orbit once, weighted by its size.
+    _pz_solve runs the recursion of kl_coeff_new_recursion at the orbit
+    representatives by decreasing id; every flat reads its representative's.
+    The bottom's rows are the other orbits with their sizes; a row above it is
+    the up-set, counted by orbit when the lattice has symmetry.
     z_polynomial, kl_via_mobius and kl_coeff_new_recursion read it;
     kl_defining does not.
     """
     table = lat._cache.get("pz")
     if table is not None:
         return table
-    ranks = lat.ranks
-    rk_total = lat.rk_total
     rep = lat.orbit_rep
     bottom = lat.bottom_id
     ups = lat.uppers()
-    P = [None] * lat.n
-    Z = [None] * lat.n
-    for f in reversed(range(lat.n)):    # ids are in rank order
-        r = rep[f]
-        if r != f:
-            P[f], Z[f] = P[r], Z[r]
-            continue
-        rank_f = ranks[f]
-        S = [0] * (rk_total - rank_f + 1)
-        if f == bottom:             # P is constant on orbits: each once, weighted
-            above = [(g, k) for g, k in lat.orbit_size.items() if g != f]
-        else:
-            above = zip(ups[f], repeat(1))
-        for g, k in above:
-            base = ranks[g] - rank_f
-            for j, c in enumerate(P[g]):
-                S[base + j] += k * c
-        P[f], Z[f] = _palindromic_step(S)
-    table = (tuple(P), tuple(Z))
+    orbits = [(g, k) for g, k in lat.orbit_size.items() if g != bottom]
+    if lat.symmetry:
+        rows = lambda f: orbits if f == bottom else Counter(map(rep.__getitem__, ups[f])).items()
+    else:
+        rows = lambda f: orbits if f == bottom else zip(ups[f], repeat(1))
+    P, Z = [None] * lat.n, [None] * lat.n
+    _pz_solve(reversed(lat.orbit_size), [lat.rk_total - r for r in lat.ranks], rows, P, Z)
+    table = (tuple(map(P.__getitem__, rep)), tuple(map(Z.__getitem__, rep)))
     lat._cache["pz"] = table
     return table
 

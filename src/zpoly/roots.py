@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .families import NiceFamily, build_tables, z_family
@@ -208,13 +209,16 @@ def _cauchy_strict(f, g):
     return abs(_negative_index(seq)) == len(f) - 1, _normalized(seq[-1])
 
 
-def _half_degree(cs):
+@lru_cache(maxsize=2)
+def _half_degree(cs: tuple):
     """Q with cs = t^m Q(u) for d = 2m, or (1 + t) t^m Q(u) for d = 2m + 1,
     where d = deg cs and u = t + 1/t + 2; None unless cs is palindromic of
     degree d.  Q is the sum of the middle-out coefficients w_{m+j} of the
     even part times the Dickson polynomials D_j(s) = t^j + t^-j (D_0 = 2,
-    D_1 = s, D_{j+1} = s D_j - D_{j-1}), run at s = u - 2."""
-    if tuple(cs) != tuple(reversed(cs)):
+    D_1 = s, D_{j+1} = s D_j - D_{j-1}), run at s = u - 2.  It keeps its
+    last two lists, which callers must not change: a serial sweep's cell d
+    asks for Q_{d-1}, which cell d - 1 built, then for Q_d."""
+    if cs != cs[::-1]:
         return None
     w = list(cs) if len(cs) % 2 else _exact_div(cs, [1, 1])
     m = (len(w) - 1) // 2
@@ -240,7 +244,7 @@ def _half_degree_strict(f, g) -> bool:
     """
     if len(f) != len(g) + 1:
         return False
-    qf, qg = _half_degree(f), _half_degree(g)
+    qg, qf = _half_degree(tuple(g)), _half_degree(tuple(f))
     if qf is None or qg is None or qf[0] == 0:
         return False
     if len(qf) != len(qg):

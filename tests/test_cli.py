@@ -254,6 +254,20 @@ def test_verify_series_small(capsys):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("suite", ["roots", "interlace"])
+def test_verify_suite_with_no_checks_is_a_usage_error(capsys, suite):
+    # d runs over 1..dmax: --dmax 0 leaves the sweep nothing to check
+    code, out, err = run(capsys, "verify", suite, "--dmax", "0")
+    assert code == 2 and out == ""
+    assert f"suite {suite!r} ran no checks" in err
+
+
+def test_verify_series_negative_order_names_the_order(capsys):
+    code, out, err = run(capsys, "verify", "series", "--order", "-1")
+    assert code == 2 and out == ""
+    assert "order must be in 0..16" in err and "d_max" not in err
+
+
 def test_verify_logconcave(capsys):
     code, out, _ = run(capsys, "verify", "logconcave", "--family", "braid",
                        "--dmax", "10")
@@ -277,6 +291,13 @@ def test_bench_small(capsys):
     assert (lattice_row["flats"], lattice_row["orbits"]) == (203, 11)   # K6; p(6) = 11
     checksums = {row["checksum"] for row in report["rows"]}
     assert len(checksums) == 1
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+def test_bench_needs_a_positive_rep_count(capsys, reps):
+    code, out, err = run(capsys, "bench", "braid", "--d", "3", "--reps", reps)
+    assert code == 2 and out == ""
+    assert f"--reps must be at least 1, got {reps}" in err
 
 
 def test_bench_reports_orbit_pairs(capsys):

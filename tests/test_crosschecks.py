@@ -116,6 +116,25 @@ def test_orbit_path_equals_full_path_on_braid_and_uniform():
             _assert_orbit_path_is_full_path(lat)
 
 
+def test_pz_table_reads_only_the_representatives_up_sets():
+    # twins 2 and 3, joined, and a doubled edge 01
+    twins = GraphSpec(4, [(0, 1), (1, 0), (1, 2), (1, 3), (2, 3), (0, 2), (0, 3)])
+    for spec in (lattice_spec(BRAID, 5), UniformSpec(2, 5), lattice_spec(TYPE_B, 4), twins):
+        lat = enumerate_flats(spec)
+        assert lat.n_orbits < lat.n, spec
+        want = _p_table(lat)
+        ups = lat.uppers()
+        for f in range(lat.n):
+            if lat.orbit_rep[f] != f:
+                ups[f] = []
+        del lat._cache["pz"]
+        assert _p_table(lat) == want, spec
+        f = next(f for f in lat.orbit_size if f != lat.bottom_id and ups[f])
+        ups[f] = ups[f][:-1]
+        del lat._cache["pz"]
+        assert _p_table(lat) != want, spec
+
+
 @st.composite
 def twin_multigraphs(draw):
     """A multigraph on up to 4 vertices with loops and parallel edges, then

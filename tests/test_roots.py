@@ -476,6 +476,13 @@ def test_half_degree_examples():
             assert roots._negative_index(roots._remainder_sequence(qf, qg)) == 1 - len(qf)
 
 
+def test_serial_sweep_reduces_each_z_once():
+    # cell d asks for Q_{d-1}, which cell d - 1 built, then for Q_d
+    roots._half_degree.cache_clear()
+    conjecture_sweep(BRAID, 20, threads=1)
+    assert roots._half_degree.cache_info().misses == 21     # Z_0, ..., Z_20
+
+
 def test_sweep_cell_falls_back(monkeypatch):
     calls = []
     real = roots._cauchy_strict
