@@ -326,6 +326,8 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {suite!r}; available: {', '.join(SUITES)}",
               file=sys.stderr)
         return 2
+    if args.dmax is not None and args.dmax < 0:
+        raise UsageError(f"--dmax must be nonnegative, got {args.dmax}")
     checks = SUITES[suite](args)
     if not checks:
         raise UsageError(f"suite {suite!r} ran no checks")

@@ -27,8 +27,7 @@ from .klz import _closed_sum, _pz_solve
 from .matroid import (ExplicitFlats, GraphSpec, LinearVectors, MatroidSpec,
                       UniformSpec, _bits, _enumerate_by_covers, _integer,
                       _vectors_oracle, _vectors_symmetry)
-from .polyarith import (IntPolynomial, RatPolynomial, TruncatedSeries,
-                        series_exp, series_log)
+from .polyarith import IntPolynomial
 
 
 def binomial(n: int, k: int) -> int:
@@ -291,19 +290,28 @@ def q_shift_check(q: int, d_max: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# truncated generating-series identities
+# generating-function identities
+
+
+def _times(a: list, b: list) -> list:
+    """Product of two coefficient lists of one length n + 1, truncated at x^n."""
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a))]
 
 
 def series_identity_check(family: NiceFamily, order: int) -> bool:
-    """Verify, to the given order in u with exact rational-polynomial
-    coefficients, the exponential generating-function identities of the braid
-    and type-B families, the Dowling lattices with m = 1 and m = 2:
+    """Verify, to the given order, the exponential generating-function
+    identities of the braid and type-B families, the Dowling lattices with
+    m = 1 and m = 2, in the one variable x = tu:
 
       * the closed forms of g_k (EGF of w_d(k)) and G_k (EGF of W_d(k)),
-          G_k = e^{tu} ((e^{m tu} - 1) / m)^k / k!,
-          g_k = (1 + m tu)^{-1/m} (log(1 + m tu) / m)^k / k!,
+          G_k = e^x ((e^{mx} - 1) / m)^k / k!,
+          g_k = (1 + mx)^{-1/m} (log(1 + mx) / m)^k / k!,
+        as exact Taylor coefficients: d! [x^d] G_k = W_d(k), d! [x^d] g_k = w_d(k);
       * P(t,u) = sum_k t^{-k} Z_k(t) g_k(tu) and
-        Z(t,u) = sum_k t^{-k} P_k(t) G_k(tu).
+        Z(t,u) = sum_k t^{-k} P_k(t) G_k(tu).  u enters only through g_k
+        and G_k, so their u^d coefficients are the polynomial identities
+        P_d = sum_k w_d(k) t^{d-k} Z_k (p_from_z_inversion) and
+        Z_d = sum_k W_d(k) t^{d-k} P_k.
     """
     if not 0 <= order <= 16:
         raise ValueError(f"order must be in 0..16 (capped at 16), got {order}")
@@ -311,53 +319,27 @@ def series_identity_check(family: NiceFamily, order: int) -> bool:
     if m is None:
         raise ValueError("series identities are implemented for braid and typeb")
     tables = build_tables(family, order)
-    N = order
-
-    tu = TruncatedSeries.u_monomial(N, RatPolynomial((0, 1)), 1)
-    mtu = tu * m
-    log_mtu = series_log(mtu + 1)
-    exp_tu = series_exp(tu)
-    root = series_exp(log_mtu * Fraction(-1, m))     # (1 + m tu)^{-1/m}
-    expm1 = (series_exp(mtu) - 1) * Fraction(1, m)
-    logm = log_mtu * Fraction(1, m)
-
-    def g_closed(k):
-        return root * (logm ** k) * Fraction(1, factorial(k))
-
-    def G_closed(k):
-        return exp_tu * (expm1 ** k) * Fraction(1, factorial(k))
-
-    def egf(column) -> TruncatedSeries:
-        polys = []
-        for d in range(N + 1):
-            c = Fraction(column(d), factorial(d))
-            polys.append(RatPolynomial([Fraction(0)] * d + [c]) if c else RatPolynomial())
-        return TruncatedSeries(N, polys)
-
-    g_series = []
-    G_series = []
-    for k in range(N + 1):
-        gk = g_closed(k)
-        Gk = G_closed(k)
-        if gk != egf(lambda d, k=k: tables.w_val(d, k)):
+    # Taylor coefficients of e^x, (e^{mx} - 1)/m, log(1 + mx)/m and, by the
+    # binomial series, (1 + mx)^{-1/m}: G_0 and g_0, then the k-th power factors
+    js = range(1, order + 1)
+    G = [Fraction(1, factorial(j)) for j in range(order + 1)]
+    expm1 = [0] + [Fraction(m ** (j - 1), factorial(j)) for j in js]
+    logm = [0] + [Fraction((-1) ** (j + 1) * m ** (j - 1), j) for j in js]
+    g = [Fraction(1)]
+    for j in range(order):
+        g.append(g[j] * (-1 - m * j) / (j + 1))
+    for k in range(order + 1):
+        if k:
+            G = [c / k for c in _times(G, expm1)]
+            g = [c / k for c in _times(g, logm)]
+        if any(factorial(d) * G[d] != tables.W_val(d, k)
+               or factorial(d) * g[d] != tables.w_val(d, k) for d in range(order + 1)):
             return False
-        if Gk != egf(lambda d, k=k: tables.W_val(d, k)):
-            return False
-        g_series.append(gk)
-        G_series.append(Gk)
-
-    def poly_series(poly_of_d) -> TruncatedSeries:
-        return TruncatedSeries(N, [poly_of_d(d) * Fraction(1, factorial(d)) for d in range(N + 1)])
-
-    P_series = poly_series(lambda d: kl_family(tables, d))
-    Z_series = poly_series(lambda d: z_family(tables, d))
-
-    rhs_P = TruncatedSeries.constant(N, 0)
-    rhs_Z = TruncatedSeries.constant(N, 0)
-    for k in range(N + 1):
-        rhs_P = rhs_P + (g_series[k] * z_family(tables, k)).divide_t_power(k)
-        rhs_Z = rhs_Z + (G_series[k] * kl_family(tables, k)).divide_t_power(k)
-    return P_series == rhs_P and Z_series == rhs_Z
+    return all(kl_family(tables, d) == p_from_z_inversion(tables, d)
+               and z_family(tables, d) == sum((c * kl_family(tables, k).shift(d - k)
+                                               for k, c in enumerate(tables.W[d])),
+                                              IntPolynomial())
+               for d in range(order + 1))
 
 
 # ---------------------------------------------------------------------------

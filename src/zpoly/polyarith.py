@@ -1,4 +1,4 @@
-"""Exact polynomial and truncated power-series arithmetic.
+"""Exact integer and rational polynomials.
 
 Everything in this module is big-integer or big-rational; there is no
 floating point anywhere.  Polynomials are dense (the degrees in this
@@ -8,7 +8,6 @@ problem domain stay small) and immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 
 class _Polynomial:
@@ -180,164 +179,3 @@ class RatPolynomial(_Polynomial):
     __slots__ = ()
     _coerce = Fraction
     _scalars = (int, Fraction)
-
-    def divide_t_power(self, k: int) -> "RatPolynomial":
-        """Divide by t**k; the k lowest coefficients must vanish."""
-        if k < 0:
-            raise ValueError("negative power")
-        if any(self.coeffs[i] != 0 for i in range(min(k, len(self.coeffs)))):
-            raise ValueError("polynomial not divisible by t^%d" % k)
-        return RatPolynomial(self.coeffs[k:])
-
-
-def _rat_polynomial(c) -> RatPolynomial:
-    """A polynomial, a coefficient sequence or a scalar as a RatPolynomial."""
-    if isinstance(c, RatPolynomial):
-        return c
-    if isinstance(c, _Polynomial):
-        c = c.coeffs
-    return RatPolynomial(c if hasattr(c, "__iter__") else (c,))
-
-
-class TruncatedSeries:
-    """Power series in u truncated at order N, coefficients in Q[t].
-
-    coeffs[j] is the RatPolynomial in t multiplying u**j; exactly N+1
-    coefficients are stored.  Arithmetic is closed under truncation.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=()):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        cs = [_rat_polynomial(c) for c in coeffs]
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        while len(cs) < order + 1:
-            cs.append(RatPolynomial())
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, order: int, value) -> "TruncatedSeries":
-        """The series value * u**0, value a scalar or a polynomial in t."""
-        return cls(order, [value])
-
-    @classmethod
-    def u_monomial(cls, order: int, poly: RatPolynomial, upower: int) -> "TruncatedSeries":
-        """The series poly(t) * u**upower."""
-        if upower < 0:
-            raise ValueError("negative power of u")
-        cs = [RatPolynomial()] * (order + 1)
-        if upower <= order:
-            cs[upower] = poly
-        return cls(order, cs)
-
-    def _check(self, other: "TruncatedSeries"):
-        if self.order != other.order:
-            raise ValueError("mismatched truncation orders")
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __neg__(self):
-        return TruncatedSeries(self.order, [-c for c in self.coeffs])
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, _Polynomial)):
-            other = TruncatedSeries.constant(self.order, other)
-        self._check(other)
-        return TruncatedSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, _Polynomial)):
-            return TruncatedSeries(self.order, [c * other for c in self.coeffs])
-        self._check(other)
-        n = self.order
-        out = [RatPolynomial() for _ in range(n + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(n, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = TruncatedSeries.constant(self.order, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def constant_term(self) -> RatPolynomial:
-        return self.coeffs[0]
-
-    def u_valuation(self) -> int:
-        """Index of the lowest nonzero coefficient (order+1 for the zero series)."""
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return j
-        return self.order + 1
-
-    def divide_t_power(self, k: int) -> "TruncatedSeries":
-        """Divide every coefficient by t**k; each must be divisible."""
-        return TruncatedSeries(self.order, [c.divide_t_power(k) for c in self.coeffs])
-
-    def __repr__(self):
-        return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
-
-
-def _powers_of_zero_constant(s: TruncatedSeries):
-    """Yield s**1, s**2, ... while nonzero, for s with zero constant term."""
-    n = s.order
-    power = s
-    k = 1
-    while k <= n and power.u_valuation() <= n:
-        yield k, power
-        power = power * s
-        k += 1
-
-
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp(s) for a series with zero constant term."""
-    if not s.constant_term().is_zero():
-        raise ValueError("series_exp requires constant term 0")
-    result = TruncatedSeries.constant(s.order, 1)
-    for k, power in _powers_of_zero_constant(s):
-        result = result + power * Fraction(1, factorial(k))
-    return result
-
-
-def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    """log(s) for a series with constant term 1."""
-    if s.constant_term() != RatPolynomial((1,)):
-        raise ValueError("series_log requires constant term 1")
-    r = s - 1
-    result = TruncatedSeries.constant(s.order, 0)
-    for k, power in _powers_of_zero_constant(r):
-        result = result + power * Fraction((-1) ** (k + 1), k)
-    return result

@@ -121,7 +121,8 @@ def _remainder_sequence(f, g):
 
 
 def _sturm_chain(cs):
-    """Sturm chain of a (square-free) integer polynomial."""
+    """Signed remainder sequence of (p, p') for an integer polynomial p: its
+    Sturm chain, whose last member is gcd(p, p') up to a nonzero factor."""
     p = _primitive(list(cs))
     d = _strip(_derivative(p))
     return _remainder_sequence(p, _primitive(d)) if d else [p]
@@ -167,12 +168,6 @@ def _count_in(chain, lo: Fraction, hi: Fraction) -> int:
     return _variations_at(chain, lo) - _variations_at(chain, hi)
 
 
-def _rat_gcd(f, g):
-    """Primitive gcd of two integer polynomials (positive leading coeff)."""
-    a, b = _primitive(list(f)), _primitive(list(g))
-    return _normalized(_remainder_sequence(a, b)[-1] if b else a)
-
-
 def _exact_div(f, h):
     """f / h for integer polynomials; ValueError unless h divides f with an
     integer quotient."""
@@ -191,7 +186,7 @@ def _exact_div(f, h):
 
 
 def _squarefree(cs):
-    g = _rat_gcd(cs, _derivative(cs))
+    g = _normalized(_sturm_chain(cs)[-1])
     return _normalized(cs if len(g) == 1 else _exact_div(cs, g))
 
 
@@ -305,7 +300,7 @@ def count_negative_real_roots(p: IntPolynomial) -> tuple:
     total = 0
     cs = _primitive(list(p.coeffs))
     while len(cs) > 1:
-        seq = _remainder_sequence(cs, _primitive(_derivative(cs)))
+        seq = _sturm_chain(cs)
         cnt = _negative_index(seq)
         if distinct is None:
             distinct = cnt

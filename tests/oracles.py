@@ -365,6 +365,12 @@ def poly_from_roots(roots):
     return p
 
 
+def gcd_by_roots(f_roots, g_roots):
+    """gcd of the polynomials with the given root multisets: the product of
+    (t - r) over the shared roots, with multiplicity; monic."""
+    return poly_from_roots((Counter(f_roots) & Counter(g_roots)).elements())
+
+
 def interlace_by_sorted_roots(f_roots, g_roots):
     """Verdict from known root multisets: 'strict' | 'weak' | 'none'."""
     a = sorted(f_roots)

@@ -268,6 +268,20 @@ def test_verify_series_negative_order_names_the_order(capsys):
     assert "order must be in 0..16" in err and "d_max" not in err
 
 
+@pytest.mark.parametrize("suite", ["palindrome", "narayana", "gaussian", "qshift",
+                                   "roots", "interlace", "logconcave"])
+def test_verify_negative_dmax_names_the_flag(capsys, monkeypatch, suite):
+    import zpoly.cli as cli
+
+    def no_enumeration(spec, **kwargs):
+        raise AssertionError("a suite ran before --dmax was checked")
+
+    monkeypatch.setattr(cli, "enumerate_flats", no_enumeration)
+    code, out, err = run(capsys, "verify", suite, "--dmax", "-1")
+    assert code == 2 and out == ""
+    assert "--dmax" in err and "d_max" not in err
+
+
 def test_verify_logconcave(capsys):
     code, out, _ = run(capsys, "verify", "logconcave", "--family", "braid",
                        "--dmax", "10")

@@ -348,6 +348,8 @@ def test_series_identities_small():
     assert series_identity_check(BRAID, 0)
     assert series_identity_check(BRAID, 8)
     assert series_identity_check(TYPE_B, 8)
+    assert series_identity_check(BRAID, 16)
+    assert series_identity_check(TYPE_B, 16)
     with pytest.raises(ValueError):
         series_identity_check(BRAID, 17)
     with pytest.raises(ValueError):
@@ -355,12 +357,20 @@ def test_series_identities_small():
 
 
 @pytest.mark.parametrize("family", [BRAID, TYPE_B], ids=str)
-@pytest.mark.parametrize("table, d, k", [("W", 4, 2), ("w", 5, 1), ("W", 6, 6)])
+@pytest.mark.parametrize("table, d, k", [("W", 4, 2), ("w", 5, 1), ("W", 6, 6),
+                                        ("P", 5, -1), ("Z", 2, -1)])
 def test_series_identity_catches_a_changed_table_entry(monkeypatch, family, table, d, k):
+    # W, w: Whitney entry (d, k); P, Z: coefficient k of P_d or Z_d in the memo
     real = families.build_tables
 
     def changed(fam, d_max):
         tb = real(fam, d_max)
+        if table in "PZ":
+            kl_family(tb, d_max)
+            memo = [[list(cs) for cs in half] for half in tb._pz]
+            memo["PZ".index(table)][d][k] += 1
+            tb._pz = tuple(memo)
+            return tb
         rows = [list(row) for row in getattr(tb, table)]
         rows[d][k] += 1
         W, w = (rows, tb.w) if table == "W" else (tb.W, rows)

@@ -531,6 +531,13 @@ def test_readme_json_examples_decode():
     assert [enumerate_flats(matroid_spec_from_json(obj)).n for obj in examples] == [12, 5, 5, 5, 4]
 
 
+def test_readme_python_quickstart_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
 def test_graded_validation_on_corpus():
     for spec in (UniformSpec(1, 3), UniformSpec(0, 4), k_complete(5),
                  GraphSpec(4, [(0, 1), (1, 2), (2, 3)])):

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from zpoly import (IntPolynomial, RatPolynomial, TruncatedSeries,
-                   format_polynomial, is_palindromic, reverse, series_exp,
-                   series_log)
+from zpoly import (IntPolynomial, RatPolynomial, format_polynomial,
+                   is_palindromic, reverse)
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(IntPolynomial)
 
@@ -74,65 +73,11 @@ def test_format():
     assert format_polynomial((0, 1)) == "t"
 
 
-def one_plus_u(order):
-    return (TruncatedSeries.constant(order, 1)
-            + TruncatedSeries.u_monomial(order, RatPolynomial((1,)), 1))
-
-
-def test_series_log_mercator():
-    s = series_log(one_plus_u(3))
-    assert [c.coefficient(0) for c in s.coeffs] == \
-        [0, 1, Fraction(-1, 2), Fraction(1, 3)]
-
-
-def test_series_exp_log_roundtrip():
-    s = one_plus_u(8)
-    assert series_exp(series_log(s)) == s
-
-
-def test_series_preconditions():
-    u = TruncatedSeries.u_monomial(4, RatPolynomial((1,)), 1)
-    with pytest.raises(ValueError):
-        series_log(u)
-    with pytest.raises(ValueError):
-        series_exp(one_plus_u(4))
-
-
-@given(st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 4)), max_size=4))
-def test_series_exp_log_roundtrip_random(tail):
-    order = 6
-    coeffs = [RatPolynomial((1,))] + [RatPolynomial((Fraction(a, b),))
-                                      for a, b in tail]
-    s = TruncatedSeries(order, coeffs)
-    assert series_exp(series_log(s)) == s
-
-
-def test_series_take_integer_polynomials():
-    one_plus_t = IntPolynomial([1, 1])
-    want = RatPolynomial([1, 1])
-    assert TruncatedSeries(2, [one_plus_t]) == TruncatedSeries(2, [want])
-    assert TruncatedSeries.constant(2, one_plus_t) == TruncatedSeries(2, [want])
-    s = TruncatedSeries.constant(2, 1)
-    assert s + one_plus_t == s + want == TruncatedSeries(2, [RatPolynomial([2, 1])])
-    assert s - one_plus_t == s - want == TruncatedSeries(2, [RatPolynomial([0, -1])])
-    assert one_plus_t + s == s + one_plus_t
-    assert one_plus_t - s == -(s - one_plus_t)
-
-
 def test_rat_polynomial_normalization():
     p = RatPolynomial([Fraction(2, 4), Fraction(0), Fraction(0)])
     assert p.degree == 0
     assert p.coefficient(0) == Fraction(1, 2)
     assert p.derivative() == RatPolynomial()
-
-
-def test_series_divide_t_power():
-    poly_t2 = RatPolynomial((0, 0, 3))
-    s = TruncatedSeries.u_monomial(3, poly_t2, 2)
-    shifted = s.divide_t_power(2)
-    assert shifted.coeffs[2] == RatPolynomial((3,))
-    with pytest.raises(ValueError):
-        TruncatedSeries.u_monomial(3, RatPolynomial((1,)), 1).divide_t_power(1)
 
 
 def test_mixed_int_and_rat_operands_are_exact():
@@ -146,6 +91,3 @@ def test_mixed_int_and_rat_operands_are_exact():
     assert IntPolynomial([1]) != RatPolynomial([1])
     assert not RatPolynomial([1]) == IntPolynomial([1])
     assert type(IntPolynomial([1, 2]) * 3) is IntPolynomial
-    series = TruncatedSeries.constant(2, half)
-    assert series * IntPolynomial([1, 1]) == series * RatPolynomial([1, 1])
-    assert IntPolynomial([1, 1]) * series == series * RatPolynomial([1, 1])

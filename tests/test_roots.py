@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (interlace_by_sorted_roots, interlace_witness_by_sorted_roots,
-                     poly_from_roots, sign_changes_on_grid)
+from oracles import (gcd_by_roots, interlace_by_sorted_roots,
+                     interlace_witness_by_sorted_roots, poly_from_roots,
+                     sign_changes_on_grid)
 from zpoly import (BRAID, TYPE_B, IntPolynomial, InterlaceKind, InterlaceVerdict,
                    SturmCertificate, build_tables, certify_roots, check_certificate,
                    conjecture_sweep, count_negative_real_roots, interlaces,
@@ -277,11 +278,10 @@ def test_pinned_sweep_rows():
 
 
 def test_strict_implies_trivial_gcd():
-    from zpoly.roots import _rat_gcd
     f = poly_from_roots([-1, -3, -7])
     g = poly_from_roots([-2, -5])
     assert interlaces(f, g).kind is InterlaceKind.STRICT
-    assert len(_rat_gcd(list(f.coeffs), list(g.coeffs))) == 1
+    assert roots._cauchy_strict(f.coeffs, g.coeffs) == (True, [1])
 
 
 def _pair_roots(draw):
@@ -313,7 +313,7 @@ def test_cauchy_index_against_isolation_route(data):
     strict, h = roots._cauchy_strict(f.coeffs, g.coeffs)
     expected = interlace_by_sorted_roots(f_roots, g_roots)
     assert strict == (expected == "strict")
-    assert h == roots._rat_gcd(list(f.coeffs), list(g.coeffs))
+    assert h == list(gcd_by_roots(f_roots, g_roots).coeffs)
     v = interlaces(f, g)
     assert v.kind.value == expected
     assert v.witness == interlace_witness_by_sorted_roots(f_roots, g_roots)
