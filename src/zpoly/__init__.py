@@ -2,8 +2,8 @@
 matroids, with fast recursions for contraction-closed families, certified
 real-root isolation, and equivariant refinements."""
 
-from .polyarith import (IntPolynomial, RatPolynomial, format_polynomial,
-                        is_palindromic, reverse)
+from .polyarith import (IntPolynomial, format_polynomial, is_palindromic,
+                        reverse)
 from .matroid import (ExplicitBases, ExplicitFlats, FlatCapExceeded,
                       FlatLattice, GraphSpec, LinearVectors, MatroidSpec,
                       UniformSpec, bareiss_rank, characteristic_polynomial,

@@ -276,9 +276,9 @@ def kl_closed_family(tables: WhitneyTables, d: int, i: int) -> int:
 
 def q_shift_check(q: int, d_max: int) -> bool:
     """Exactly verify Z_d(t) = Z_{d-1}(qt) + t Z_{d-1}(t) for 1 <= d <= d_max
-    in the F_q vector-matroid family."""
-    if q < 2 or d_max < 1:
-        raise ValueError("need q >= 2 and d_max >= 1")
+    in the F_q vector-matroid family; vacuously True for d_max = 0."""
+    if q < 2:
+        raise ValueError(f"need q >= 2, got q = {q}")
     tables = build_tables(qvec_family(q), d_max)
     for d in range(1, d_max + 1):
         zd = z_family(tables, d)

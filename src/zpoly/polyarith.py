@@ -1,25 +1,27 @@
-"""Exact integer and rational polynomials.
+"""Exact integer polynomials.
 
-Everything in this module is big-integer or big-rational; there is no
-floating point anywhere.  Polynomials are dense (the degrees in this
-problem domain stay small) and immutable.
+Every coefficient is a Python int, so arithmetic is exact big-integer
+arithmetic with no floating point anywhere.  Polynomials are dense (the
+degrees in this problem domain stay small) and immutable.  Evaluation at a
+Fraction is exact too: it starts from the integer 0.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import index
 
 
-class _Polynomial:
-    """Univariate polynomial, coefficients low degree first; the last stored
-    one is nonzero, so zero stores ().  Subclasses fix the ring (_coerce) and
-    the scalars they equal.  Mixing in a RatPolynomial or a Fraction gives
-    the exact RatPolynomial."""
+class IntPolynomial:
+    """Univariate polynomial with arbitrary-precision integer coefficients,
+    low degree first; the last stored one is nonzero, so zero stores ().
+    Coefficients go through operator.index, and the only scalars it adds,
+    multiplies or equals are ints: a float, Fraction or string raises
+    TypeError instead of being truncated."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(map(self._coerce, coeffs))
+        cs = list(map(index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -29,10 +31,10 @@ class _Polynomial:
         """Degree, with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, i: int):
+    def coefficient(self, i: int) -> int:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return self._coerce(0)
+        return 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -43,36 +45,28 @@ class _Polynomial:
     def __eq__(self, other) -> bool:
         if type(other) is type(self):
             return self.coeffs == other.coeffs
-        if isinstance(other, self._scalars):
-            return self.coeffs == (() if other == 0 else (self._coerce(other),))
+        if isinstance(other, int):
+            return self.coeffs == (() if other == 0 else (other,))
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def _promote(self, other):
-        """other as a polynomial, a Fraction as a RatPolynomial; None if neither."""
-        if isinstance(other, _Polynomial):    # first: isinstance on Fraction is slow
-            return other
-        if isinstance(other, (int, Fraction)):
-            return (RatPolynomial if isinstance(other, Fraction) else type(self))((other,))
-        return None
-
     def __neg__(self):
         return type(self)(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
-        other = self._promote(other)
-        if other is None:
+        if isinstance(other, int):
+            other = IntPolynomial((other,))
+        elif not isinstance(other, IntPolynomial):
             return NotImplemented
-        cls = type(other) if isinstance(other, RatPolynomial) else type(self)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return cls(out)
+        return type(self)(out)
 
     __radd__ = __add__
 
@@ -83,19 +77,19 @@ class _Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._promote(other)
-        if other is None:
+        if isinstance(other, int):
+            other = IntPolynomial((other,))
+        elif not isinstance(other, IntPolynomial):
             return NotImplemented
-        cls = type(other) if isinstance(other, RatPolynomial) else type(self)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return cls()
+            return type(self)()
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return cls(out)
+        return type(self)(out)
 
     __rmul__ = __mul__
 
@@ -106,7 +100,7 @@ class _Polynomial:
         return type(self)((0,) * power + self.coeffs)
 
     def __call__(self, x):
-        value = self._coerce(0)
+        value = 0
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
@@ -116,18 +110,6 @@ class _Polynomial:
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.coeffs)})"
-
-
-class IntPolynomial(_Polynomial):
-    """Polynomial with arbitrary-precision integer coefficients."""
-
-    __slots__ = ()
-    _coerce = int
-    _scalars = int
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
 
     def __str__(self):
         return format_polynomial(self.coeffs)
@@ -167,15 +149,3 @@ def is_palindromic(p: IntPolynomial, d: int) -> bool:
     if p.degree > d:
         return False
     return reverse(p, d) == p
-
-
-class RatPolynomial(_Polynomial):
-    """Polynomial with exact rational coefficients.
-
-    Fractions keep themselves in lowest terms with positive denominator,
-    so normalization is automatic.
-    """
-
-    __slots__ = ()
-    _coerce = Fraction
-    _scalars = (int, Fraction)

@@ -50,7 +50,7 @@ from functools import lru_cache
 from math import gcd
 
 from .families import NiceFamily, build_tables, z_family
-from .polyarith import IntPolynomial, RatPolynomial
+from .polyarith import IntPolynomial
 
 # --- primitive integer polynomial helpers (low degree first, no trailing 0s)
 
@@ -254,9 +254,10 @@ def _half_degree_strict(f, g) -> bool:
 
 @dataclass(frozen=True)
 class SturmCertificate:
-    """Certificate of root locations: the square-free part, its Sturm chain,
-    and disjoint dyadic intervals (lo, hi] each holding exactly one root."""
-    squarefree: RatPolynomial
+    """Certificate of root locations: the square-free part, its Sturm chain
+    (primitive integer polynomials), and disjoint dyadic intervals (lo, hi]
+    each holding exactly one root."""
+    squarefree: IntPolynomial
     chain: tuple
     isolating: tuple
 
@@ -279,11 +280,12 @@ class InterlaceVerdict:
     witness: int | None = None
 
 
-def squarefree_part(p: IntPolynomial) -> RatPolynomial:
-    """p / gcd(p, p'), primitive with positive leading coefficient."""
+def squarefree_part(p: IntPolynomial) -> IntPolynomial:
+    """p / gcd(p, p'), an integer polynomial that is primitive with positive
+    leading coefficient."""
     if p.is_zero():
         raise ValueError("zero polynomial has no square-free part")
-    return RatPolynomial(_squarefree(list(p.coeffs)))
+    return IntPolynomial(_squarefree(list(p.coeffs)))
 
 
 def count_negative_real_roots(p: IntPolynomial) -> tuple:
@@ -367,8 +369,8 @@ def certify_roots(p: IntPolynomial) -> SturmCertificate:
     sf = _squarefree(list(p.coeffs))
     chain, intervals = _isolate(sf)
     return SturmCertificate(
-        squarefree=RatPolynomial(sf),
-        chain=tuple(RatPolynomial(cs) for cs in chain),
+        squarefree=IntPolynomial(sf),
+        chain=tuple(IntPolynomial(cs) for cs in chain),
         isolating=tuple(intervals),
     )
 
@@ -426,7 +428,7 @@ def check_certificate(p: IntPolynomial, cert: SturmCertificate) -> bool:
         prev_hi = hi
     if not _divides(s, cs):
         return False
-    power = RatPolynomial([1])
+    power = IntPolynomial([1])
     for _ in range(len(cs) - len(s) + 1):
         power = power * cert.squarefree
     return _divides(cs, power.coeffs)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from zpoly import q_shift_check
 from zpoly.cli import main
 
 
@@ -232,6 +233,14 @@ def test_verify_qshift(capsys):
     code, out, _ = run(capsys, "verify", "qshift", "--dmax", "5")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_verify_qshift_dmax_zero_is_vacuous(capsys):
+    code, out, _ = run(capsys, "verify", "qshift", "--dmax", "0")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 4 and all(c["pass"] for c in checks)
+    assert q_shift_check(2, 0) is True
 
 
 def test_verify_roots_small(capsys):

@@ -69,6 +69,7 @@ def test_family_validation():
     (lambda: lattice_spec(BRAID, -1), "rank must be nonnegative"),
     (lambda: qvec_flats(4, 2), "needs q prime"),
     (lambda: q_shift_check(1, 3), "need q >= 2"),
+    (lambda: q_shift_check(2, -1), "^d_max must be nonnegative"),
 ])
 def test_input_checks_raise(make, message):
     with pytest.raises(ValueError, match=message):

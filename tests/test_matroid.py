@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 from itertools import combinations, product
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from zpoly import (ExplicitBases, ExplicitFlats, FlatCapExceeded, FlatLattice, G
                    characteristic_polynomial, contraction, enumerate_flats,
                    localization, matroid_spec_from_json, mobius_from_bottom,
                    whitney_multi)
+from zpoly.cli import main
 from zpoly.matroid import _JSON_SPECS, _enumerate_by_covers, _vectors_oracle
 
 
@@ -536,6 +538,29 @@ def test_readme_python_quickstart_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_command_line_block_runs(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("zpoly ")]
+    assert len(lines) == 11
+    k4 = k_complete(4)
+    (tmp_path / "k4.json").write_text(json.dumps(
+        {"type": "graph", "vertices": k4.vertices, "edges": k4.edges}))
+    monkeypatch.chdir(tmp_path)
+    compared = 0
+    for line in lines:
+        command, _, comment = line.partition(" #")
+        assert main(shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out
+        # a comment of digits, t, ^, + and spaces alone (a polynomial in t
+        # or an integer) is the exact first line the command prints
+        expected = comment.strip()
+        if re.fullmatch(r"[0-9t^+ ]+", expected):
+            assert out.splitlines()[0] == expected, line
+            compared += 1
+    assert compared == 2
 
 
 def test_graded_validation_on_corpus():

@@ -25,6 +25,7 @@ def test_squarefree_examples():
     p = IntPolynomial([1, 3, 1])
     assert squarefree_part(p).coeffs == (1, 3, 1)
     assert squarefree_part(IntPolynomial([0, 0, 0, 1])).coeffs == (0, 1)
+    assert type(squarefree_part(p)) is IntPolynomial
     with pytest.raises(ValueError):
         squarefree_part(IntPolynomial())
 
@@ -82,9 +83,8 @@ def test_certificate_structure():
     assert cert.chain[0] == cert.squarefree
     # chain[1] is the derivative up to a positive content factor
     deriv = cert.squarefree.derivative()
-    ratio = deriv.coeffs[-1] / cert.chain[1].coeffs[-1]
-    assert ratio > 0
-    assert cert.chain[1] * ratio == deriv
+    assert deriv.coeffs[-1] * cert.chain[1].coeffs[-1] > 0
+    assert cert.chain[1] * deriv.coeffs[-1] == deriv * cert.chain[1].coeffs[-1]
     # each interval holds exactly one sign change of the square-free part
     for lo, hi in cert.isolating:
         slo = cert.squarefree(lo)
@@ -523,7 +523,9 @@ def test_check_certificate():
     for p in (poly_from_roots([-1, -2, -5]), poly_from_roots([-1, -1, -3]),
               IntPolynomial([1, 7, 7, 1]), IntPolynomial([1]),
               z_family(build_tables(TYPE_B, 12), 12)):
-        assert check_certificate(p, certify_roots(p)), p
+        cert = certify_roots(p)
+        assert check_certificate(p, cert), p
+        assert all(type(q) is IntPolynomial for q in (cert.squarefree, *cert.chain))
     p = poly_from_roots([-1, -2, -5, -9])
     cert = certify_roots(p)
     iso = list(cert.isolating)
