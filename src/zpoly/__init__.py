@@ -2,6 +2,8 @@
 matroids, with fast recursions for contraction-closed families, certified
 real-root isolation, and equivariant refinements."""
 
+from types import ModuleType as _ModuleType
+
 from .polyarith import (IntPolynomial, format_polynomial, is_palindromic,
                         reverse)
 from .matroid import (ExplicitBases, ExplicitFlats, FlatCapExceeded,
@@ -31,4 +33,5 @@ from .equivariant import (ClassFunctionTable, PermGroup, SymFunction,
                           equivariant_whitney_uniform, h_product, h_to_schur,
                           is_schur_positive, kostka_number)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

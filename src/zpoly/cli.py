@@ -186,11 +186,10 @@ def _suite_palindrome(args):
         z = IntPolynomial(_defining_table(lat)[1][lat.bottom_id])
         checks.append({"name": f"palindrome:{label}",
                        "pass": is_palindromic(z, lat.rk_total)})
-    dmax = args.dmax if args.dmax is not None else 40
     for family in (BRAID, TYPE_B, uniform_family(1), qvec_family(2)):
-        tables = build_tables(family, dmax)
-        ok = all(is_palindromic(z_family(tables, d), d) for d in range(dmax + 1))
-        checks.append({"name": f"palindrome:{family}:d<={dmax}", "pass": ok})
+        tables = build_tables(family, args.dmax)
+        ok = all(is_palindromic(z_family(tables, d), d) for d in range(args.dmax + 1))
+        checks.append({"name": f"palindrome:{family}:d<={args.dmax}", "pass": ok})
     return checks
 
 
@@ -205,10 +204,9 @@ def _suite_crossmethod(args):
 
 
 def _suite_narayana(args):
-    dmax = args.dmax if args.dmax is not None else 12
-    tables = build_tables(uniform_family(1), dmax)
+    tables = build_tables(uniform_family(1), args.dmax)
     checks = []
-    for d in range(dmax + 1):
+    for d in range(args.dmax + 1):
         z = z_family(tables, d)
         ok = all(z.coefficient(i) == narayana(d + 1, i + 1) for i in range(d + 1))
         checks.append({"name": f"narayana:d={d}", "pass": ok})
@@ -216,26 +214,23 @@ def _suite_narayana(args):
 
 
 def _suite_gaussian(args):
-    dmax = args.dmax if args.dmax is not None else 10
     checks = []
     for q in (2, 3, 4, 5):
-        tables = build_tables(qvec_family(q), dmax)
+        tables = build_tables(qvec_family(q), args.dmax)
         ok = all(z_family(tables, d).coefficient(i) == gaussian_binomial(d, i, q)
-                 for d in range(dmax + 1) for i in range(d + 1))
-        checks.append({"name": f"gaussian:q={q}:d<={dmax}", "pass": ok})
+                 for d in range(args.dmax + 1) for i in range(d + 1))
+        checks.append({"name": f"gaussian:q={q}:d<={args.dmax}", "pass": ok})
     return checks
 
 
 def _suite_qshift(args):
-    dmax = args.dmax if args.dmax is not None else 10
-    return [{"name": f"qshift:q={q}:d<={dmax}", "pass": q_shift_check(q, dmax)}
+    return [{"name": f"qshift:q={q}:d<={args.dmax}", "pass": q_shift_check(q, args.dmax)}
             for q in (2, 3, 4, 5)]
 
 
 def _sweep_checks(args, which):
-    dmax = args.dmax if args.dmax is not None else 20
     family = parse_family(args.family) if args.family else BRAID
-    rows = conjecture_sweep(family, dmax, threads=_threads(),
+    rows = conjecture_sweep(family, args.dmax, threads=_threads(),
                             include_certificates=args.certificates)
     checks = []
     for row in rows:
@@ -252,14 +247,13 @@ def _sweep_checks(args, which):
 
 
 def _suite_logconcave(args):
-    dmax = args.dmax if args.dmax is not None else 20
     families = ([parse_family(args.family)] if args.family else
                 [BRAID, TYPE_B, uniform_family(1), uniform_family(2), qvec_family(2)])
     checks = []
     for family in families:
-        tables = build_tables(family, dmax)
-        ok = all(is_log_concave(z_family(tables, d)) for d in range(dmax + 1))
-        checks.append({"name": f"logconcave:{family}:d<={dmax}", "pass": ok})
+        tables = build_tables(family, args.dmax)
+        ok = all(is_log_concave(z_family(tables, d)) for d in range(args.dmax + 1))
+        checks.append({"name": f"logconcave:{family}:d<={args.dmax}", "pass": ok})
     return checks
 
 
@@ -296,27 +290,26 @@ def _suite_schur(args):
 
 
 def _suite_series(args):
-    order_braid = args.order if args.order is not None else 12
-    order_typeb = args.order if args.order is not None else 10
-    return [
-        {"name": f"series:braid:order={order_braid}",
-         "pass": series_identity_check(BRAID, order_braid)},
-        {"name": f"series:typeb:order={order_typeb}",
-         "pass": series_identity_check(TYPE_B, order_typeb)},
-    ]
+    checks = []
+    for family, default in ((BRAID, 12), (TYPE_B, 10)):
+        order = default if args.dmax is None else args.dmax
+        checks.append({"name": f"series:{family}:order={order}",
+                       "pass": series_identity_check(family, order)})
+    return checks
 
 
+# suite -> (function, default --dmax); None leaves --dmax unset
 SUITES = {
-    "palindrome": _suite_palindrome,
-    "crossmethod": _suite_crossmethod,
-    "narayana": _suite_narayana,
-    "gaussian": _suite_gaussian,
-    "qshift": _suite_qshift,
-    "roots": lambda a: _sweep_checks(a, "roots"),
-    "interlace": lambda a: _sweep_checks(a, "interlace"),
-    "logconcave": _suite_logconcave,
-    "schur": _suite_schur,
-    "series": _suite_series,
+    "palindrome": (_suite_palindrome, 40),
+    "crossmethod": (_suite_crossmethod, None),
+    "narayana": (_suite_narayana, 12),
+    "gaussian": (_suite_gaussian, 10),
+    "qshift": (_suite_qshift, 10),
+    "roots": (lambda a: _sweep_checks(a, "roots"), 20),
+    "interlace": (lambda a: _sweep_checks(a, "interlace"), 20),
+    "logconcave": (_suite_logconcave, 20),
+    "schur": (_suite_schur, None),
+    "series": (_suite_series, None),
 }
 
 
@@ -328,7 +321,9 @@ def cmd_verify(args) -> int:
         return 2
     if args.dmax is not None and args.dmax < 0:
         raise UsageError(f"--dmax must be nonnegative, got {args.dmax}")
-    checks = SUITES[suite](args)
+    run_suite, default_dmax = SUITES[suite]
+    args.dmax = default_dmax if args.dmax is None else args.dmax
+    checks = run_suite(args)
     if not checks:
         raise UsageError(f"suite {suite!r} ran no checks")
     ok = all(c["pass"] for c in checks)
@@ -366,9 +361,7 @@ def cmd_bench(args) -> int:
 
     report = {"family": str(family), "d": d, "rows": rows}
     baseline_flats = sum(tables.W[d][k] for k in range(d + 1))
-    if args.fast_only:
-        report["baseline"] = "skipped (--fast-only)"
-    elif baseline_flats > args.flat_cap:
+    if baseline_flats > args.flat_cap:
         report["baseline"] = (f"skipped (lattice would have {baseline_flats} flats, "
                               f"cap {args.flat_cap})")
     else:
@@ -419,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a named verification suite")
     pv.add_argument("suite")
-    pv.add_argument("--dmax", type=int)
-    pv.add_argument("--order", type=int)
+    pv.add_argument("--dmax", type=int,
+                    help="largest rank d checked; for series, the order")
     pv.add_argument("--family")
     pv.add_argument("--corpus", choices=("small", "full"), default="small")
     pv.add_argument("--certificates", action="store_true",
@@ -431,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("family")
     pb.add_argument("--d", type=int, required=True)
     pb.add_argument("--reps", type=int, default=1)
-    pb.add_argument("--fast-only", action="store_true")
     pb.add_argument("--flat-cap", type=int, default=DEFAULT_FLAT_CAP)
     pb.set_defaults(func=cmd_bench)
 

@@ -78,11 +78,14 @@ class GraphSpec:
     edges: tuple
 
     def __post_init__(self):
-        _integer(self.vertices)
+        if _integer(self.vertices) < 0:
+            raise ValueError(f"vertices must be nonnegative, got {self.vertices}")
         object.__setattr__(self, "edges", tuple(tuple(map(_integer, e)) for e in self.edges))
-        for u, v in self.edges:
-            if not (0 <= u < self.vertices and 0 <= v < self.vertices):
-                raise ValueError(f"edge ({u},{v}) outside vertex range")
+        for e in self.edges:
+            if len(e) != 2:
+                raise ValueError(f"edge {list(e)} is not a pair of vertices")
+            if not all(0 <= u < self.vertices for u in e):
+                raise ValueError("edge ({},{}) outside vertex range".format(*e))
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,8 @@ class ExplicitBases:
     bases: tuple
 
     def __post_init__(self):
-        _integer(self.ground)
+        if _integer(self.ground) < 0:
+            raise ValueError(f"ground must be nonnegative, got {self.ground}")
         object.__setattr__(self, "bases", tuple(frozenset(map(_integer, b)) for b in self.bases))
         if not self.bases:
             raise ValueError("at least one basis required")
@@ -117,7 +121,8 @@ class ExplicitFlats:
     flats: tuple
 
     def __post_init__(self):
-        _integer(self.ground)
+        if _integer(self.ground) < 0:
+            raise ValueError(f"ground must be nonnegative, got {self.ground}")
         object.__setattr__(self, "flats", tuple(frozenset(map(_integer, f)) for f in self.flats))
 
 

@@ -115,7 +115,7 @@ class IntPolynomial:
         return format_polynomial(self.coeffs)
 
 
-def format_polynomial(coeffs, var: str = "t") -> str:
+def format_polynomial(coeffs) -> str:
     """Render coefficients in ascending degree: '1 + 6t + 6t^2 + t^3'."""
     terms = []
     for i, c in enumerate(coeffs):
@@ -125,7 +125,7 @@ def format_polynomial(coeffs, var: str = "t") -> str:
             terms.append(str(c))
         else:
             head = "" if c == 1 else ("-" if c == -1 else str(c))
-            power = var if i == 1 else f"{var}^{i}"
+            power = "t" if i == 1 else f"t^{i}"
             terms.append(head + power)
     if not terms:
         return "0"

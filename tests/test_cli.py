@@ -150,6 +150,8 @@ def test_malformed_matroid_json_is_usage_error(capsys, payload):
     (K4_JSON, ["compute", "tables"], "tables are family data"),
     (K4_JSON, ["compute", "whitney"], "--profile required"),
     (K4_JSON, ["compute", "whitney", "--profile", "1,x"], "bad profile '1,x'"),
+    ('{"type": "graph", "vertices": -2, "edges": []}', ["compute", "chi"],
+     "vertices must be nonnegative, got -2"),
 ])
 def test_matroid_file_input_errors_exit_2(capsys, tmp_path, text, argv, message):
     path = tmp_path / "matroid.json"
@@ -258,7 +260,7 @@ def test_verify_interlace_small(capsys):
 
 
 def test_verify_series_small(capsys):
-    code, out, _ = run(capsys, "verify", "series", "--order", "6")
+    code, out, _ = run(capsys, "verify", "series", "--dmax", "6")
     assert code == 0
     assert json.loads(out)["pass"] is True
 
@@ -272,7 +274,7 @@ def test_verify_suite_with_no_checks_is_a_usage_error(capsys, suite):
 
 
 def test_verify_series_negative_order_names_the_order(capsys):
-    code, out, err = run(capsys, "verify", "series", "--order", "-1")
+    code, out, err = run(capsys, "verify", "series", "--dmax", "17")
     assert code == 2 and out == ""
     assert "order must be in 0..16" in err and "d_max" not in err
 
@@ -350,7 +352,7 @@ def test_bench_trivial(capsys):
 
 
 def test_bench_fast_only(capsys):
-    code, out, _ = run(capsys, "bench", "braid", "--d", "12", "--fast-only")
+    code, out, _ = run(capsys, "bench", "braid", "--d", "12", "--flat-cap", "0")
     assert code == 0
     assert "skipped" in json.loads(out)["baseline"]
 

@@ -129,6 +129,11 @@ def test_spec_constructors_reject_floats_and_bools(make):
      "element 2 outside ground set of size 2"),
     (lambda: UniformSpec(-1, 2), ValueError, "m >= 0 and d >= 0"),
     (lambda: GraphSpec(2, [(0, 2)]), ValueError, r"edge \(0,2\) outside vertex range"),
+    (lambda: GraphSpec(-2, []), ValueError, "vertices must be nonnegative, got -2"),
+    (lambda: GraphSpec(3, [(0,)]), ValueError, r"edge \[0\] is not a pair of vertices"),
+    (lambda: GraphSpec(3, [(0, 1, 2)]), ValueError, r"edge \[0, 1, 2\] is not a pair"),
+    (lambda: ExplicitBases(-1, [[]]), ValueError, "ground must be nonnegative, got -1"),
+    (lambda: ExplicitFlats(-3, [[]]), ValueError, "ground must be nonnegative, got -3"),
     (lambda: ExplicitBases(3, []), ValueError, "at least one basis"),
     (lambda: LinearVectors([(1, 0), (1,)]), ValueError, "common dimension"),
     (lambda: matroid_spec_from_json([]), ValueError, "must be an object"),

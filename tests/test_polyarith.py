@@ -85,3 +85,15 @@ def test_scalar_operands_are_integers():
 def test_constructor_refuses_non_integer_coefficients(coeff):
     with pytest.raises(TypeError):
         IntPolynomial([coeff])
+
+
+def test_operators_with_integers_and_printing():
+    p, q = IntPolynomial([1, 2]), IntPolynomial([0, 2, 5])
+    assert 3 + p == IntPolynomial([4, 2])
+    assert p - q == IntPolynomial([1, 0, -5])
+    assert 3 - p == IntPolynomial([2, -2])
+    assert bool(p) and not IntPolynomial([0, 0])
+    assert IntPolynomial([3]) == 3 and p != 3 and IntPolynomial() == 0
+    assert hash(p) == hash(IntPolynomial([1, 2, 0]))
+    assert repr(q) == "IntPolynomial([0, 2, 5])"
+    assert str(q) == "2t + 5t^2" and str(IntPolynomial()) == "0"

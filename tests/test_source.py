@@ -54,3 +54,13 @@ def test_one_lattice_builder():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path, ())
     assert not found, f"FlatLattice built outside _enumerate_by_covers: {found}"
+
+
+def test_star_import_binds_no_module():
+    # `from zpoly import *` gives the API, not the submodules it comes from
+    import types
+
+    import zpoly
+    modules = [name for name in zpoly.__all__
+               if isinstance(getattr(zpoly, name), types.ModuleType)]
+    assert not modules, f"modules in zpoly.__all__: {modules}"
