@@ -103,7 +103,7 @@ def cmd_compute(args) -> int:
         _emit(args, rows, [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows])
         return 0
 
-    use_family_path = (family is not None and target in ("kl", "z", "whitney")
+    use_family_path = (family is not None and target in ("kl", "z", "chi", "whitney")
                        and not args.all_methods
                        and not (target == "kl" and args.method is not None))
     if use_family_path:
@@ -112,6 +112,8 @@ def cmd_compute(args) -> int:
             poly = kl_family(tables, args.d)
         elif target == "z":
             poly = z_family(tables, args.d)
+        elif target == "chi":           # w_d(k) is chi's coefficient at corank k
+            poly = IntPolynomial(tables.w[args.d])
         else:
             profile = _parse_profile(args.profile)
             value = whitney_multi_family(tables, args.d, profile)
@@ -173,8 +175,8 @@ def _parse_profile(text):
 
 
 def _corpus(args):
-    return (corpus_mod.small_corpus() if args.corpus == "small"
-            else corpus_mod.acceptance_corpus())
+    return (corpus_mod.acceptance_corpus() if args.corpus == "full"
+            else corpus_mod.small_corpus())
 
 
 def _suite_palindrome(args):
@@ -298,18 +300,19 @@ def _suite_series(args):
     return checks
 
 
-# suite -> (function, default --dmax); None leaves --dmax unset
+# suite -> (function, default --dmax, the flags it reads); None leaves --dmax unset
 SUITES = {
-    "palindrome": (_suite_palindrome, 40),
-    "crossmethod": (_suite_crossmethod, None),
-    "narayana": (_suite_narayana, 12),
-    "gaussian": (_suite_gaussian, 10),
-    "qshift": (_suite_qshift, 10),
-    "roots": (lambda a: _sweep_checks(a, "roots"), 20),
-    "interlace": (lambda a: _sweep_checks(a, "interlace"), 20),
-    "logconcave": (_suite_logconcave, 20),
-    "schur": (_suite_schur, None),
-    "series": (_suite_series, None),
+    "palindrome": (_suite_palindrome, 40, {"dmax", "corpus"}),
+    "crossmethod": (_suite_crossmethod, None, {"corpus"}),
+    "narayana": (_suite_narayana, 12, {"dmax"}),
+    "gaussian": (_suite_gaussian, 10, {"dmax"}),
+    "qshift": (_suite_qshift, 10, {"dmax"}),
+    "roots": (lambda a: _sweep_checks(a, "roots"), 20, {"dmax", "family", "certificates"}),
+    "interlace": (lambda a: _sweep_checks(a, "interlace"), 20,
+                  {"dmax", "family", "certificates"}),
+    "logconcave": (_suite_logconcave, 20, {"dmax", "family"}),
+    "schur": (_suite_schur, None, set()),
+    "series": (_suite_series, None, {"dmax"}),
 }
 
 
@@ -319,9 +322,13 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {suite!r}; available: {', '.join(SUITES)}",
               file=sys.stderr)
         return 2
+    run_suite, default_dmax, reads = SUITES[suite]
+    for flag in ("dmax", "family", "corpus", "certificates"):
+        value = getattr(args, flag)     # None or False: not given
+        if flag not in reads and value is not None and value is not False:
+            raise UsageError(f"suite {suite!r} does not read --{flag}")
     if args.dmax is not None and args.dmax < 0:
         raise UsageError(f"--dmax must be nonnegative, got {args.dmax}")
-    run_suite, default_dmax = SUITES[suite]
     args.dmax = default_dmax if args.dmax is None else args.dmax
     checks = run_suite(args)
     if not checks:
@@ -415,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--dmax", type=int,
                     help="largest rank d checked; for series, the order")
     pv.add_argument("--family")
-    pv.add_argument("--corpus", choices=("small", "full"), default="small")
+    pv.add_argument("--corpus", choices=("small", "full"), help="default: small")
     pv.add_argument("--certificates", action="store_true",
                     help="include isolating-interval certificates in reports")
     pv.set_defaults(func=cmd_verify)
@@ -437,6 +444,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "d", None) is not None and args.d < 0:
+            raise UsageError(f"--d must be nonnegative, got {args.d}")
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -206,18 +206,18 @@ def _defining_table(lat: FlatLattice):
     and its low half (degrees <= crk/2) must vanish.  mu(F, .) comes from a
     scalar sweep over chains F <= H <= G; the polynomial work is two sums
     over pairs.  Only orbit representatives are solved and checked, each
-    over its whole interval [F, top]; the other flats copy theirs.  At the
-    bottom, mu(bottom, .), P and Z are constant on orbits, so its row takes
-    mu from _orbit_mobius and adds each orbit once, weighted by its size.
-    Shares nothing with _p_table and is not cached.
+    over its whole interval [F, top]; the other flats copy theirs from the
+    representative, the orbit's highest id.  At the bottom, mu(bottom, .),
+    P and Z are constant on orbits, so its row adds each orbit once, by its
+    size, with mu from the mobius_from_bottom cache when a route has filled
+    it, else from _orbit_mobius.  Shares nothing with _p_table; caches nothing.
     """
     n = lat.n
     ranks = lat.ranks
     rk_total = lat.rk_total
     rep = lat.orbit_rep
     ups = lat.uppers()
-    P = [None] * n
-    Z = [None] * n
+    P, Z = [None] * n, [None] * n
     acc = [0] * n
     for f in reversed(range(n)):
         r = rep[f]
@@ -232,11 +232,12 @@ def _defining_table(lat: FlatLattice):
         S = [0] * (crk + 1)         # sum over G > F of t^{rk G - rk F} P_G
         T = [0] * (crk + 1)         # sum over H > F of mu(F, H) Z_H
         if f == lat.bottom_id:
-            for h, k, w in list(zip(*_orbit_mobius(lat)))[1:]:  # w = k mu(bottom, H)
+            mu = lat._cache.get("mobius") or _orbit_mobius(lat)    # leaves no cache entry
+            for h, k in list(lat.orbit_size.items())[1:]:   # the bottom's orbit is first
                 for j, c in enumerate(P[h]):
                     S[ranks[h] + j] += k * c
                 for j, c in enumerate(Z[h]):
-                    T[j] += w * c
+                    T[j] += k * mu[h] * c
         else:
             ups_f = ups[f]
             for g in ups_f:

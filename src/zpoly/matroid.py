@@ -9,11 +9,11 @@ graphs and vector configurations one finder's permutations of coordinates
 whose transpositions keep the slots of the ground set: a graph's twin
 vertices, which keep the edges keyed by endpoints, and a configuration's
 coordinates, with sign changes (scalings over F_p), that keep its lines.
-The cover oracle runs at one flat per orbit, and the covers and up-sets
-of the other flats are symmetry images of those of the flat they were
-reached from.  Mobius values from the bottom and plain multichain counts
-are constant on orbits, so they walk only the orbit representatives'
-up-sets, weighted by orbit size.
+The cover oracle runs at one flat per orbit, and one walk of each orbit,
+made by the lattice, gives the other flats the symmetry images of the
+covers and up-sets of the flat they were reached from.  Mobius values
+from the bottom and plain multichain counts are constant on orbits, so
+they walk only the orbit representatives' up-sets, weighted by orbit size.
 
 Flats are ground-set bitmasks (Python ints), ordered by inclusion.  Closure
 based enumeration always yields the geometric lattice of the simplification,
@@ -161,13 +161,15 @@ class FlatLattice:
     symmetry holds ground-set permutations that preserve flats, so lattice
     automorphisms.  images, when given, holds their permutations of the
     given flat ids and is trusted; else an error names a flat one of them
-    maps off the lattice.  orbit_rep[f] is the last id in the orbit of
-    flat f under the group they generate; the ids of an orbit share a
-    rank, and without symmetry orbit_rep is range(n).  orbit_size maps
-    each representative, ascending, to its orbit's size.  P and Z of an
-    upper interval depend only on the contraction, and mu(bottom, F) and
-    the multichain counts above F only on F's orbit.  The up-set of g(F)
-    is g's image of the up-set of F.
+    maps off the lattice.  covers[f] may be None when another flat of f's
+    orbit has its covers given; one walk of each orbit maps them to f.
+    orbit_rep[f] is the last id in the orbit of flat f under the group
+    they generate; the ids of an orbit share a rank, and without symmetry
+    orbit_rep is range(n).  orbit_size maps each representative,
+    ascending, to its orbit's size.  P and Z of an upper interval depend
+    only on the contraction, and mu(bottom, F) and the multichain counts
+    above F only on F's orbit.  The up-set of g(F) is g's image of the
+    up-set of F.
     """
 
     __slots__ = ("flats", "ranks", "covers", "rk_total", "n_ground", "ground_mask", "symmetry",
@@ -176,13 +178,11 @@ class FlatLattice:
     def __init__(self, flats: Sequence[int], ranks: Sequence[int], covers: Sequence[Sequence[int]],
                  n_ground: int, symmetry: Sequence[Sequence[int]] = (), images=None):
         order = sorted(range(len(flats)), key=lambda i: (ranks[i], flats[i]))
-        old_to_new = [0] * len(flats)
-        for new, old in enumerate(order):
-            old_to_new[old] = new
+        old_to_new = dict(zip(order, range(len(order))))
         self.flats = tuple(flats[old] for old in order)
         self.ranks = tuple(ranks[old] for old in order)
-        self.covers = tuple(tuple(sorted(map(old_to_new.__getitem__, covers[old])))
-                            for old in order)
+        self.covers = [None if covers[old] is None else
+                       tuple(sorted(map(old_to_new.__getitem__, covers[old]))) for old in order]
         self.rk_total = self.ranks[-1] if self.ranks else 0
         self.n_ground = n_ground
         self.ground_mask = self.flats[-1]
@@ -191,6 +191,7 @@ class FlatLattice:
         if images is not None:
             images = [[old_to_new[image[old]] for old in order] for image in images]
         self.orbit_rep, self.orbit_size, self._orbit_tree = _orbit_representatives(self, images)
+        self.covers = tuple(self.covers)
 
     @property
     def n(self) -> int:
@@ -305,11 +306,13 @@ def flat_permutation(lat: FlatLattice, g) -> list:
 
 
 def _orbit_representatives(lat: FlatLattice, images):
-    """(orbit_rep, orbit_size, tree) of the lattice: the orbit of each flat
-    not yet reached, by decreasing id, closed under the generators' flat
-    permutations.  The tree (order, parent, via) lists the flats in that
-    walk, and each flat y but an orbit's first was reached from parent[y]
-    by the permutation via[y]; without symmetry it is empty."""
+    """(orbit_rep, orbit_size, tree) of the lattice, with lat.covers filled
+    in.  By decreasing id, each flat not yet reached whose covers are given
+    starts its orbit's walk, closed under the generators' flat permutations.
+    The tree (order, parent, via) lists the flats in walk order, and each
+    other flat y of the orbit takes the sorted image under the automorphism
+    via[y] of the covers of parent[y]; without symmetry the tree is empty.
+    orbit_rep[y] is the highest id of y's orbit."""
     if not lat.symmetry:
         return range(lat.n), dict.fromkeys(range(lat.n), 1), ()
     for g in lat.symmetry:
@@ -317,10 +320,11 @@ def _orbit_representatives(lat: FlatLattice, images):
             raise ValueError(f"not a permutation of 0..{lat.n_ground - 1}: {g}")
     if images is None:
         images = [flat_permutation(lat, g) for g in lat.symmetry]
-    rep, size = [None] * lat.n, {}
+    rep, size, top = [None] * lat.n, {}, {}     # rep[y]: where y's walk began, f
+    covers = lat.covers
     order, parent, via = [], [None] * lat.n, [None] * lat.n
     for f in reversed(range(lat.n)):
-        if rep[f] is None:
+        if rep[f] is None and covers[f] is not None:
             rep[f] = f
             orbit = [f]
             for x in orbit:             # grows while iterated
@@ -330,9 +334,11 @@ def _orbit_representatives(lat: FlatLattice, images):
                         rep[y] = f
                         orbit.append(y)
                         parent[y], via[y] = x, image
-            size[f] = len(orbit)
+                        covers[y] = tuple(sorted(map(image.__getitem__, covers[x])))
+            top[f] = max(orbit)         # the orbit's representative
+            size[top[f]] = len(orbit)
             order += orbit
-    return tuple(rep), dict(reversed(size.items())), (order, parent, via)
+    return tuple(map(top.__getitem__, rep)), dict(sorted(size.items())), (order, parent, via)
 
 
 def contraction(lat: FlatLattice, fid: int) -> FlatLattice:
@@ -404,13 +410,13 @@ def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None,
 
     symmetry holds ground permutations that map flats to flats, and the
     lattice carries it.  Each new flat's orbit is closed under them at
-    once, so the oracle runs only at the first flat of each orbit; a flat
-    that a generator reached from x takes the image of x's covers.
+    once, so the oracle runs only at the first flat of each orbit.  The
+    other flats of the orbit get covers None, and FlatLattice's orbit walk
+    gives them the images of the first flat's covers.
     """
     tables = [_byte_tables(g) for g in symmetry]
     images = [[] for _ in symmetry]     # images[j][x]: id of generator j's image of flat x
     flats, ranks, covers, index = [], [], [], {}
-    tree = []                           # (y, x, images[j]): generator j reached y from x
 
     def reach(mask: int, rank: int) -> int:
         """Add a new flat and the rest of its orbit, which take the next
@@ -428,11 +434,10 @@ def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None,
                     index[m] = len(flats)
                     flats.append(m)
                     _check_cap(len(flats), flat_cap, rank)
-                    tree.append((index[m], x, image))
                 image.append(index[m])  # flats are mapped in id order
             x += 1
         ranks.extend([rank] * (x - first))
-        covers.extend([] for _ in range(x - first))
+        covers.extend([[]] + [None] * (x - first - 1))
         return first
 
     bmask, bstate = bottom
@@ -447,8 +452,6 @@ def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None,
                     new_frontier.append((cid, make_state()))
                 covers[fid].append(cid)
         frontier = new_frontier
-    for y, x, image in tree:            # x comes before y
-        covers[y] = list(map(image.__getitem__, covers[x]))
     return FlatLattice(flats, ranks, covers, n, symmetry, images)
 
 
@@ -773,38 +776,34 @@ def _lattice_from_explicit_flats(spec: ExplicitFlats, flat_cap: int | None) -> F
 # poset computations
 
 
-def _orbit_mobius(lat: FlatLattice):
-    """(hs, ks, ws): the orbit representatives H by increasing rank, |O_H|
-    and |O_H| mu(bottom, H), constant on orbits as every symmetry fixes the
-    bottom.  Each G adds |O_G| mu(bottom, G) at rep[H'] for every H' > G; as
-    |O_G| #{H' in O_H : G < H'} = |O_H| #{G' in O_G : G' < H}, that leaves
-    -|O_H| mu(bottom, H) at H, which |O_H| must divide."""
+def _orbit_mobius(lat: FlatLattice) -> tuple:
+    """mu(bottom, F) for every flat, constant on orbits as every symmetry
+    fixes the bottom: one sweep over the orbit representatives H by
+    increasing rank.  Each G adds |O_G| mu(bottom, G) at rep[H'] for every
+    H' > G; as |O_G| #{H' in O_H : G < H'} = |O_H| #{G' in O_G : G' < H},
+    that leaves -|O_H| mu(bottom, H) at H, which |O_H| must divide."""
     ups = lat.uppers()
     rep = lat.orbit_rep if lat.symmetry else None
-    hs, ks = list(lat.orbit_size), list(lat.orbit_size.values())
     acc = [0] * lat.n
     acc[lat.bottom_id] = -1
-    ws = []
-    for h, k in zip(hs, ks):
+    at = {}
+    for h, k in lat.orbit_size.items():
         w = -acc[h]                 # complete: ids are in rank order
         if w % k:
             raise RuntimeError(f"mobius value {w}/{k} on the orbit of flat {h} is not "
                                "an integer: the orbits are not those of the symmetry")
-        ws.append(w)
+        at[h] = w // k
         if w:
             for g in ups[h] if rep is None else map(rep.__getitem__, ups[h]):
                 acc[g] += w
-    return hs, ks, ws
+    return tuple(map(at.__getitem__, lat.orbit_rep))
 
 
-def mobius_from_bottom(lat: FlatLattice):
-    """mu(bottom, F) for every flat, cached: one sweep over the orbit
-    representatives' up-sets, copied to each orbit."""
-    mu = lat._cache.get("mobius")
-    if mu is None:
-        at = {h: w // k for h, k, w in zip(*_orbit_mobius(lat))}
-        mu = lat._cache["mobius"] = tuple(map(at.__getitem__, lat.orbit_rep))
-    return mu
+def mobius_from_bottom(lat: FlatLattice) -> tuple:
+    """mu(bottom, F) for every flat, swept once by _orbit_mobius and cached."""
+    if "mobius" not in lat._cache:
+        lat._cache["mobius"] = _orbit_mobius(lat)
+    return lat._cache["mobius"]
 
 
 def characteristic_polynomial(lat: FlatLattice) -> IntPolynomial:

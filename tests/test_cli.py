@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from zpoly import q_shift_check
+from zpoly import (characteristic_polynomial, enumerate_flats, lattice_spec, parse_family,
+                   q_shift_check)
 from zpoly.cli import main
 
 
@@ -88,6 +89,44 @@ def test_compute_chi_inline(capsys):
                        '{"type": "uniform", "m": 1, "d": 2}')
     assert code == 0
     assert out.strip() == "2 + -3t + t^2"
+
+
+@pytest.mark.parametrize("family, d_max", [
+    ("braid", 4), ("typeb", 4), ("uniform:1", 4), ("uniform:2", 4), ("qvec:2", 3), ("qvec:3", 4),
+])
+def test_compute_chi_family_is_the_lattice_chi(capsys, family, d_max):
+    # the family route reads chi off the Whitney table, w_d(k) at corank k
+    for d in range(d_max + 1):
+        code, out, _ = run(capsys, "compute", "chi", "--family", family, "--d", str(d),
+                           "--format", "json")
+        assert code == 0
+        lat = enumerate_flats(lattice_spec(parse_family(family), d))
+        assert json.loads(out)["chi"] == list(characteristic_polynomial(lat).coeffs), (family, d)
+
+
+def test_compute_chi_family_builds_no_lattice(capsys):
+    # K13 has Bell(13) = 27,644,437 flats, far over the default flat cap
+    code, out, _ = run(capsys, "compute", "chi", "--family", "braid", "--d", "12")
+    assert code == 0
+    assert out.startswith("479001600 + ") and out.strip().endswith("-78t^11 + t^12")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "kl", "--family", "braid"), ("compute", "z", "--family", "braid"),
+    ("compute", "tables", "--family", "braid"), ("compute", "chi", "--family", "braid"),
+    ("bench", "braid"),
+])
+def test_negative_d_names_the_flag(capsys, monkeypatch, argv):
+    import zpoly.cli as cli
+
+    def nothing_built(*args, **kwargs):
+        raise AssertionError("a table or lattice was built before --d was checked")
+
+    for name in ("build_tables", "enumerate_flats", "lattice_spec"):
+        monkeypatch.setattr(cli, name, nothing_built)
+    code, out, err = run(capsys, *argv, "--d", "-1")
+    assert code == 2 and out == ""
+    assert "--d must be nonnegative, got -1" in err
 
 
 def test_compute_tables_csv(capsys):
@@ -291,6 +330,20 @@ def test_verify_negative_dmax_names_the_flag(capsys, monkeypatch, suite):
     code, out, err = run(capsys, "verify", suite, "--dmax", "-1")
     assert code == 2 and out == ""
     assert "--dmax" in err and "d_max" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("crossmethod", "--dmax", "3"), "--dmax"), (("crossmethod", "--dmax", "0"), "--dmax"),
+    (("narayana", "--family", "braid", "--dmax", "2"), "--family"),
+    (("schur", "--corpus", "full", "--certificates"), "--corpus"),
+])
+def test_verify_rejects_flags_the_suite_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert f"suite {argv[0]!r} does not read {flag}" in err
+    code, out, _ = run(capsys, "verify", "roots", "--family", "braid", "--dmax", "3",
+                       "--certificates")
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def test_verify_logconcave(capsys):

@@ -9,7 +9,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from oracles import chain_count_naive, graph_rank, z_naive
-from zpoly import (BRAID, TYPE_B, ExplicitFlats, GraphSpec, IntPolynomial, KlMethod,
+from zpoly import (BRAID, TYPE_B, ExplicitFlats, FlatLattice, GraphSpec, IntPolynomial, KlMethod,
                    LinearVectors, UniformSpec, build_tables, conjecture_sweep, contraction,
                    enumerate_flats, is_palindromic, kl_by_method, kl_coeff_closed, kl_defining,
                    kl_family, lattice_spec, localization, mobius_from_bottom, qvec_flats,
@@ -351,6 +351,51 @@ def test_qvec_orbit_enumeration_equals_full_enumeration():
             assert d < 2 or lat.n_orbits < lat.n, (q, d)
             assert qvec_flats(q, d) == (len(vectors),
                                         tuple(frozenset(_bits(m)) for m in full.flats))
+
+
+def _assert_walk_entry_points_agree(n, oracle, symmetry):
+    """The enumerator gives the covers of one flat per orbit and leaves the
+    orbit walk to map them; the same lattice rebuilt with every cover
+    given, and the flat images computed, has the same covers, orbits and
+    up-sets.  The cover oracle runs once per orbit."""
+    bottom, covers_of = oracle
+    calls = []
+
+    def counted(mask, state):
+        calls.append(mask)
+        return covers_of(mask, state)
+
+    lat = _enumerate_by_covers(n, bottom, counted, None, symmetry)
+    assert None not in lat.covers
+    again = FlatLattice(lat.flats, lat.ranks, lat.covers, lat.n_ground, lat.symmetry)
+    assert (again.covers, again.orbit_rep, list(again.orbit_size.items())) == (
+        lat.covers, lat.orbit_rep, list(lat.orbit_size.items()))
+    assert again.uppers() == lat.uppers()
+    assert len(calls) == lat.n_orbits
+
+
+def test_walk_entry_points_agree_on_braid_typeb_and_f3():
+    for nv in range(4, 9):
+        spec = lattice_spec(BRAID, nv - 1)
+        _assert_walk_entry_points_agree(len(spec.edges), _graph_oracle(spec),
+                                        _graph_symmetry(spec))
+    for d in range(6):
+        vectors = lattice_spec(TYPE_B, d).vectors
+        _assert_walk_entry_points_agree(len(vectors), _vectors_oracle(vectors),
+                                        _vectors_symmetry(vectors))
+    rnd = random.Random(3)
+    f3 = [tuple(code // 3 ** k % 3 for k in range(3)) for code in range(27)]
+    configurations = [[v[:d] for v in f3[1:3 ** d]] for d in range(4)]
+    configurations += [rnd.choices(f3, k=rnd.randint(1, 12)) for _ in range(20)]
+    for vectors in configurations:
+        _assert_walk_entry_points_agree(len(vectors), _vectors_oracle(vectors, 3),
+                                        _vectors_symmetry(vectors, 3))
+
+
+@given(twin_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_walk_entry_points_agree_on_twin_multigraphs(spec):
+    _assert_walk_entry_points_agree(len(spec.edges), _graph_oracle(spec), _graph_symmetry(spec))
 
 
 def _assert_orbit_sweeps_are_full_sweeps(lat):
