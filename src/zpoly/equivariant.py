@@ -7,8 +7,23 @@ refines to a virtual character.  Characters are class functions, so the
 fixed chains are counted once per conjugacy class, at its representative,
 by the plain multichain counter and closed-formula sum restricted to the
 flats it fixes: at the identity the value is the plain count by construction.
-Generators of the full symmetric group are recognised (Jordan's theorem),
-and its classes are the cycle types, so Sym(n) needs no element list.
+The fixed flags and chain counts of a permutation are kept on the lattice,
+so every character of every group reads them from one count.
+
+Two actions of a symmetric group are recognised from their generators and
+need no element list, since their classes are the vertex cycle types: the
+natural action of Sym(n) (Jordan's theorem), and Sym(m), m >= 5, acting on
+the C(m, 2) edges of K_m.  The edge action is found through the "shares a
+vertex" relation, an orbital of the group on point pairs; in that relation
+the m stars (the edges at one vertex) are the cliques of size m - 1, and
+each edge lies in two of them.  Recognition is then verified, which makes
+it sound whatever the search found: every generator g maps stars onto
+stars and equals the permutation of edges induced by its star permutation
+sigma_g, and the sigma_g pass Jordan's test.  The group is then the image of
+Sym(m), and the image is faithful for m >= 3, so it has order m! and its
+classes are the images of the cycle types.  Any other group is listed by
+closure.
+
 For uniform matroids with the full symmetric group the characters are
 written exactly in the h-basis of symmetric functions, with Schur expansion
 through Kostka numbers.
@@ -19,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, isqrt
 
 from .klz import _closed_sum
-from .matroid import (FlatLattice, _multichain_counts, flat_permutation,
+from .matroid import (FlatLattice, _bits, _multichain_counts, flat_permutation,
                       symmetric_generators)
 
 _GROUP_CAP = 10 ** 6
@@ -316,6 +331,14 @@ def _smallest_of_cycle_type(lam) -> tuple:
     return tuple(perm)
 
 
+def _find(parent: list, x: int) -> int:
+    """The root of x in a union-find forest, halving the path walked."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _generates_symmetric(n: int, gens) -> bool:
     """True only if the generators generate Sym(n).  A generator with one
     2-cycle (a b) and otherwise odd cycles has the transposition (a b) as a
@@ -334,42 +357,107 @@ def _generates_symmetric(n: int, gens) -> bool:
     else:
         return False
     a = next(x for x in range(n) if g[g[x]] == x != g[x])
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     parent = list(range(n))
     parent[g[a]] = a
     pairs = [(a, g[a])]
     for x, y in pairs:          # grows while iterated: one pair per merge
         for h in gens:
-            u, v = find(h[x]), find(h[y])
+            u, v = _find(parent, h[x]), _find(parent, h[y])
             if u != v:
                 parent[v] = u
                 pairs.append((u, v))
     return len(pairs) == n - 1
 
 
+def _edge_labels(n: int, gens):
+    """The vertex pair (a, b), a < b, of every point, if the generators act
+    as Sym(m), m >= 5, on the n = C(m, 2) edges of K_m; else None.  Each
+    orbital (union-find over the unordered point pairs) of size n(m - 2),
+    the size of "shares a vertex", is tried in turn.  In that relation the
+    star through adjacent p and q is p, q and every common neighbour
+    adjacent to another common neighbour; the other common neighbour, the
+    edge joining the far ends, is adjacent to none.  The stars number m,
+    have m - 1 points each and cover every point twice.  Sound, not
+    complete: a labelling is returned only if each generator is the action
+    induced by a star permutation and those permutations pass Jordan's
+    test."""
+    m = (1 + isqrt(1 + 8 * n)) // 2
+    if m < 5 or m * (m - 1) // 2 != n:
+        return None
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    parent = list(range(n * n))         # pair {p, q}, p < q, is p * n + q
+    for g in gens:
+        for p, q in pairs:
+            u = _find(parent, p * n + q)
+            v = _find(parent, min(g[p], g[q]) * n + max(g[p], g[q]))
+            if u != v:
+                parent[v] = u
+    orbitals = {}
+    for p, q in pairs:
+        orbitals.setdefault(_find(parent, p * n + q), []).append((p, q))
+    for orbital in orbitals.values():
+        if len(orbital) != n * (m - 2):
+            continue
+        adj = [0] * n
+        for p, q in orbital:
+            adj[p] |= 1 << q
+            adj[q] |= 1 << p
+        stars = set()
+        for p, q in orbital:
+            common = adj[p] & adj[q]
+            stars.add(sum(1 << x for x in _bits(common) if adj[x] & common)
+                      | 1 << p | 1 << q)
+        stars = sorted(stars)
+        if len(stars) != m or any(s.bit_count() != m - 1 for s in stars):
+            continue
+        labels = tuple(tuple(i for i, s in enumerate(stars) if s >> p & 1) for p in range(n))
+        if any(len(lab) != 2 for lab in labels) or len(set(labels)) != n:
+            continue
+        star_id = {s: i for i, s in enumerate(stars)}
+        index = {lab: p for p, lab in enumerate(labels)}
+        sigmas = []
+        for g in gens:
+            sigma = [star_id.get(sum(1 << g[p] for p in _bits(s))) for s in stars]
+            if None in sigma or g != tuple(index[tuple(sorted((sigma[a], sigma[b])))]
+                                         for a, b in labels):
+                break
+            sigmas.append(sigma)
+        else:
+            if _generates_symmetric(m, sigmas):
+                return labels
+    return None
+
+
 class PermGroup:
     """A permutation group on {0..n-1}.  A group given by its elements, or
-    by generators whose closure it is, stores the sorted element list; the
-    full symmetric group (elements None, or generators that
-    `from_generators` recognises) lists its elements only when asked."""
+    by generators whose closure it is, stores the sorted element list.  A
+    group given as Sym(m) acting through point labels (point p is the vertex
+    set labels[p], moved as a set) lists its elements only when asked: its
+    order is m!, and its classes are the images of the cycle types of
+    Sym(m), each represented by the image of the first permutation of that
+    type.  Without labels (elements None) it is the natural action of
+    Sym(n), the only case that `is_symmetric` names.  `from_generators`
+    recognises the natural action by Jordan's test and the action on the
+    edges of K_m, m >= 5, by its stars, verified as in the module notes."""
 
-    def __init__(self, n: int, elements=None, generators=()):
+    def __init__(self, n: int, elements=None, generators=(), labels=None):
         self.n = n
-        self.is_symmetric = elements is None
+        self.is_symmetric = elements is None and labels is None
         self._elements = None if elements is None else tuple(sorted(set(elements)))
         if self._elements is not None and self.identity not in set(self._elements):
             raise ValueError("identity missing from group closure")
+        self._labels = None
+        if elements is None:
+            self._labels = labels or tuple((p,) for p in range(n))
+            self._label_index = {key: p for p, lab in enumerate(self._labels)
+                                 for key in permutations(lab)}
+            self._label_columns = tuple(zip(*self._labels))
+            self._vertices = len({v for lab in self._labels for v in lab})
         self.generators = tuple(generators) or self.elements
         self._classes = None
 
     def __len__(self):
-        return factorial(self.n) if self.is_symmetric else len(self._elements)
+        return len(self._elements) if self._labels is None else factorial(self._vertices)
 
     @property
     def identity(self):
@@ -377,10 +465,20 @@ class PermGroup:
 
     @property
     def elements(self) -> tuple:
-        """All elements in sorted order (computed once for Sym(n))."""
+        """All elements in sorted order (for a labelled action, the images
+        of Sym(m), computed once; the natural action's are Sym(n) itself)."""
         if self._elements is None:
-            self._elements = tuple(permutations(range(self.n)))
+            sigmas = permutations(range(self._vertices))
+            self._elements = (tuple(sigmas) if self.is_symmetric
+                              else tuple(sorted(map(self._induced, sigmas))))
         return self._elements
+
+    def _induced(self, sigma) -> tuple:
+        """The permutation of points induced by the vertex permutation sigma:
+        p goes to the point labelled sigma(labels[p]), read column by column
+        from an index that holds every label in every order."""
+        images = (map(sigma.__getitem__, col) for col in self._label_columns)
+        return tuple(map(self._label_index.__getitem__, zip(*images)))
 
     @classmethod
     def from_generators(cls, n: int, generators, cap: int = _GROUP_CAP) -> "PermGroup":
@@ -388,10 +486,12 @@ class PermGroup:
         for g in gens:
             if sorted(g) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
-        if _generates_symmetric(n, gens):
-            if factorial(n) > cap:
-                raise ValueError(f"group closure exceeds cap {cap}")
-            return cls(n, None, gens)
+        labels = None
+        if _generates_symmetric(n, gens) or (labels := _edge_labels(n, gens)):
+            group = cls(n, None, gens, labels)
+            if len(group) > cap:
+                raise ValueError(f"group order {len(group)} exceeds cap {cap}")
+            return group
         identity = tuple(range(n))
         elements = {identity}
         frontier = [identity]
@@ -420,7 +520,9 @@ class PermGroup:
         """The conjugacy classes, each a tuple of this group's own element
         tuples with its representative first; computed once and cached.
         A class is an orbit under conjugation by the generators, which
-        generate the group, so the orbit is the whole class."""
+        generate the group, so the orbit is the whole class.  Listed groups
+        start each orbit at the first element not yet seen, labelled actions
+        at each of `class_representatives()`."""
         if self._classes is None:
             elements = self.elements
             index = {h: k for k, h in enumerate(elements)}
@@ -432,7 +534,9 @@ class PermGroup:
                 conjugators.append((g, inv))
             seen = [False] * len(elements)
             classes = []
-            for start in range(len(elements)):
+            starts = (range(len(elements)) if self._labels is None
+                      else map(index.__getitem__, self.class_representatives()))
+            for start in starts:
                 if seen[start]:
                     continue
                 seen[start] = True
@@ -450,10 +554,11 @@ class PermGroup:
 
     def class_representatives(self) -> tuple:
         """The first member of each of `classes()`, in the same order (the
-        identity first); for Sym(n) the first permutation of each cycle
-        type, with no element list."""
-        if self.is_symmetric:
-            return tuple(sorted(map(_smallest_of_cycle_type, _partitions_of(self.n))))
+        identity first); for a labelled action the sorted images of the
+        first permutation of each cycle type, with no element list."""
+        if self._labels is not None:
+            return tuple(sorted(self._induced(_smallest_of_cycle_type(lam))
+                                for lam in _partitions_of(self._vertices)))
         return tuple(cls[0] for cls in self.classes())
 
     def conjugacy_respects(self, values: dict) -> bool:
@@ -535,12 +640,16 @@ def _chain_character(lat: FlatLattice, group: PermGroup,
                      value) -> ClassFunctionTable:
     """The class function g -> value(count), where count(profile) is the
     number of g-fixed multichains with that corank profile, evaluated once
-    per conjugacy class at its representative."""
+    per conjugacy class at its representative.  The fixed flags and the
+    profile memo of g depend only on g and the lattice, so they are kept in
+    the lattice's cache for every later character, of any group."""
     _check_action(lat, group)
+    chains = lat._cache.setdefault("fixed_chains", {})
     values = {}
     for g in group.class_representatives():
-        fixed, anchors = _fixed_flags(lat, g)
-        memo = {}
+        if g not in chains:
+            chains[g] = (*_fixed_flags(lat, g), {})
+        fixed, anchors, memo = chains[g]
         values[g] = value(lambda profile: _multichain_counts(
             lat, fixed, anchors, profile, memo)[lat.bottom_id])
     return ClassFunctionTable(group, values)

@@ -76,6 +76,33 @@ def test_compute_all_methods_lists_the_family_route(capsys):
         "closed: 1 + 5t", "family: 1 + 5t", "AGREE"]
 
 
+def test_all_methods_sweep_mobius_once(capsys, monkeypatch):
+    # the Mobius route runs first and caches mu(bottom, .), which the
+    # defining route reads: one sweep per lattice, output in KlMethod order
+    from zpoly import klz, matroid
+    sizes = []
+    real = matroid._orbit_mobius
+
+    def counted(lat):
+        sizes.append(lat.n)
+        return real(lat)
+
+    monkeypatch.setattr(matroid, "_orbit_mobius", counted)
+    monkeypatch.setattr(klz, "_orbit_mobius", counted)
+    code, out, _ = run(capsys, "compute", "kl", "--family", "braid", "--d", "7",
+                       "--all-methods")
+    assert code == 0 and sizes == [4140]        # K8
+    p = "1 + 99t + 1225t^2 + 735t^3"
+    assert out.strip().splitlines() == [
+        f"defining: {p}", f"mobius: {p}", f"recursion: {p}", f"closed: {p}",
+        f"family: {p}", "AGREE"]
+    sizes.clear()
+    code, out, _ = run(capsys, "verify", "crossmethod")
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert len(sizes) == len(report["checks"])
+
+
 def test_compute_json_output_low_to_high(capsys):
     code, out, _ = run(capsys, "compute", "z", "--family", "qvec:2",
                        "--d", "2", "--format", "json")

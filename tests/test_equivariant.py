@@ -158,16 +158,8 @@ def test_action_check_remembered_per_generator():
 def edge_action_group(n):
     """S_n acting on the edges of K_n."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {p: k for k, p in enumerate(pairs)}
-    gens = []
     vertex_gens = [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
-    for vg in vertex_gens:
-        img = [0] * len(pairs)
-        for (i, j), k in index.items():
-            a, b = sorted((vg[i], vg[j]))
-            img[k] = index[(a, b)]
-        gens.append(tuple(img))
-    return PermGroup.from_generators(len(pairs), gens)
+    return PermGroup.from_generators(len(pairs), edge_generators(n, vertex_gens, pairs))
 
 
 def test_c_character_examples():
@@ -535,3 +527,134 @@ def test_recognised_group_guards():
         equivariant_whitney_character(lat, s4, [1])
     with pytest.raises(ValueError, match="off the lattice"):
         equivariant_c_character(lat, s4, 1)
+
+
+def edge_generators(m, vertex_gens, order):
+    """The point permutations that vertex permutations induce on the edges
+    of K_m, where point k is the edge order[k]."""
+    index = {e: k for k, e in enumerate(order)}
+    return [tuple(index[tuple(sorted((g[a], g[b])))] for a, b in order)
+            for g in vertex_gens]
+
+
+def edge_orders(m, seeds):
+    """Sorted edges with points 0 and 1 disjoint edges, so the orbital of
+    disjoint pairs is met first (at m = 7 it has the size of the "shares a
+    vertex" orbital, 105, and only the star check rejects it); then seeded
+    shuffles."""
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    k = pairs.index((2, 3))
+    pairs[1], pairs[k] = pairs[k], pairs[1]
+    orders = [pairs]
+    for seed in seeds:
+        rng = random.Random(seed)
+        orders.append(rng.sample(pairs, len(pairs)))
+    return orders
+
+
+@pytest.mark.parametrize("m, seeds", [(5, range(3)), (6, range(2)), (7, range(1))])
+def test_edge_action_recognised_and_matches_closure(m, seeds):
+    n = m * (m - 1) // 2
+    vertex_gen_sets = [
+        [(1, 0) + tuple(range(2, m)), tuple(range(1, m)) + (0,)],
+        [tuple(range(k)) + (k + 1, k) + tuple(range(k + 2, m)) for k in range(m - 1)],
+        benchmark_style_generators(m, m),
+    ]
+    if m == 7:      # 5040 elements: the closure is the cost of the test
+        del vertex_gen_sets[1]
+    for order in edge_orders(m, seeds):
+        for vertex_gens in vertex_gen_sets:
+            gens = edge_generators(m, vertex_gens, order)
+            fast = PermGroup.from_generators(n, gens)
+            reps = fast.class_representatives()
+            assert fast._elements is None and not fast.is_symmetric
+            assert len(fast) == factorial(m) and reps[0] == fast.identity
+            slow = PermGroup(n, closure_elements(n, gens), gens)
+            assert len(fast) == len(slow)
+            assert fast.elements == slow.elements
+            classes = fast.classes()
+            assert {frozenset(c) for c in classes} == {frozenset(c) for c in slow.classes()}
+            assert tuple(c[0] for c in classes) == reps
+
+
+def test_edge_action_characters_need_no_element_list():
+    for m in (5, 6):
+        lat = enumerate_flats(lattice_spec(BRAID, m - 1))
+        group = edge_action_group(m)
+        assert len(group.class_representatives()) == {5: 7, 6: 11}[m]
+        p = kl_family(build_tables(BRAID, m - 1), m - 1)
+        for i in range(1, m // 2):
+            assert equivariant_c_character(lat, group, i).at_identity() == p.coefficient(i)
+        table = equivariant_whitney_character(lat, group, [2, 1])
+        assert table.at_identity() == whitney_multi(lat, [2, 1])
+        assert group._elements is None, m
+
+
+def test_k5_edge_characters_against_brute_force():
+    lat = enumerate_flats(lattice_spec(BRAID, 4))
+    group = edge_action_group(5)
+    assert group._elements is None and len(group) == 120
+    tuples = enumerate_index_tuples(1, lat.rk_total)
+    c1 = equivariant_c_character(lat, group, 1)
+    assert len(group.elements) == 120
+    for g in group.elements:
+        assert c1.values[g] == sum(tup.sign * brute_fixed_chains(lat, g, tup.profile())
+                                   for tup in tuples), g
+    for profile in ([1], [2, 1], [1, 1], [3, 1]):
+        table = equivariant_whitney_character(lat, group, profile)
+        for g in group.elements:
+            assert table.values[g] == brute_fixed_chains(lat, g, profile), (profile, g)
+    assert group.conjugacy_respects(c1.values)
+
+
+def test_groups_near_the_edge_action_take_the_closure():
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    # (4 5) on the 3+3 splits of {0..5}, the split {5, a, b} | rest named by
+    # the edge ab of K5: it fixes the edges at vertex 4 and swaps opposite
+    # edges of the K4 on {0..3}, which no vertex permutation does; with
+    # S_5 it generates S_6 acting on the splits
+    outer = tuple(pairs.index(e if 4 in e else tuple(sorted(set(range(4)) - set(e))))
+                  for e in pairs)
+    cases = [
+        (10, edge_generators(5, [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], pairs), 60),   # A_5
+        (10, edge_generators(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], pairs) + [outer], 720),
+        (10, [tuple(range(1, 10)) + (0,)], 10),
+        (6, list(edge_action_group(4).generators), 24),
+    ]
+    for n, gens, order in cases:
+        group = PermGroup.from_generators(n, gens)
+        assert group._elements is not None, order      # listed by the closure
+        assert len(group) == len(closure_elements(n, gens)) == order
+
+
+def test_edge_action_cap_names_the_group_order():
+    # S_10 on the 45 edges of K10 is recognised, and 10! exceeds the cap
+    # before any element is listed
+    gens = edge_generators(10, [(1, 0) + tuple(range(2, 10)), tuple(range(1, 10)) + (0,)],
+                           [(i, j) for i in range(10) for j in range(i + 1, 10)])
+    with pytest.raises(ValueError, match="group order 3628800 exceeds cap"):
+        PermGroup.from_generators(45, gens)
+    assert len(PermGroup.from_generators(45, gens, cap=factorial(10))) == factorial(10)
+
+
+def test_fixed_chains_counted_once_per_lattice(monkeypatch):
+    import zpoly.equivariant as eq
+    spec = lattice_spec(BRAID, 5)
+    lat = enumerate_flats(spec)
+    group = edge_action_group(6)
+    calls = []
+    real = eq._fixed_flags
+
+    def counted(lat, g):
+        calls.append(g)
+        return real(lat, g)
+
+    monkeypatch.setattr(eq, "_fixed_flags", counted)
+    equivariant_c_character(lat, group, 1)
+    assert sorted(calls) == sorted(group.class_representatives())
+    calls.clear()
+    c2 = equivariant_c_character(lat, group, 2)
+    equivariant_whitney_character(lat, group, [2, 1])
+    assert calls == []
+    fresh = equivariant_c_character(enumerate_flats(spec), group, 2)
+    assert c2.class_values == fresh.class_values
