@@ -85,13 +85,23 @@ def _emit(args, payload, plain_lines):
             print(line)
 
 
+def _reject_unread(args, flags, reads, owner: str):
+    """Raise a usage error naming the first of `flags` given but not in `reads`."""
+    for flag in flags:
+        value = getattr(args, flag)     # None or False: not given
+        if flag not in reads and value is not None and value is not False:
+            raise UsageError(f"{owner} does not read --{flag.replace('_', '-')}")
+
+
 # ---------------------------------------------------------------------------
 # compute
 
 
 def cmd_compute(args) -> int:
-    family, spec = _load_matroid(args)
     target = args.target
+    reads = {"whitney": {"profile"}, "kl": {"method", "all_methods"}}.get(target, ())
+    _reject_unread(args, ("profile", "method", "all_methods"), reads, f"compute {target!r}")
+    family, spec = _load_matroid(args)
 
     if target == "tables":
         if family is None:
@@ -103,9 +113,7 @@ def cmd_compute(args) -> int:
         _emit(args, rows, [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows])
         return 0
 
-    use_family_path = (family is not None and target in ("kl", "z", "chi", "whitney")
-                       and not args.all_methods
-                       and not (target == "kl" and args.method is not None))
+    use_family_path = family is not None and args.method is None and not args.all_methods
     if use_family_path:
         tables = build_tables(family, args.d)
         if target == "kl":
@@ -333,10 +341,7 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     run_suite, default_dmax, reads = SUITES[suite]
-    for flag in ("dmax", "family", "corpus", "certificates"):
-        value = getattr(args, flag)     # None or False: not given
-        if flag not in reads and value is not None and value is not False:
-            raise UsageError(f"suite {suite!r} does not read --{flag}")
+    _reject_unread(args, ("dmax", "family", "corpus", "certificates"), reads, f"suite {suite!r}")
     if args.dmax is not None and args.dmax < 0:
         raise UsageError(f"--dmax must be nonnegative, got {args.dmax}")
     args.dmax = default_dmax if args.dmax is None else args.dmax
@@ -418,11 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--family", help="braid | typeb | uniform:m | qvec:q")
     pc.add_argument("--d", type=int, help="rank within the family")
     pc.add_argument("--profile", help="comma-separated corank profile, e.g. 2,1")
-    pc.add_argument("--method", choices=[m.value for m in KlMethod],
-                    help="lattice method for kl (default: defining); forces "
-                         "lattice enumeration even with --family")
-    pc.add_argument("--all-methods", action="store_true",
-                    help="run all methods and report agreement")
+    methods = pc.add_mutually_exclusive_group()
+    methods.add_argument("--method", choices=[m.value for m in KlMethod],
+                         help="lattice method for kl (default: defining); forces "
+                              "lattice enumeration even with --family")
+    methods.add_argument("--all-methods", action="store_true",
+                         help="run all methods and report agreement")
     pc.add_argument("--format", choices=("plain", "json"), default="plain")
     pc.add_argument("--flat-cap", type=int, default=DEFAULT_FLAT_CAP)
     pc.set_defaults(func=cmd_compute)

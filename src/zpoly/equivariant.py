@@ -7,8 +7,8 @@ refines to a virtual character.  Characters are class functions, so the
 fixed chains are counted once per conjugacy class, at its representative,
 by the plain multichain counter and closed-formula sum restricted to the
 flats it fixes: at the identity the value is the plain count by construction.
-The fixed flags and chain counts of a permutation are kept on the lattice,
-so every character of every group reads them from one count.
+The fixed flats of a permutation, and its chain counts at them alone, are
+kept on the lattice, so every character of every group reads one count.
 
 Two actions of a symmetric group are recognised from their generators and
 need no element list, since their classes are the vertex cycle types: the
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial, isqrt
+from operator import index
 
 from .klz import _closed_sum
 from .matroid import (FlatLattice, _bits, _multichain_counts, flat_permutation,
@@ -48,7 +49,7 @@ def partition(parts) -> tuple:
     """Normalize to a partition: sorted descending, zero parts dropped."""
     out = []
     for p in parts:
-        p = int(p)
+        p = index(p)
         if p < 0:
             raise ValueError("partition parts must be nonnegative")
         if p:
@@ -73,7 +74,7 @@ class SymFunction:
             lam = partition(lam)
             if sum(lam) != degree:
                 raise ValueError(f"partition {lam} is not of size {degree}")
-            c = int(c)
+            c = index(c)
             if c:
                 clean[lam] = clean.get(lam, 0) + c
         self.terms = {lam: c for lam, c in clean.items() if c}
@@ -279,7 +280,7 @@ def equivariant_whitney_uniform(m: int, d: int, profile) -> SymFunction:
     if m < 0 or d < 0:
         raise ValueError("need m >= 0 and d >= 0")
     n = m + d
-    prof = [int(i) for i in profile]
+    prof = list(map(index, profile))
     if any(prof[j] < prof[j + 1] for j in range(len(prof) - 1)):
         return SymFunction("h", n)
     if any(i < 0 or i > d for i in prof):
@@ -482,7 +483,7 @@ class PermGroup:
 
     @classmethod
     def from_generators(cls, n: int, generators, cap: int = _GROUP_CAP) -> "PermGroup":
-        gens = [tuple(int(x) for x in g) for g in generators]
+        gens = [tuple(map(index, g)) for g in generators]
         for g in gens:
             if sorted(g) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
@@ -615,10 +616,10 @@ def _check_action(lat: FlatLattice, group: PermGroup):
 
 
 def _fixed_flags(lat: FlatLattice, g):
-    """Flags of the flats g fixes, and their sorted ids (the bottom among
-    them: g preserves flats).  g fixes a flat iff each nontrivial cycle of g
-    lies inside it or outside it; each cycle filters the flats left by the
-    previous ones."""
+    """(slot, anchors): the sorted ids of the flats g fixes (the bottom first:
+    g preserves flats), and each flat's position among them, -1 for a flat g
+    moves.  g fixes a flat iff each nontrivial cycle of g lies inside it or
+    outside it; each cycle filters the flats left by the previous ones."""
     flats = lat.flats
     anchors = range(lat.n)
     seen = 0
@@ -630,28 +631,28 @@ def _fixed_flags(lat: FlatLattice, g):
                 x = g[x]
             anchors = [f for f in anchors if (flats[f] & c) in (0, c)]
             seen |= c
-    fixed = [False] * lat.n
-    for f in anchors:
-        fixed[f] = True
-    return fixed, anchors
+    slot = [-1] * lat.n
+    for k, f in enumerate(anchors):
+        slot[f] = k
+    return slot, anchors
 
 
 def _chain_character(lat: FlatLattice, group: PermGroup,
                      value) -> ClassFunctionTable:
     """The class function g -> value(count), where count(profile) is the
     number of g-fixed multichains with that corank profile, evaluated once
-    per conjugacy class at its representative.  The fixed flags and the
-    profile memo of g depend only on g and the lattice, so they are kept in
-    the lattice's cache for every later character, of any group."""
+    per conjugacy class at its representative.  The slots of g's fixed flats
+    and its profile memo, one count per fixed flat, depend only on g and the
+    lattice, so the lattice keeps them for every later character."""
     _check_action(lat, group)
     chains = lat._cache.setdefault("fixed_chains", {})
     values = {}
     for g in group.class_representatives():
         if g not in chains:
             chains[g] = (*_fixed_flags(lat, g), {})
-        fixed, anchors, memo = chains[g]
+        slot, anchors, memo = chains[g]
         values[g] = value(lambda profile: _multichain_counts(
-            lat, fixed, anchors, profile, memo)[lat.bottom_id])
+            lat, slot, anchors, profile, memo)[0])
     return ClassFunctionTable(group, values)
 
 
@@ -659,7 +660,7 @@ def equivariant_whitney_character(lat: FlatLattice, group: PermGroup,
                                   profile) -> ClassFunctionTable:
     """Permutation character of the group action on corank-profile
     multichains: each element maps to its number of fixed multichains."""
-    profile = tuple(int(i) for i in profile)
+    profile = tuple(map(index, profile))
     return _chain_character(lat, group, lambda count: count(profile))
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import index
 
 from .klz import _closed_sum, _pz_solve
 from .matroid import (ExplicitFlats, GraphSpec, LinearVectors, MatroidSpec,
@@ -262,7 +263,7 @@ def whitney_multi_family(tables: WhitneyTables, d: int, profile) -> int:
     The profile is corank-major, [i_r, ..., i_1], as everywhere else.
     """
     tables._check_rank(d)
-    chain = [int(i) for i in reversed(list(profile))] + [d]
+    chain = [index(i) for i in reversed(list(profile))] + [d]
     return prod(map(tables.W_val, chain[1:], chain))
 
 

@@ -13,7 +13,8 @@ The cover oracle runs at one flat per orbit, and one walk of each orbit,
 made by the lattice, gives the other flats the symmetry images of the
 covers and up-sets of the flat they were reached from.  Mobius values
 from the bottom and plain multichain counts are constant on orbits, so
-they walk only the orbit representatives' up-sets, weighted by orbit size.
+they walk only the orbit representatives' up-sets and keep one count per
+representative; a permutation's fixed-chain counts keep one per flat it fixes.
 
 Flats are ground-set bitmasks (Python ints), ordered by inclusion.  Closure
 based enumeration always yields the geometric lattice of the simplification,
@@ -27,6 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import combinations
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence, Union
 
 from .polyarith import IntPolynomial
@@ -815,35 +817,32 @@ def characteristic_polynomial(lat: FlatLattice) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def _multichain_counts(lat: FlatLattice, fixed, anchors, profile: tuple, memo: dict):
-    """counts[f], at each anchor f (sorted ids), of the multichains of flats
-    F with fixed[F] of the given corank profile whose lowest flat contains
-    f.  Memoized per profile suffix in `memo`; the Whitney recursion over
-    contractions makes suffixes shareable.  fixed None: the plain count,
-    constant on orbits, so the anchors are the orbit representatives and
-    every flat reads its representative's count."""
+def _multichain_counts(lat: FlatLattice, slot, anchors, profile: tuple, memo: dict):
+    """counts[k], at each anchor anchors[k] (sorted ids), of the multichains
+    of the given corank profile whose lowest flat contains it, and a trailing
+    0.  Flat h reads entry slot[h]: plain counts are constant on orbits, so
+    the anchors are the orbit representatives and h reads its own's; the
+    chains fixed by g have g's fixed flats as anchors, and a flat g moves
+    reads -1, the trailing 0.  Memoized per profile suffix in `memo`; the
+    Whitney recursion over contractions makes suffixes shareable."""
     vec = memo.get(profile)
     if vec is not None:
         return vec
-    out = [0] * lat.n
     if not profile:
-        for f in anchors:
-            out[f] = 1
+        vec = [1] * len(anchors) + [0]
     else:
-        prev = _multichain_counts(lat, fixed, anchors, profile[1:], memo)
+        prev = _multichain_counts(lat, slot, anchors, profile[1:], memo)
         target = lat.rk_total - profile[0]  # rank of flats with corank profile[0]
         # ids are in rank order, so the target rank is an id range [lo, hi)
-        # and every up-set meets it in one slice; mask that range once
+        # and every up-set meets it in one slice; anchors in it keep their count
         lo = bisect_left(lat.ranks, target)
         hi = bisect_left(lat.ranks, target + 1)
-        out[lo:hi] = (map(prev.__getitem__, lat.orbit_rep[lo:hi]) if fixed is None else
-                      [c if x else 0 for c, x in zip(prev[lo:hi], fixed[lo:hi])])
+        at = [0] * lo + [*map(prev.__getitem__, slot[lo:hi])]
+        a, b = bisect_left(anchors, lo), bisect_left(anchors, hi)
         ups = lat.uppers()
-        for f in anchors[:bisect_left(anchors, lo)]:
-            ups_f = ups[f]
-            in_target = ups_f[bisect_left(ups_f, lo):bisect_left(ups_f, hi)]
-            out[f] = sum(map(out.__getitem__, in_target))
-    vec = tuple(out)
+        vec = [sum(map(at.__getitem__, ups_f[bisect_left(ups_f, lo):bisect_left(ups_f, hi)]))
+               for ups_f in map(ups.__getitem__, anchors[:a])]
+        vec += prev[a:b] + [0] * (len(anchors) - b + 1)
     memo[profile] = vec
     return vec
 
@@ -854,6 +853,9 @@ def whitney_multi(lat: FlatLattice, profile) -> int:
     The profile is given corank-major, [i_r, ..., i_1]; entries may be any
     integers (impossible coranks yield 0); the empty profile counts 1.
     """
-    profile = tuple(int(i) for i in profile)
-    memo = lat._cache.setdefault("whitney", {})
-    return _multichain_counts(lat, None, list(lat.orbit_size), profile, memo)[lat.bottom_id]
+    profile = tuple(map(index, profile))
+    if "whitney" not in lat._cache:
+        pos = {f: k for k, f in enumerate(lat.orbit_size)}
+        lat._cache["whitney"] = ([*map(pos.__getitem__, lat.orbit_rep)], [*pos], {})
+    slot, anchors, memo = lat._cache["whitney"]
+    return _multichain_counts(lat, slot, anchors, profile, memo)[0]

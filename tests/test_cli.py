@@ -373,6 +373,19 @@ def test_verify_rejects_flags_the_suite_does_not_read(capsys, argv, flag):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("z", "--method", "closed"), "compute 'z' does not read --method"),
+    (("chi", "--all-methods"), "compute 'chi' does not read --all-methods"),
+    (("kl", "--profile", "2,1"), "compute 'kl' does not read --profile"),
+    (("kl", "--method", "closed", "--all-methods"),
+     "argument --all-methods: not allowed with argument --method"),
+])
+def test_compute_rejects_flags_the_target_does_not_read(capsys, argv, message):
+    code, out, err = run(capsys, "compute", *argv, "--family", "braid", "--d", "3")
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_verify_logconcave(capsys):
     code, out, _ = run(capsys, "verify", "logconcave", "--family", "braid",
                        "--dmax", "10")

@@ -10,7 +10,7 @@ from zpoly import (BRAID, GraphSpec, PermGroup, SymFunction, UniformSpec,
                    equivariant_whitney_character, equivariant_whitney_uniform,
                    enumerate_index_tuples, h_product, h_to_schur,
                    is_schur_positive, kl_coeff_closed, kl_family, kostka_number,
-                   lattice_spec, uniform_family, whitney_multi)
+                   lattice_spec, uniform_family, whitney_multi, whitney_multi_family)
 
 
 def test_h_product():
@@ -658,3 +658,53 @@ def test_fixed_chains_counted_once_per_lattice(monkeypatch):
     assert calls == []
     fresh = equivariant_c_character(enumerate_flats(spec), group, 2)
     assert c2.class_values == fresh.class_values
+
+
+def test_cached_counts_hold_one_entry_per_anchor():
+    # plain counts live at the orbit representatives, fixed-chain counts at
+    # the flats the class representative fixes, each with a trailing 0
+    k6 = enumerate_flats(lattice_spec(BRAID, 5))
+    group = edge_action_group(6)
+    for i in (1, 2, 3):
+        equivariant_c_character(k6, group, i)
+    k8 = enumerate_flats(lattice_spec(BRAID, 7))
+    for i in (1, 2, 3):
+        kl_coeff_closed(k8, i)
+    slot, anchors, memo = k8._cache["whitney"]
+    assert list(anchors) == list(k8.orbit_size) and len(anchors) < k8.n == len(slot)
+    cached = [(anchors, memo)] + [(a, m) for _, a, m in k6._cache["fixed_chains"].values()]
+    assert len(cached) == 1 + len(group.class_representatives())
+    for anchors, memo in cached:
+        assert anchors[0] == 0 and memo
+        assert all(len(vec) == len(anchors) + 1 and vec[-1] == 0 for vec in memo.values())
+
+
+@pytest.mark.parametrize("lat, group", [
+    (enumerate_flats(UniformSpec(1, 3)), PermGroup.symmetric(4)),
+    (enumerate_flats(lattice_spec(BRAID, 3)), edge_action_group(4)),
+], ids=["U(1,3)/S4", "K4/S4"])
+def test_fixed_chains_on_edge_case_profiles(lat, group):
+    # non-monotone, repeated and out-of-range coranks
+    for profile in ([1, 2], [2, 2], [lat.rk_total + 1], [-1]):
+        table = equivariant_whitney_character(lat, group, profile)
+        for g in group.elements:
+            assert table.values[g] == brute_fixed_chains(lat, g, profile), (profile, g)
+
+
+K4 = lattice_spec(BRAID, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: whitney_multi(enumerate_flats(K4), [1.9]),
+    lambda: whitney_multi_family(build_tables(BRAID, 3), 3, ["1"]),
+    lambda: equivariant_whitney_character(enumerate_flats(K4), edge_action_group(4), [1.0]),
+    lambda: equivariant_whitney_uniform(1, 3, [1.5]),
+    lambda: h_product([2.7, 1]),
+    lambda: SymFunction("h", 3, {(2, 1): 1.5}),
+    lambda: PermGroup.from_generators(3, [(1.0, 0, 2)]),
+], ids=["whitney_multi", "whitney_multi_family", "equivariant_whitney_character",
+        "equivariant_whitney_uniform", "partition", "SymFunction", "from_generators"])
+def test_entry_points_reject_non_integers(call):
+    # int() would truncate 1.9 to a corank-1 count and parse the string '1'
+    with pytest.raises(TypeError):
+        call()

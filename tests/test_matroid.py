@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -543,6 +544,32 @@ def test_readme_python_quickstart_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_python_quickstart_values():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.findall(r"```python\n(.*?)```", readme, flags=re.S)[0]
+    lines = block.splitlines()
+    namespace = {}
+    compared, prose = 0, []
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            value = namespace.get(stmt.targets[0].id) if isinstance(stmt, ast.Assign) else None
+        _, hashed, comment = lines[stmt.end_lineno - 1].partition("#")
+        if not hashed:
+            continue
+        # a comment that starts with the value's str, ended by a comma or a
+        # word (not "1" of "1 + t"), states the value
+        comment, shown = comment.strip(), str(value)
+        if comment.startswith(shown) and re.match(r"$|,| [a-z=]", comment[len(shown):]):
+            compared += 1
+        else:
+            prose.append(source)
+    assert compared == 10, prose
 
 
 def test_readme_command_line_block_runs(capsys, tmp_path, monkeypatch):
