@@ -27,7 +27,7 @@ from .klz import (KlMethod, _defining_table, kl_by_method, kl_coeff_closed,
                   kl_defining, z_polynomial)
 from .matroid import (characteristic_polynomial, enumerate_flats,
                       matroid_spec_from_json, whitney_multi)
-from .polyarith import IntPolynomial, format_polynomial, is_palindromic
+from .polyarith import IntPolynomial, is_palindromic
 from .roots import conjecture_sweep, is_log_concave
 
 DEFAULT_FLAT_CAP = 2_000_000
@@ -44,45 +44,25 @@ def _threads() -> int:
     return int(raw)
 
 
-def _poly_json(p: IntPolynomial):
-    return list(p.coeffs)
-
-
 def _load_matroid(args):
-    sources = [s for s in (args.matroid, args.matroid_json, args.family) if s]
-    if len(sources) != 1:
-        raise UsageError("exactly one of --matroid, --matroid-json, --family required")
-    if args.family:
-        if args.d is None:
-            raise UsageError("--family requires --d")
-        family = parse_family(args.family)
-        return family, None
+    """The matroid spec in the --matroid file or the --matroid-json text."""
+    text, where = args.matroid_json, "--matroid-json"
     if args.matroid:
         try:
             with open(args.matroid, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+                text, where = fh.read(), args.matroid
         except OSError as exc:
             raise UsageError(f"cannot read {args.matroid}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{args.matroid}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    else:
-        try:
-            obj = json.loads(args.matroid_json)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--matroid-json: line {exc.lineno} column {exc.colno}: {exc.msg}")
     try:
-        spec = matroid_spec_from_json(obj)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return None, spec
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{where}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    return matroid_spec_from_json(obj)
 
 
 def _emit(args, payload, plain_lines):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in plain_lines:
-            print(line)
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.format == "json"
+          else "\n".join(plain_lines))
 
 
 def _reject_unread(args, flags, reads, owner: str):
@@ -96,77 +76,76 @@ def _reject_unread(args, flags, reads, owner: str):
 # ---------------------------------------------------------------------------
 # compute
 
+# target -> (which of --profile, --method, --all-methods it reads, its answer
+# from the family tables, its answer from a lattice).  An answer, a polynomial
+# or an int, reads d, profile and method from the context the output echoes.
+TARGETS = {
+    "kl": ({"method", "all_methods"}, lambda tables, ctx: kl_family(tables, ctx["d"]),
+           lambda lat, ctx: kl_by_method(lat, KlMethod(ctx["method"]))),
+    "z": (set(), lambda tables, ctx: z_family(tables, ctx["d"]), lambda lat, _: z_polynomial(lat)),
+    "chi": (set(), lambda tables, ctx: IntPolynomial(tables.w[ctx["d"]]),   # w_d(k) at corank k
+            lambda lat, _: characteristic_polynomial(lat)),
+    "whitney": ({"profile"},
+                lambda tables, ctx: whitney_multi_family(tables, ctx["d"], ctx["profile"]),
+                lambda lat, ctx: whitney_multi(lat, ctx["profile"])),
+    "tables": (set(), None, None),
+}
+
 
 def cmd_compute(args) -> int:
+    """One route per invocation: the family tables with --family and no lattice
+    method, else a lattice.  --d is read only with --family, --flat-cap only
+    where a lattice is enumerated; all flags are checked before any work."""
     target = args.target
-    reads = {"whitney": {"profile"}, "kl": {"method", "all_methods"}}.get(target, ())
+    reads, from_tables, from_lattice = TARGETS[target]
     _reject_unread(args, ("profile", "method", "all_methods"), reads, f"compute {target!r}")
-    family, spec = _load_matroid(args)
+    sources = [s for s in ("matroid", "matroid_json", "family") if getattr(args, s)]
+    if len(sources) != 1:
+        raise UsageError("exactly one of --matroid, --matroid-json, --family required")
+    if target == "tables" and not args.family:
+        raise UsageError("tables are family data; use --family")
+    if args.family and args.d is None:
+        raise UsageError("--family requires --d")
+    on_lattice = not args.family or args.method is not None or args.all_methods
+    route = {flag for flag, read in (("d", args.family), ("flat_cap", on_lattice)) if read}
+    via = f"from --{sources[0].replace('_', '-')}" + ("" if on_lattice else " without a lattice")
+    _reject_unread(args, ("d", "flat_cap"), route, f"compute {target!r} {via}")
 
-    if target == "tables":
-        if family is None:
-            raise UsageError("tables are family data; use --family")
+    family = parse_family(args.family) if args.family else None
+    ctx = {"profile": _parse_profile(args.profile)} if "profile" in reads else {}
+    if on_lattice:
+        spec = lattice_spec(family, args.d) if family else _load_matroid(args)
+        cap = DEFAULT_FLAT_CAP if args.flat_cap is None else args.flat_cap
+        lat = enumerate_flats(spec, flat_cap=cap)
+        if args.all_methods:
+            return _compare_methods(args, lat, family)
+        if "method" in reads:
+            ctx["method"] = args.method or KlMethod.DEFINING.value
+        answer = from_lattice(lat, ctx)
+    else:
         tables = build_tables(family, args.d)
-        rows = [{"family": str(family), "d": d, "k": k,
-                 "W": tables.W[d][k], "w": tables.w[d][k]}
-                for d in range(args.d + 1) for k in range(d + 1)]
-        _emit(args, rows, [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows])
-        return 0
-
-    use_family_path = family is not None and args.method is None and not args.all_methods
-    if use_family_path:
-        tables = build_tables(family, args.d)
-        if target == "kl":
-            poly = kl_family(tables, args.d)
-        elif target == "z":
-            poly = z_family(tables, args.d)
-        elif target == "chi":           # w_d(k) is chi's coefficient at corank k
-            poly = IntPolynomial(tables.w[args.d])
-        else:
-            profile = _parse_profile(args.profile)
-            value = whitney_multi_family(tables, args.d, profile)
-            _emit(args, {"family": str(family), "d": args.d,
-                         "profile": profile, "whitney": value}, [str(value)])
+        if target == "tables":
+            rows = [{"family": str(family), "d": d, "k": k,
+                     "W": tables.W[d][k], "w": tables.w[d][k]}
+                    for d in range(args.d + 1) for k in range(d + 1)]
+            _emit(args, rows, [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows])
             return 0
-        _emit(args, {"family": str(family), "d": args.d, target: _poly_json(poly)},
-              [format_polynomial(poly.coeffs)])
-        return 0
-
-    if spec is None:
-        spec = lattice_spec(family, args.d)
-    lat = enumerate_flats(spec, flat_cap=args.flat_cap)
-
-    if target == "chi":
-        poly = characteristic_polynomial(lat)
-        _emit(args, {"chi": _poly_json(poly)}, [format_polynomial(poly.coeffs)])
-        return 0
-    if target == "whitney":
-        profile = _parse_profile(args.profile)
-        value = whitney_multi(lat, profile)
-        _emit(args, {"profile": profile, "whitney": value}, [str(value)])
-        return 0
-    if target == "z":
-        poly = z_polynomial(lat)
-        _emit(args, {"z": _poly_json(poly)}, [format_polynomial(poly.coeffs)])
-        return 0
-
-    # kl, possibly across methods
-    if args.all_methods:
-        results = {m.value: p for m, p in _kl_all_methods(lat).items()}
-        if family is not None:
-            results["family"] = kl_family(build_tables(family, args.d), args.d)
-        agree = len({tuple(p.coeffs) for p in results.values()}) == 1
-        payload = {"methods": {k: _poly_json(p) for k, p in results.items()},
-                   "agree": agree}
-        lines = [f"{k}: {format_polynomial(p.coeffs)}" for k, p in results.items()]
-        lines.append("AGREE" if agree else "DISAGREE")
-        _emit(args, payload, lines)
-        return 0 if agree else 1
-    method = KlMethod(args.method or "defining")
-    poly = kl_by_method(lat, method)
-    _emit(args, {"kl": _poly_json(poly), "method": method.value},
-          [format_polynomial(poly.coeffs)])
+        ctx.update(family=str(family), d=args.d)
+        answer = from_tables(tables, ctx)
+    _emit(args, {**ctx, target: getattr(answer, "coeffs", answer)}, [str(answer)])
     return 0
+
+
+def _compare_methods(args, lat, family) -> int:
+    """kl by every lattice method, and by the family recursion with --family;
+    exit 1 if they disagree."""
+    results = {m.value: p for m, p in _kl_all_methods(lat).items()}
+    if family is not None:
+        results["family"] = kl_family(build_tables(family, args.d), args.d)
+    agree = len(set(results.values())) == 1
+    lines = [f"{k}: {p}" for k, p in results.items()] + ["AGREE" if agree else "DISAGREE"]
+    _emit(args, {"methods": {k: p.coeffs for k, p in results.items()}, "agree": agree}, lines)
+    return 0 if agree else 1
 
 
 def _kl_all_methods(lat) -> dict:
@@ -342,8 +321,6 @@ def cmd_verify(args) -> int:
         return 2
     run_suite, default_dmax, reads = SUITES[suite]
     _reject_unread(args, ("dmax", "family", "corpus", "certificates"), reads, f"suite {suite!r}")
-    if args.dmax is not None and args.dmax < 0:
-        raise UsageError(f"--dmax must be nonnegative, got {args.dmax}")
     args.dmax = default_dmax if args.dmax is None else args.dmax
     checks = run_suite(args)
     if not checks:
@@ -370,41 +347,42 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--reps must be at least 1, got {args.reps}")
     tables = build_tables(family, d)
 
-    rows = []
     times = []
     for _ in range(args.reps):
         fresh = build_tables(family, d)
         t0 = time.perf_counter()
         fast = kl_family(fresh, d)
         times.append((time.perf_counter() - t0) * 1000.0)
-    rows.append({"method": "family-recursion", "d": d,
-                 "millis": min(times), "all_millis": [round(t, 3) for t in times],
-                 "checksum": _checksum(fast)})
+    rows = [{"method": "family-recursion", "d": d,
+             "millis": min(times), "all_millis": [round(t, 3) for t in times],
+             "checksum": _checksum(fast)}]
 
     report = {"family": str(family), "d": d, "rows": rows}
     baseline_flats = sum(tables.W[d][k] for k in range(d + 1))
-    if baseline_flats > args.flat_cap:
-        report["baseline"] = (f"skipped (lattice would have {baseline_flats} flats, "
-                              f"cap {args.flat_cap})")
+    skip = (baseline_flats > args.flat_cap
+            and f"lattice would have {baseline_flats} flats, cap {args.flat_cap}")
+    t0 = time.perf_counter()            # building the spec counts as enumeration
+    if not skip:
+        try:
+            spec = lattice_spec(family, d)
+        except ValueError as exc:       # a family member with no lattice realization
+            skip = str(exc)
+    if skip:
+        report["baseline"] = f"skipped ({skip})"
     else:
-        t0 = time.perf_counter()
-        lat = enumerate_flats(lattice_spec(family, d), flat_cap=args.flat_cap)
+        lat = enumerate_flats(spec, flat_cap=args.flat_cap)
         enum_ms = (time.perf_counter() - t0) * 1000.0
         t0 = time.perf_counter()
         slow = kl_defining(lat)
         slow_ms = (time.perf_counter() - t0) * 1000.0
-        agree = slow == fast
         rows.append({"method": "lattice-defining", "d": d, "millis": slow_ms,
                      "enumeration_millis": enum_ms, "flats": lat.n, "orbits": lat.n_orbits,
                      "orbit_pairs": sum(len(lat.uppers()[f]) for f in lat.orbit_size),
                      "checksum": _checksum(slow)})
-        report["agree"] = agree
+        report["agree"] = slow == fast
         report["speedup"] = slow_ms / max(min(times), 1e-9)
-        if not agree:
-            print(json.dumps(report, indent=2))
-            return 1
     print(json.dumps(report, indent=2))
-    return 0
+    return 0 if report.get("agree", True) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     methods.add_argument("--all-methods", action="store_true",
                          help="run all methods and report agreement")
     pc.add_argument("--format", choices=("plain", "json"), default="plain")
-    pc.add_argument("--flat-cap", type=int, default=DEFAULT_FLAT_CAP)
+    pc.add_argument("--flat-cap", type=int)
     pc.set_defaults(func=cmd_compute)
 
     pv = sub.add_parser("verify", help="run a named verification suite")
@@ -460,8 +438,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "d", None) is not None and args.d < 0:
-            raise UsageError(f"--d must be nonnegative, got {args.d}")
+        for flag in ("d", "dmax", "flat_cap"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must be nonnegative, got {value}")
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

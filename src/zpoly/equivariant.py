@@ -251,13 +251,14 @@ def character_value(f: SymFunction, g) -> int:
         raise ValueError("expected an h-basis function of degree len(g)")
     cycles = _cycle_lengths(g)
 
-    def fill(k, room):
+    @lru_cache(maxsize=None)
+    def fill(k, room):      # room sorted: the count depends only on its multiset
         if k == len(cycles):
             return 1
-        return sum(fill(k + 1, room[:b] + (r - cycles[k],) + room[b + 1:])
+        return sum(fill(k + 1, tuple(sorted(room[:b] + (r - cycles[k],) + room[b + 1:])))
                    for b, r in enumerate(room) if r >= cycles[k])
 
-    return sum(c * fill(0, lam) for lam, c in f.terms.items())
+    return sum(c * fill(0, tuple(sorted(lam))) for lam, c in f.terms.items())
 
 
 def is_schur_positive(f: SymFunction) -> bool:
@@ -330,6 +331,28 @@ def _smallest_of_cycle_type(lam) -> tuple:
         perm.extend(range(start + 1, start + part))
         perm.append(start)
     return tuple(perm)
+
+
+def _check_permutations(n: int, perms) -> None:
+    for g in perms:
+        if sorted(g) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
+
+
+def _closure(n: int, gens, cap: int):
+    """The set of all products of the permutations gens, or None once it
+    exceeds cap elements."""
+    elements = {tuple(range(n))}
+    queue = list(elements)
+    for h in queue:                 # appended to as it is walked: breadth first
+        for g in gens:
+            gh = tuple(g[x] for x in h)
+            if gh not in elements:
+                elements.add(gh)
+                queue.append(gh)
+                if len(elements) > cap:
+                    return None
+    return elements
 
 
 def _find(parent: list, x: int) -> int:
@@ -439,14 +462,16 @@ class PermGroup:
     type.  Without labels (elements None) it is the natural action of
     Sym(n), the only case that `is_symmetric` names.  `from_generators`
     recognises the natural action by Jordan's test and the action on the
-    edges of K_m, m >= 5, by its stars, verified as in the module notes."""
+    edges of K_m, m >= 5, by its stars, verified as in the module notes.
+
+    Given elements, the constructor raises ValueError unless each is a
+    permutation of 0..n-1 and together they are exactly the closure of the
+    generators; with no generators the elements serve as generators."""
 
     def __init__(self, n: int, elements=None, generators=(), labels=None):
         self.n = n
         self.is_symmetric = elements is None and labels is None
         self._elements = None if elements is None else tuple(sorted(set(elements)))
-        if self._elements is not None and self.identity not in set(self._elements):
-            raise ValueError("identity missing from group closure")
         self._labels = None
         if elements is None:
             self._labels = labels or tuple((p,) for p in range(n))
@@ -455,6 +480,10 @@ class PermGroup:
             self._label_columns = tuple(zip(*self._labels))
             self._vertices = len({v for lab in self._labels for v in lab})
         self.generators = tuple(generators) or self.elements
+        if elements is not None:
+            _check_permutations(n, self._elements)
+            if _closure(n, self.generators, len(self._elements)) != set(self._elements):
+                raise ValueError("elements are not the closure of the generators")
         self._classes = None
 
     def __len__(self):
@@ -484,29 +513,16 @@ class PermGroup:
     @classmethod
     def from_generators(cls, n: int, generators, cap: int = _GROUP_CAP) -> "PermGroup":
         gens = [tuple(map(index, g)) for g in generators]
-        for g in gens:
-            if sorted(g) != list(range(n)):
-                raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
+        _check_permutations(n, gens)
         labels = None
         if _generates_symmetric(n, gens) or (labels := _edge_labels(n, gens)):
             group = cls(n, None, gens, labels)
             if len(group) > cap:
                 raise ValueError(f"group order {len(group)} exceeds cap {cap}")
             return group
-        identity = tuple(range(n))
-        elements = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for g in gens:
-                for h in frontier:
-                    gh = tuple(g[x] for x in h)
-                    if gh not in elements:
-                        elements.add(gh)
-                        nxt.append(gh)
-                        if len(elements) > cap:
-                            raise ValueError(f"group closure exceeds cap {cap}")
-            frontier = nxt
+        elements = _closure(n, gens, cap)
+        if elements is None:
+            raise ValueError(f"group closure exceeds cap {cap}")
         return cls(n, elements, gens)
 
     @classmethod

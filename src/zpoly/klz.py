@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, repeat
+from operator import index
 
 from .matroid import FlatLattice, _orbit_mobius, mobius_from_bottom, whitney_multi
 from .polyarith import IntPolynomial
@@ -186,7 +187,7 @@ def kl_coeff_new_recursion(lat: FlatLattice, i: int) -> int:
 
     The P/Z table applies exactly this recursion at every flat, bottom last.
     """
-    if i < 0:
+    if (i := index(i)) < 0:
         raise ValueError("coefficient index must be nonnegative")
     p = _p_table(lat)[0][lat.bottom_id]
     return p[i] if i < len(p) else 0

@@ -345,7 +345,7 @@ def _orbit_representatives(lat: FlatLattice, images):
 
 def contraction(lat: FlatLattice, fid: int) -> FlatLattice:
     """Lattice of the contraction at a flat: the upper interval [F, top]."""
-    if not 0 <= fid < lat.n:
+    if not 0 <= (fid := index(fid)) < lat.n:
         raise ValueError(f"invalid flat id {fid}")
     members = [fid] + list(lat.uppers()[fid])
     return lat._sublattice(members, lat.ranks[fid])
@@ -353,7 +353,7 @@ def contraction(lat: FlatLattice, fid: int) -> FlatLattice:
 
 def localization(lat: FlatLattice, fid: int) -> FlatLattice:
     """Lattice of the localization at a flat: the lower interval [bottom, F]."""
-    if not 0 <= fid < lat.n:
+    if not 0 <= (fid := index(fid)) < lat.n:
         raise ValueError(f"invalid flat id {fid}")
     fmask = lat.flats[fid]
     members = [i for i, m in enumerate(lat.flats) if m & fmask == m]

@@ -6,7 +6,7 @@ enumeration) and shares no code path with the library internals it checks.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from zpoly import IntPolynomial
@@ -437,3 +437,21 @@ def schur_expand_h_by_pieri(parts):
                 nxt[nu] = nxt.get(nu, 0) + c
         state = nxt
     return state
+
+
+def young_character_by_words(lam, g):
+    """The character of h_lam at the permutation g, straight from the
+    permutation action: the words with lam[b] letters b that g fixes
+    (w[g(x)] == w[x] for every x)."""
+    letters = [b for b, size in enumerate(lam) for _ in range(size)]
+    return sum(all(w[g[x]] == w[x] for x in range(len(g)))
+               for w in set(permutations(letters)))
+
+
+def partitions_of(n, largest=None):
+    """Every partition of n, parts in weakly decreasing order."""
+    if n == 0:
+        return [()]
+    largest = n if largest is None else largest
+    return [(p,) + rest for p in range(min(n, largest), 0, -1)
+            for rest in partitions_of(n - p, p)]

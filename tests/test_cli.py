@@ -386,6 +386,89 @@ def test_compute_rejects_flags_the_target_does_not_read(capsys, argv, message):
     assert message in err
 
 
+def nothing_built(*args, **kwargs):
+    raise AssertionError("a table or lattice was built before the flags were checked")
+
+
+U13_JSON = '{"type": "uniform", "m": 1, "d": 3}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("z", "--matroid-json", U13_JSON, "--d", "7"),
+     "compute 'z' from --matroid-json does not read --d"),
+    (("kl", "--family", "braid", "--d", "3", "--flat-cap", "1"),
+     "compute 'kl' from --family without a lattice does not read --flat-cap"),
+    (("tables", "--family", "braid", "--d", "2", "--flat-cap", "5"),
+     "compute 'tables' from --family without a lattice does not read --flat-cap"),
+    (("whitney", "--matroid", "no-such-file.json", "--profile", "1", "--d", "2"),
+     "compute 'whitney' from --matroid does not read --d"),
+])
+def test_compute_rejects_flags_the_route_does_not_read(capsys, monkeypatch, argv, message):
+    # --d is read only with --family, --flat-cap only where a lattice is
+    # enumerated; the check comes before any file is read or anything built
+    import zpoly.cli as cli
+
+    for name in ("build_tables", "enumerate_flats", "lattice_spec"):
+        monkeypatch.setattr(cli, name, nothing_built)
+    code, out, err = run(capsys, "compute", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_flat_cap_is_read_on_every_lattice_route(capsys):
+    code, out, err = run(capsys, "compute", "kl", "--family", "braid", "--d", "3",
+                         "--method", "closed", "--flat-cap", "1")
+    assert code == 2 and out == ""
+    assert "flat count exceeds cap 1" in err
+    code, out, _ = run(capsys, "compute", "kl", "--family", "braid", "--d", "3",
+                       "--all-methods", "--flat-cap", "100")
+    assert code == 0 and out.strip().splitlines()[-1] == "AGREE"
+    code, out, _ = run(capsys, "compute", "z", "--matroid-json", U13_JSON, "--flat-cap", "12")
+    assert code == 0 and out.strip() == "1 + 6t + 6t^2 + t^3"
+
+
+def test_every_compute_flag_is_read_or_rejected_where_unread(capsys):
+    # each optional flag of `compute` is read by every invocation (--format
+    # and the three sources) or is one that some invocation rejects as
+    # unread, so a flag added later cannot be ignored without an error
+    import argparse
+
+    from zpoly.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    always_read = {"--format", "--matroid", "--matroid-json", "--family"}
+    flags = [a for a in subparsers.choices["compute"]._actions
+             if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    assert always_read < {a.option_strings[0] for a in flags}
+    for action in flags:
+        flag = action.option_strings[0]
+        if flag in always_read:
+            continue
+        value = [] if action.nargs == 0 else [action.choices[0] if action.choices else "1"]
+        rejected = []
+        for target in ("kl", "z", "chi", "whitney", "tables"):
+            for source in (("--family", "braid", "--d", "3"), ("--matroid-json", K4_JSON)):
+                code, _, err = run(capsys, "compute", target, *source, flag, *value)
+                rejected.append(code == 2 and f"does not read {flag}" in err)
+        assert any(rejected), flag
+
+
+@pytest.mark.parametrize("argv", [
+    ("bench", "braid", "--d", "3", "--flat-cap", "-5"),
+    ("compute", "z", "--matroid-json", U13_JSON, "--flat-cap", "-5"),
+    ("compute", "kl", "--family", "braid", "--d", "3", "--method", "closed", "--flat-cap", "-5"),
+])
+def test_negative_flat_cap_names_the_flag(capsys, monkeypatch, argv):
+    import zpoly.cli as cli
+
+    for name in ("build_tables", "enumerate_flats", "lattice_spec"):
+        monkeypatch.setattr(cli, name, nothing_built)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--flat-cap must be nonnegative, got -5" in err
+
+
 def test_verify_logconcave(capsys):
     code, out, _ = run(capsys, "verify", "logconcave", "--family", "braid",
                        "--dmax", "10")
@@ -456,6 +539,18 @@ def test_bench_infeasible_marker(capsys):
     report = json.loads(out)
     assert "skipped" in report["baseline"]
     assert "flats" in report["baseline"]
+
+
+def test_bench_skips_a_family_with_no_lattice(capsys):
+    # qvec:4 has Whitney tables but no lattice realization (4 is not prime)
+    code, out, _ = run(capsys, "bench", "qvec:4", "--d", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert [row["method"] for row in report["rows"]] == ["family-recursion"]
+    assert report["baseline"] == "skipped (lattice realization needs q prime)"
+    assert "agree" not in report
+    code, out, _ = run(capsys, "compute", "kl", "--family", "qvec:4", "--d", "2")
+    assert code == 0 and out.strip() == "1"
 
 
 def test_worker_env_var(capsys, monkeypatch):

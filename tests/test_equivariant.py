@@ -1,16 +1,18 @@
 import random
+from itertools import permutations
 from math import factorial
 
 import pytest
 
-from oracles import schur_expand_h_by_pieri
+from oracles import partitions_of, schur_expand_h_by_pieri, young_character_by_words
 from zpoly import (BRAID, GraphSpec, PermGroup, SymFunction, UniformSpec,
-                   build_tables, character_value, dimension, enumerate_flats,
+                   build_tables, character_value, contraction, dimension, enumerate_flats,
                    equivariant_c_character, equivariant_c_uniform,
                    equivariant_whitney_character, equivariant_whitney_uniform,
                    enumerate_index_tuples, h_product, h_to_schur,
-                   is_schur_positive, kl_coeff_closed, kl_family, kostka_number,
-                   lattice_spec, uniform_family, whitney_multi, whitney_multi_family)
+                   is_schur_positive, kl_coeff_closed, kl_coeff_new_recursion, kl_family,
+                   kostka_number, lattice_spec, localization, uniform_family, whitney_multi,
+                   whitney_multi_family)
 
 
 def test_h_product():
@@ -708,3 +710,35 @@ def test_entry_points_reject_non_integers(call):
     # int() would truncate 1.9 to a corank-1 count and parse the string '1'
     with pytest.raises(TypeError):
         call()
+
+
+S3 = list(permutations(range(3)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PermGroup(3, [(0, 1, 2), (1, 2, 0)]), ValueError, "not the closure"),
+    (lambda: PermGroup(3, [(0, 1, 2), (0, 0, 1)]), ValueError, "not a permutation"),
+    (lambda: PermGroup(3, [(0, 1, 2), (1, 0, 2), (1, 2, 0)]), ValueError, "not the closure"),
+    (lambda: PermGroup(3, S3, [(1, 0, 2)]), ValueError, "not the closure"),
+    (lambda: contraction(enumerate_flats(K4), 1.5), TypeError, "interpreted as an integer"),
+    (lambda: localization(enumerate_flats(K4), 1.5), TypeError, "interpreted as an integer"),
+    (lambda: kl_coeff_new_recursion(enumerate_flats(K4), 1.5), TypeError,
+     "interpreted as an integer"),
+], ids=["missing-square", "non-permutation", "not-closed", "generators-too-few",
+        "contraction", "localization", "kl_coeff_new_recursion"])
+def test_library_inputs_are_checked(call, error, message):
+    # an element list must be exactly the closure of the generators (the
+    # elements themselves when none are given), and ids and indices are ints
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_character_value_against_words():
+    # h[1^12] at the identity counts the orderings of 12 points
+    assert character_value(h_product([1] * 12), tuple(range(12))) == factorial(12)
+    for n in range(7):
+        by_type = {tuple(sorted(cycle_lengths(g))): g for g in permutations(range(n))}
+        for g in by_type.values():
+            for lam in partitions_of(n):
+                assert character_value(h_product(lam), g) == young_character_by_words(lam, g), \
+                    (lam, g)
