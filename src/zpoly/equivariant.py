@@ -38,8 +38,8 @@ from math import factorial, isqrt
 from operator import index
 
 from .klz import _closed_sum
-from .matroid import (FlatLattice, _bits, _multichain_counts, flat_permutation,
-                      symmetric_generators)
+from .matroid import (FlatLattice, _bits, _check_permutations, _multichain_counts,
+                      flat_permutation, symmetric_generators)
 
 _GROUP_CAP = 10 ** 6
 _SCHUR_DEGREE_CAP = 12
@@ -331,12 +331,6 @@ def _smallest_of_cycle_type(lam) -> tuple:
         perm.extend(range(start + 1, start + part))
         perm.append(start)
     return tuple(perm)
-
-
-def _check_permutations(n: int, perms) -> None:
-    for g in perms:
-        if sorted(g) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
 
 
 def _closure(n: int, gens, cap: int):

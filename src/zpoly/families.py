@@ -13,7 +13,9 @@ P_d and Z_d then come from the family recursion, never touching a lattice:
 the P/Z table's solver (klz._pz_solve) with one row per rank, since the
 W_d(k) flats of corank k each contract to the rank-k member.
 Every entry point checks d against the tables' range.  Everything
-cross-validates against the lattice-based computations at small rank.
+cross-validates against the lattice-based computations at small rank:
+lattice_spec gives each rank-d member as one spec for enumerate_flats, the
+F_q member (q prime) as LinearVectors of all nonzero vectors over F_q.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from math import comb, factorial, prod
 from operator import index
 
 from .klz import _closed_sum, _pz_solve
-from .matroid import (ExplicitFlats, GraphSpec, LinearVectors, MatroidSpec,
-                      UniformSpec, _bits, _enumerate_by_covers, _integer,
-                      _vectors_oracle, _vectors_symmetry)
+from .matroid import (GraphSpec, LinearVectors, MatroidSpec, UniformSpec, _bits,
+                      _integer, enumerate_flats)
 from .polyarith import IntPolynomial
 
 
@@ -371,19 +372,17 @@ def lattice_spec(family: NiceFamily, d: int) -> MatroidSpec:
         return LinearVectors(tuple(vectors))
     if kind == "uniform":
         return UniformSpec(p, d)
-    return ExplicitFlats(*qvec_flats(p, d))
+    if any(p % k == 0 for k in range(2, p)):
+        raise ValueError("lattice realization needs q prime")
+    return LinearVectors(tuple(tuple(code // p ** k % p for k in range(d))
+                               for code in range(1, p ** d)), p)
 
 
 def qvec_flats(q: int, d: int):
     """(ground size, flats) of the matroid of all nonzero vectors of F_q^d,
-    with flats the subspaces.  Element i is the vector whose base-q digits,
-    least significant first, are those of i + 1.  Implemented for prime q:
-    the flats come from the vector oracle with residuals mod q, one orbit
-    of the coordinate permutations and scalings at a time; the Whitney
-    tables cover general prime powers."""
-    if any(q % p == 0 for p in range(2, q)) or q < 2:
-        raise ValueError("lattice realization needs q prime")
-    vectors = [tuple(code // q ** k % q for k in range(d)) for code in range(1, q ** d)]
-    lat = _enumerate_by_covers(len(vectors), *_vectors_oracle(vectors, q), None,
-                               _vectors_symmetry(vectors, q))
-    return len(vectors), tuple(frozenset(_bits(m)) for m in lat.flats)
+    with flats the subspaces: the lattice of lattice_spec(qvec_family(q), d),
+    for prime q.  Element i is the vector whose base-q digits, least
+    significant first, are those of i + 1; the Whitney tables cover general
+    prime powers."""
+    lat = enumerate_flats(lattice_spec(qvec_family(q), d))
+    return lat.n_ground, tuple(frozenset(_bits(m)) for m in lat.flats)

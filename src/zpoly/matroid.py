@@ -25,7 +25,7 @@ elements need no special handling.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
 from math import gcd
 from operator import index
@@ -106,10 +106,13 @@ class ExplicitBases:
 
 @dataclass(frozen=True)
 class LinearVectors:
-    """Matroid of a list of integer vectors over the rationals."""
+    """Matroid of a list of integer vectors over Q (p = 0) or the prime field F_p."""
     vectors: tuple
+    p: int = 0
 
     def __post_init__(self):
+        if _integer(self.p) and (self.p < 2 or any(self.p % k == 0 for k in range(2, self.p))):
+            raise ValueError(f"vectors need p = 0 (over Q) or a prime p, got p = {self.p}")
         vecs = tuple(tuple(map(_integer, v)) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
         if vecs and len({len(v) for v in vecs}) != 1:
@@ -137,7 +140,9 @@ _JSON_SPECS = {"bases": ExplicitBases, "graph": GraphSpec, "uniform": UniformSpe
 
 def matroid_spec_from_json(obj: dict) -> MatroidSpec:
     """Decode the documented JSON matroid format (see README): the type names
-    a spec class, and the other fields are the class's fields.  The spec
+    a spec class, and the other keys are the class's fields that have no
+    default, all of them required.  Any other key is rejected, so a
+    defaulted field (LinearVectors.p) is set from Python only.  The spec
     constructors reject numbers that are not integers."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("matroid JSON must be an object with a 'type' field")
@@ -145,8 +150,12 @@ def matroid_spec_from_json(obj: dict) -> MatroidSpec:
     spec = _JSON_SPECS.get(kind) if isinstance(kind, str) else None
     if spec is None:
         raise ValueError(f"unknown matroid type '{kind}' (expected {'|'.join(_JSON_SPECS)})")
+    names = [f.name for f in fields(spec) if f.default is MISSING]
+    for key in obj:
+        if key != "type" and key not in names:
+            raise ValueError(f"matroid JSON of type '{kind}' has unknown field {key!r}")
     try:
-        return spec(*(obj[f.name] for f in fields(spec)))
+        return spec(*map(obj.__getitem__, names))
     except KeyError as exc:
         raise ValueError(f"matroid JSON of type '{kind}' is missing field {exc}") from exc
     except TypeError as exc:
@@ -307,6 +316,12 @@ def flat_permutation(lat: FlatLattice, g) -> list:
     return image
 
 
+def _check_permutations(n: int, perms) -> None:
+    for g in perms:
+        if sorted(g) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
+
+
 def _orbit_representatives(lat: FlatLattice, images):
     """(orbit_rep, orbit_size, tree) of the lattice, with lat.covers filled
     in.  By decreasing id, each flat not yet reached whose covers are given
@@ -317,9 +332,7 @@ def _orbit_representatives(lat: FlatLattice, images):
     orbit_rep[y] is the highest id of y's orbit."""
     if not lat.symmetry:
         return range(lat.n), dict.fromkeys(range(lat.n), 1), ()
-    for g in lat.symmetry:
-        if sorted(g) != list(range(lat.n_ground)):
-            raise ValueError(f"not a permutation of 0..{lat.n_ground - 1}: {g}")
+    _check_permutations(lat.n_ground, lat.symmetry)
     if images is None:
         images = [flat_permutation(lat, g) for g in lat.symmetry]
     rep, size, top = [None] * lat.n, {}, {}     # rep[y]: where y's walk began, f
@@ -370,9 +383,10 @@ def enumerate_flats(spec: MatroidSpec, flat_cap: int | None = None) -> FlatLatti
     Every encoding, an explicit flat list too, runs one cover-oracle
     enumerator; a flat list is checked cover by cover as it runs.  flat_cap
     bounds the flat count, bottom included: FlatCapExceeded is raised as
-    soon as one flat too many has been generated.  Uniform, graph and
-    vector lattices carry the symmetry their encoding shows (see
-    _graph_symmetry and _vectors_symmetry); bases lattices carry none.
+    soon as one flat too many has been generated.  Vectors are taken over
+    Q, or over F_p when spec.p is a prime.  Uniform, graph and vector
+    lattices carry the symmetry their encoding shows (see _graph_symmetry
+    and _vectors_symmetry); bases lattices carry none.
     """
     if isinstance(spec, ExplicitFlats):
         return _lattice_from_explicit_flats(spec, flat_cap)
@@ -387,8 +401,8 @@ def enumerate_flats(spec: MatroidSpec, flat_cap: int | None = None) -> FlatLatti
         _check_basis_exchange(spec)
         n, oracle = spec.ground, _bases_oracle(spec)
     elif isinstance(spec, LinearVectors):
-        n, oracle = len(spec.vectors), _vectors_oracle(spec.vectors)
-        symmetry = _vectors_symmetry(spec.vectors)
+        n, oracle = len(spec.vectors), _vectors_oracle(spec.vectors, spec.p)
+        symmetry = _vectors_symmetry(spec.vectors, spec.p)
     else:
         raise TypeError(f"not a matroid spec: {spec!r}")
     return _enumerate_by_covers(n, *oracle, flat_cap, symmetry)

@@ -7,8 +7,9 @@ from oracles import (gaussian_by_product, narayana_by_dyck_paths,
                      stirling1_by_polynomial, stirling2_by_enumeration,
                      subspaces_by_brute_force, typeb_whitney_by_double_sums,
                      uniform_whitney_by_binomials)
-from zpoly import families
-from zpoly import (BRAID, TYPE_B, IntPolynomial, NiceFamily, WhitneyTables, binomial,
+from zpoly import families, matroid
+from zpoly import (BRAID, TYPE_B, ExplicitFlats, FlatCapExceeded, IntPolynomial,
+                   LinearVectors, NiceFamily, WhitneyTables, binomial,
                    build_tables, characteristic_polynomial, enumerate_flats,
                    gaussian_binomial, is_palindromic, kl_closed_family,
                    kl_defining, kl_family, lattice_spec, narayana,
@@ -403,3 +404,48 @@ def test_qvec_flats_gaussian_counts(q, d):
     _, flats = qvec_flats(q, d)
     for k in range(d + 1):
         assert sum(1 for f in flats if len(f) == q ** k - 1) == gaussian_binomial(d, k, q)
+
+
+def test_qvec_lattice_spec_is_a_vector_configuration_over_f_q(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lattice_spec built a lattice")
+
+    monkeypatch.setattr(matroid, "_enumerate_by_covers", refuse)
+    for q, d in ((2, 7), (3, 5), (5, 3)):
+        spec = lattice_spec(qvec_family(q), d)
+        assert isinstance(spec, LinearVectors) and spec.p == q
+        assert spec.vectors == tuple(_qvec_vector(q, d, i) for i in range(q ** d - 1))
+
+
+@pytest.mark.parametrize("q,d", [(2, d) for d in range(6)] + [(3, d) for d in range(4)])
+def test_qvec_lattice_equals_its_explicit_flat_list(q, d):
+    # the explicit-list checker, which checks every meet and cover partition,
+    # rebuilds the F_q lattice from its flats alone
+    lat = enumerate_flats(lattice_spec(qvec_family(q), d))
+    lat.validate()
+    listed = enumerate_flats(ExplicitFlats(*qvec_flats(q, d)))
+    assert (lat.flats, lat.ranks, lat.covers) == (listed.flats, listed.ranks, listed.covers)
+    assert d < 2 or lat.n_orbits < lat.n
+
+
+@pytest.mark.parametrize("q,d_max", [(2, 6), (3, 4)])
+def test_qvec_lattice_routes_equal_the_family_recursion(q, d_max):
+    tables = build_tables(qvec_family(q), d_max)
+    for d in range(d_max + 1):
+        lat = enumerate_flats(lattice_spec(qvec_family(q), d))
+        assert kl_defining(lat) == kl_family(tables, d), d
+        assert z_polynomial(lat) == z_family(tables, d), d
+
+
+def test_flat_cap_bounds_the_qvec_lattice(monkeypatch):
+    # 127 atoms at d = 7: the cap is hit among them, and no plane is reached
+    ranks, check_cap = [], matroid._check_cap
+
+    def spy(count, flat_cap, rank):
+        ranks.append(rank)
+        check_cap(count, flat_cap, rank)
+
+    monkeypatch.setattr(matroid, "_check_cap", spy)
+    with pytest.raises(FlatCapExceeded, match="11 flats up to rank 1$"):
+        enumerate_flats(lattice_spec(qvec_family(2), 7), flat_cap=10)
+    assert max(ranks) == 1

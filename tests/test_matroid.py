@@ -147,6 +147,30 @@ def test_input_checks_raise(make, error, message):
         make()
 
 
+@pytest.mark.parametrize("p, error, message", [
+    (1, ValueError, "a prime p, got p = 1"), (4, ValueError, "a prime p, got p = 4"),
+    (-3, ValueError, "a prime p, got p = -3"), (2.0, TypeError, "2.0 is not an integer"),
+    (True, TypeError, "True is not an integer"),
+])
+def test_linear_vectors_field_is_q_or_a_prime(p, error, message):
+    with pytest.raises(error, match=message):
+        LinearVectors([(1, 0), (0, 1)], p)
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({"type": "uniform", "m": 1, "d": 3, "bogus": 7}, "bogus"),
+    ({"type": "vectors", "vectors": [[1, 0], [0, 1], [1, 1]], "p": 2}, "p"),
+    ({"type": "graph", "vertices": 2, "edges": [[0, 1]], "loops": []}, "loops"),
+    ({"type": "flats", "ground": 1, "flats": [[], [0]], "rank": 1}, "rank"),
+])
+def test_json_rejects_unknown_fields(capsys, obj, key):
+    # a defaulted field such as LinearVectors.p is not a JSON field either
+    with pytest.raises(ValueError, match=f"has unknown field '{key}'"):
+        matroid_spec_from_json(obj)
+    assert main(["compute", "z", "--matroid-json", json.dumps(obj)]) == 2
+    assert f"unknown field '{key}'" in capsys.readouterr().err
+
+
 def test_explicit_flats_against_the_flat_axioms_on_four_elements():
     # every family of subsets of {0, 1, 2, 3} that lists the ground set:
     # the lattices accepted are exactly the families of flats, ranked by chains

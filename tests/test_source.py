@@ -56,6 +56,17 @@ def test_one_lattice_builder():
     assert not found, f"FlatLattice built outside _enumerate_by_covers: {found}"
 
 
+def test_one_caller_of_the_enumerator():
+    # every spec reaches the cover enumerator through enumerate_flats, which
+    # applies the flat cap; a module that drives it directly bypasses both
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "matroid.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).rpartition(".")[2] == "_enumerate_by_covers"]
+    assert not found, f"_enumerate_by_covers called outside matroid.py: {found}"
+
+
 def test_star_import_binds_no_module():
     # `from zpoly import *` gives the API, not the submodules it comes from
     import types
