@@ -377,6 +377,7 @@ def cmd_bench(args) -> int:
         slow_ms = (time.perf_counter() - t0) * 1000.0
         rows.append({"method": "lattice-defining", "d": d, "millis": slow_ms,
                      "enumeration_millis": enum_ms, "flats": lat.n, "orbits": lat.n_orbits,
+                     "up_set_rows": len(lat.uppers().keys()),   # the rows the verifier read
                      "orbit_pairs": sum(len(lat.uppers()[f]) for f in lat.orbit_size),
                      "checksum": _checksum(slow)})
         report["agree"] = slow == fast

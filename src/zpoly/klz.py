@@ -11,10 +11,10 @@ above a flat into its P and Z by palindromicity.  The cached table runs it
 at each orbit representative (FlatLattice.orbit_rep) over the orbits above
 it, and the family recursion (families.py) over Whitney rows; z_polynomial,
 kl_via_mobius and kl_coeff_new_recursion read the table.  kl_defining never
-does: it solves the functional equation with its own P and Z, using mu(F,
-H) on every interval, one flat per orbit, and checks it in full.  The
-bottom rows of both tables and kl_via_mobius add each orbit once, weighted
-by its size.
+does: it solves the functional equation with its own P and Z, one flat per
+orbit, and checks it in full, with the mu(F, .) row of each representative
+summed over orbits.  The bottom rows of both tables and kl_via_mobius add
+each orbit once, weighted by its size.
 
 The closed formula is one sum, _closed_sum, over any Whitney source: lattice
 multichains, family tables, h-products, or one class's fixed chains.
@@ -204,14 +204,19 @@ def _defining_table(lat: FlatLattice):
         R_F = sum over G >= F of chi_{[F,G]} P_G = sum over H >= F of mu(F,H) Z_H
     must equal t^{crk} P_F(1/t).  Its tail gives
         P_F[i] = S_F[crk - i] + sum over H > F of mu(F,H) Z_H[crk - i],
-    and its low half (degrees <= crk/2) must vanish.  mu(F, .) comes from a
-    scalar sweep over chains F <= H <= G; the polynomial work is two sums
-    over pairs.  Only orbit representatives are solved and checked, each
-    over its whole interval [F, top]; the other flats copy theirs from the
-    representative, the orbit's highest id.  At the bottom, mu(bottom, .),
-    P and Z are constant on orbits, so its row adds each orbit once, by its
-    size, with mu from the mobius_from_bottom cache when a route has filled
-    it, else from _orbit_mobius.  Shares nothing with _p_table; caches nothing.
+    and its low half (degrees <= crk/2) must vanish.  Only orbit
+    representatives are solved and checked; the other flats copy theirs
+    from the representative, the orbit's highest id.  Without symmetry,
+    mu(F, .) comes from a scalar sweep over chains F <= H <= G.  With it,
+    automorphisms keep N[H][O], the number of flats of orbit O above H, so
+    F's row reads only its own up-set, as N[F], and sums over orbits: S of
+    N[F][O] P_O, and T of M[O] Z_O, where M[O] sums mu(F, H) over the H of
+    O above F.  Since mu(F, .) sums to 0 on every [F, G], M[O'] = -N[F][O']
+    - sum over O of M[O] N[O][O'], pushed by rank.  At the bottom,
+    mu(bottom, .) is constant on orbits, so its row adds each orbit once,
+    by its size, with mu from the mobius_from_bottom cache when a route has
+    filled it, else from _orbit_mobius.  Shares nothing with _p_table;
+    caches nothing.
     """
     n = lat.n
     ranks = lat.ranks
@@ -219,6 +224,7 @@ def _defining_table(lat: FlatLattice):
     rep = lat.orbit_rep
     ups = lat.uppers()
     P, Z = [None] * n, [None] * n
+    N = {}                          # N[F][O] at the representatives F solved so far
     acc = [0] * n
     for f in reversed(range(n)):
         r = rep[f]
@@ -229,6 +235,7 @@ def _defining_table(lat: FlatLattice):
         crk = rk_total - rank_f
         if crk == 0:
             P[f] = Z[f] = (1,)
+            N[f] = {}
             continue
         S = [0] * (crk + 1)         # sum over G > F of t^{rk G - rk F} P_G
         T = [0] * (crk + 1)         # sum over H > F of mu(F, H) Z_H
@@ -239,6 +246,18 @@ def _defining_table(lat: FlatLattice):
                     S[ranks[h] + j] += k * c
                 for j, c in enumerate(Z[h]):
                     T[j] += k * mu[h] * c
+        elif lat.symmetry:
+            above = N[f] = Counter(map(rep.__getitem__, ups[f]))
+            for h, k in above.items():  # by rank: acc[h] is complete
+                for j, c in enumerate(P[h], ranks[h] - rank_f):
+                    S[j] += k * c
+                m = -k - acc[h]         # sum of mu(F, H) over the H > F of h's orbit
+                acc[h] = 0
+                if m:
+                    for g, kg in N[h].items():
+                        acc[g] += m * kg
+                    for j, c in enumerate(Z[h]):
+                        T[j] += m * c
         else:
             ups_f = ups[f]
             for g in ups_f:

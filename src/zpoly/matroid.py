@@ -11,10 +11,11 @@ vertices, which keep the edges keyed by endpoints, and a configuration's
 coordinates, with sign changes (scalings over F_p), that keep its lines.
 The cover oracle runs at one flat per orbit, and one walk of each orbit,
 made by the lattice, gives the other flats the symmetry images of the
-covers and up-sets of the flat they were reached from.  Mobius values
-from the bottom and plain multichain counts are constant on orbits, so
-they walk only the orbit representatives' up-sets and keep one count per
-representative; a permutation's fixed-chain counts keep one per flat it fixes.
+covers and up-sets of the flat they were reached from; an up-set is built
+only when it is read.  Mobius values from the bottom, plain multichain
+counts and P and Z are constant on orbits, so they read only the orbit
+representatives' up-sets and keep one value per representative; a
+permutation's fixed-chain counts keep one per flat it fixes.
 
 Flats are ground-set bitmasks (Python ints), ordered by inclusion.  Closure
 based enumeration always yields the geometric lattice of the simplification,
@@ -27,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 from operator import index
 from typing import Iterable, Sequence, Union
 
@@ -111,7 +112,8 @@ class LinearVectors:
     p: int = 0
 
     def __post_init__(self):
-        if _integer(self.p) and (self.p < 2 or any(self.p % k == 0 for k in range(2, self.p))):
+        p = _integer(self.p)
+        if p and (p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1))):
             raise ValueError(f"vectors need p = 0 (over Q) or a prime p, got p = {self.p}")
         vecs = tuple(tuple(map(_integer, v)) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
@@ -180,7 +182,8 @@ class FlatLattice:
     ascending, to its orbit's size.  P and Z of an upper interval depend
     only on the contraction, and mu(bottom, F) and the multichain counts
     above F only on F's orbit.  The up-set of g(F) is g's image of the
-    up-set of F.
+    up-set of F, and uppers() builds each row of a symmetric lattice on its
+    first read, so routes that read the representatives build no other.
     """
 
     __slots__ = ("flats", "ranks", "covers", "rk_total", "n_ground", "ground_mask", "symmetry",
@@ -188,10 +191,11 @@ class FlatLattice:
 
     def __init__(self, flats: Sequence[int], ranks: Sequence[int], covers: Sequence[Sequence[int]],
                  n_ground: int, symmetry: Sequence[Sequence[int]] = (), images=None):
-        order = sorted(range(len(flats)), key=lambda i: (ranks[i], flats[i]))
-        old_to_new = dict(zip(order, range(len(order))))
-        self.flats = tuple(flats[old] for old in order)
-        self.ranks = tuple(ranks[old] for old in order)
+        order = sorted(range(len(flats)), key=flats.__getitem__)
+        order.sort(key=ranks.__getitem__)   # stable: by (rank, mask)
+        old_to_new = sorted(range(len(order)), key=order.__getitem__)
+        self.flats = tuple(map(flats.__getitem__, order))
+        self.ranks = tuple(map(ranks.__getitem__, order))
         self.covers = [None if covers[old] is None else
                        tuple(sorted(map(old_to_new.__getitem__, covers[old]))) for old in order]
         self.rk_total = self.ranks[-1] if self.ranks else 0
@@ -231,35 +235,14 @@ class FlatLattice:
 
     def uppers(self):
         """uppers()[i] = ids of flats strictly above flat i, ascending (= by
-        rank).  Rows are merged from the covers' rows only at the first flat
-        of each orbit; the orbit tree maps them to the rest of the orbit."""
+        rank), as an _UpSets.  Without symmetry every row is merged at once
+        from the covers' rows; with it, each row is built on its first read."""
         ups = self._cache.get("uppers")
-        if ups is not None:
-            return ups
-        n = self.n
-        covers = self.covers
-        ups = [None] * n
-        seen = bytearray(n)
-        order, parent, via = self._orbit_tree or (range(n - 1, -1, -1), [None] * n, None)
-        for f in order:
-            x = parent[f]
-            if x is not None:
-                ups[f] = sorted(map(via[f].__getitem__, ups[x]))
-                continue
-            out = []
-            for c in covers[f]:
-                if not seen[c]:
-                    seen[c] = 1
-                    out.append(c)
-                for g in ups[c]:
-                    if not seen[g]:
-                        seen[g] = 1
-                        out.append(g)
-            for g in out:
-                seen[g] = 0
-            out.sort()
-            ups[f] = out
-        self._cache["uppers"] = ups
+        if ups is None:
+            ups = self._cache["uppers"] = _UpSets(self)
+            if not self.symmetry:
+                for f, cs in zip(reversed(range(self.n)), reversed(self.covers)):
+                    ups[f] = sorted(set(cs).union(*map(ups.__getitem__, cs)))
         return ups
 
     def validate(self):
@@ -283,6 +266,47 @@ class FlatLattice:
         ranks = [self.ranks[i] - rank_offset for i in members]
         covers = [[old_to_new[c] for c in self.covers[i] if c in old_to_new] for i in members]
         return FlatLattice(flats, ranks, covers, self.n_ground)
+
+
+class _UpSets(dict):
+    """Up-set rows by flat id, read as the list of all rows (len, iteration,
+    equality); len(keys()) counts the rows built.  A missing row is built
+    on its first read and kept: at a walk root or a representative, the
+    flats of later ranks whose masks hold the flat's; elsewhere, the sorted
+    image under via of its tree parent's row, built first."""
+
+    __slots__ = ("lattice",)
+
+    def __init__(self, lat: FlatLattice):
+        _, parent, via = lat._orbit_tree or ((), [None] * lat.n, None)
+        self.lattice = (lat.flats, lat.ranks, lat.orbit_rep, parent, via)
+
+    def __missing__(self, f):
+        flats, ranks, rep, parent, via = self.lattice
+        chain = []
+        while parent[f] is not None and rep[f] != f and f not in self:
+            chain.append(f)
+            f = parent[f]
+        row = self.get(f)
+        if row is None:
+            mask = flats[f]
+            row = self[f] = [g for g in range(bisect_left(ranks, ranks[f] + 1), len(flats))
+                             if flats[g] & mask == mask]
+        for y in reversed(chain):
+            row = self[y] = sorted(map(via[y].__getitem__, row))
+        return row
+
+    def __len__(self):
+        return len(self.lattice[0])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        return list(self) == list(other)
+
+    def __ne__(self, other):        # else dict's, which compares keys and rows
+        return not self == other
 
 
 def _byte_tables(g) -> list:
@@ -558,8 +582,17 @@ def _vectors_symmetry(vectors, p: int = 0) -> list:
         if r is not None:
             slots.setdefault(r, []).append(e)
     dim = len(vectors[0]) if vectors else 0
-    root = -1 if not p else next(
-        (g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1), None)
+    root = -1
+    if p:                       # the least g with g^((p-1)/q) != 1 for each prime q | p - 1
+        rest, primes = p - 1, []
+        for k in range(2, isqrt(p) + 1):
+            if rest % k == 0:
+                primes.append(k)
+                while rest % k == 0:
+                    rest //= k
+        primes += [rest] * (rest > 1)
+        root = next((g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes)),
+                    None)
 
     def permute(sigma, c=None):  # coordinate sigma[i] goes to i; then c is scaled by root
         def key_map(r):
@@ -687,11 +720,12 @@ def _line_of(p: int):
     nonzero entry 1 over F_p."""
     if not p:
         return _primitive
-    inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
 
     def line(v):
-        scale = inverse[next((x for x in v if x % p), 0) % p]
-        return tuple(x * scale % p for x in v) if scale else None
+        lead = next((x for x in v if x % p), 0)
+        if lead:
+            scale = pow(lead, -1, p)
+            return tuple(x * scale % p for x in v)
     return line
 
 

@@ -510,6 +510,15 @@ def test_bench_reports_orbit_pairs(capsys):
     assert (row["flats"], row["orbits"], row["orbit_pairs"]) == (4140, 22, 5666)
 
 
+def test_bench_reports_up_set_rows(capsys):
+    # the K8 verifier builds the up-set rows of its 22 orbit
+    # representatives only, not those of its 4140 flats
+    code, out, _ = run(capsys, "bench", "braid", "--d", "7", "--reps", "1")
+    assert code == 0
+    row = json.loads(out)["rows"][1]
+    assert (row["flats"], row["orbits"], row["up_set_rows"]) == (4140, 22, 22)
+
+
 def test_bench_typeb_reports_signed_permutation_orbits(capsys):
     # type B, d = 5: the signed coordinate permutations leave
     # sum_{j <= 5} p(j) = 19 orbits of its 648 flats

@@ -135,6 +135,45 @@ def test_pz_table_reads_only_the_representatives_up_sets():
         assert _p_table(lat) != want, spec
 
 
+def test_defining_route_reads_only_the_representatives_up_sets():
+    # the verifier counts orbits in the representatives' rows: it builds no
+    # other row, poisoned other rows leave its table as it was, and a pair
+    # dropped from a representative's row changes P or fails a check
+    twins = GraphSpec(4, [(0, 1), (1, 0), (1, 2), (1, 3), (2, 3), (0, 2), (0, 3)])
+    for spec in (lattice_spec(BRAID, 6), UniformSpec(2, 5), lattice_spec(TYPE_B, 4), twins):
+        lat = enumerate_flats(spec)
+        assert lat.n_orbits < lat.n, spec
+        want = _defining_table(lat)
+        ups = lat.uppers()
+        assert set(ups.keys()) <= set(lat.orbit_size), spec
+        for f in range(lat.n):
+            if lat.orbit_rep[f] != f:
+                ups[f] = []
+        assert _defining_table(lat) == want, spec
+        for f in lat.orbit_size:
+            row = ups[f]
+            if not row:
+                continue
+            ups[f] = row[:-1]
+            try:
+                changed = _defining_table(lat)[0] != want[0]
+            except RuntimeError:
+                changed = True
+            assert changed, (spec, f)
+            ups[f] = row
+
+
+def test_k10_defining_route_and_z_equal_family():
+    # 115,975 flats: the verifier and the table read the up-sets of the 42
+    # orbit representatives only, not the 16.6 million pairs of every flat
+    lat = enumerate_flats(lattice_spec(BRAID, 9))
+    assert (lat.n, lat.n_orbits) == (115975, 42)
+    tables = build_tables(BRAID, 9)
+    assert kl_defining(lat) == kl_family(tables, 9)
+    assert z_polynomial(lat) == z_family(tables, 9)
+    assert set(lat.uppers().keys()) <= set(lat.orbit_size)
+
+
 @st.composite
 def twin_multigraphs(draw):
     """A multigraph on up to 4 vertices with loops and parallel edges, then

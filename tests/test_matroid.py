@@ -2,6 +2,7 @@ import ast
 import json
 import re
 import shlex
+import time
 from itertools import combinations, product
 from pathlib import Path
 
@@ -22,6 +23,24 @@ from zpoly.matroid import _JSON_SPECS, _enumerate_by_covers, _vectors_oracle
 
 def k_complete(n):
     return GraphSpec(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_symmetric_up_sets_are_built_on_first_read():
+    # K6: no row exists until one is read; a representative's row builds
+    # itself only, another flat's builds the rows of its tree ancestors,
+    # and every row is the one the symmetry-free copy merges from covers
+    lat = enumerate_flats(k_complete(6))
+    want = enumerate_flats(ExplicitFlats(lat.n_ground, [lat.flat_elements(f)
+                                                        for f in range(lat.n)])).uppers()
+    ups = lat.uppers()
+    assert (len(ups), len(ups.keys())) == (lat.n, 0)
+    rep = next(f for f in lat.orbit_size if 0 < lat.ranks[f] < lat.rk_total)
+    assert ups[rep] == want[rep] and list(ups.keys()) == [rep]
+    other = next(f for f in range(lat.n) if lat.orbit_rep[f] != f and 0 < lat.ranks[f])
+    assert ups[other] == want[other] and other in ups.keys()
+    assert len(ups.keys()) < lat.n
+    assert ups == want and not ups != [list(row) for row in want]
+    assert list(ups) == list(want) and len(ups.keys()) == lat.n
 
 
 def test_uniform_u12():
@@ -155,6 +174,17 @@ def test_input_checks_raise(make, error, message):
 def test_linear_vectors_field_is_q_or_a_prime(p, error, message):
     with pytest.raises(error, match=message):
         LinearVectors([(1, 0), (0, 1)], p)
+
+
+def test_linear_vectors_cost_does_not_grow_with_p():
+    # primality by trial division to isqrt(p), one inverse per line and a
+    # primitive root from the prime factors of p - 1: no p-entry tables
+    t0 = time.perf_counter()
+    lat = enumerate_flats(LinearVectors(((1, 0), (0, 1), (1, 1)), 1_000_003))
+    assert time.perf_counter() - t0 < 1.0
+    assert lat.n == 5
+    with pytest.raises(ValueError, match="a prime p"):
+        LinearVectors(((1, 0),), 1_000_003 ** 2)
 
 
 @pytest.mark.parametrize("obj, key", [
