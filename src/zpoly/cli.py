@@ -378,6 +378,7 @@ def cmd_bench(args) -> int:
         rows.append({"method": "lattice-defining", "d": d, "millis": slow_ms,
                      "enumeration_millis": enum_ms, "flats": lat.n, "orbits": lat.n_orbits,
                      "up_set_rows": len(lat.uppers().keys()),   # the rows the verifier read
+                     "cover_rows": len(lat.covers.keys() if lat.symmetry else lat.covers),
                      "orbit_pairs": sum(len(lat.uppers()[f]) for f in lat.orbit_size),
                      "checksum": _checksum(slow)})
         report["agree"] = slow == fast

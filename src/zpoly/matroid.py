@@ -11,8 +11,8 @@ vertices, which keep the edges keyed by endpoints, and a configuration's
 coordinates, with sign changes (scalings over F_p), that keep its lines.
 The cover oracle runs at one flat per orbit, and one walk of each orbit,
 made by the lattice, gives the other flats the symmetry images of the
-covers and up-sets of the flat they were reached from; an up-set is built
-only when it is read.  Mobius values from the bottom, plain multichain
+covers and up-sets of the flat they were reached from; each such row is
+built only when it is read.  Mobius values from the bottom, plain multichain
 counts and P and Z are constant on orbits, so they read only the orbit
 representatives' up-sets and keep one value per representative; a
 permutation's fixed-chain counts keep one per flat it fixes.
@@ -175,7 +175,8 @@ class FlatLattice:
     automorphisms.  images, when given, holds their permutations of the
     given flat ids and is trusted; else an error names a flat one of them
     maps off the lattice.  covers[f] may be None when another flat of f's
-    orbit has its covers given; one walk of each orbit maps them to f.
+    orbit has its covers given; with symmetry, covers is a _Rows that maps
+    them to f along one walk of each orbit when f's row is first read.
     orbit_rep[f] is the last id in the orbit of flat f under the group
     they generate; the ids of an orbit share a rank, and without symmetry
     orbit_rep is range(n).  orbit_size maps each representative,
@@ -196,8 +197,8 @@ class FlatLattice:
         old_to_new = sorted(range(len(order)), key=order.__getitem__)
         self.flats = tuple(map(flats.__getitem__, order))
         self.ranks = tuple(map(ranks.__getitem__, order))
-        self.covers = [None if covers[old] is None else
-                       tuple(sorted(map(old_to_new.__getitem__, covers[old]))) for old in order]
+        self.covers = tuple(None if covers[old] is None else
+                            tuple(sorted(map(old_to_new.__getitem__, covers[old]))) for old in order)
         self.rk_total = self.ranks[-1] if self.ranks else 0
         self.n_ground = n_ground
         self.ground_mask = self.flats[-1]
@@ -206,7 +207,6 @@ class FlatLattice:
         if images is not None:
             images = [[old_to_new[image[old]] for old in order] for image in images]
         self.orbit_rep, self.orbit_size, self._orbit_tree = _orbit_representatives(self, images)
-        self.covers = tuple(self.covers)
 
     @property
     def n(self) -> int:
@@ -235,11 +235,16 @@ class FlatLattice:
 
     def uppers(self):
         """uppers()[i] = ids of flats strictly above flat i, ascending (= by
-        rank), as an _UpSets.  Without symmetry every row is merged at once
+        rank), as a _Rows.  Without symmetry every row is merged at once
         from the covers' rows; with it, each row is built on its first read."""
         ups = self._cache.get("uppers")
         if ups is None:
-            ups = self._cache["uppers"] = _UpSets(self)
+            flats, ranks = self.flats, self.ranks
+            def scan(f):            # the flats of later ranks whose masks hold f's
+                mask = flats[f]
+                return [g for g in range(bisect_left(ranks, ranks[f] + 1), len(flats))
+                        if flats[g] & mask == mask]
+            ups = self._cache["uppers"] = _Rows(self.n, self._orbit_tree, self.orbit_size, scan)
             if not self.symmetry:
                 for f, cs in zip(reversed(range(self.n)), reversed(self.covers)):
                     ups[f] = sorted(set(cs).union(*map(ups.__getitem__, cs)))
@@ -268,39 +273,44 @@ class FlatLattice:
         return FlatLattice(flats, ranks, covers, self.n_ground)
 
 
-class _UpSets(dict):
-    """Up-set rows by flat id, read as the list of all rows (len, iteration,
-    equality); len(keys()) counts the rows built.  A missing row is built
-    on its first read and kept: at a walk root or a representative, the
-    flats of later ranks whose masks hold the flat's; elsewhere, the sorted
-    image under via of its tree parent's row, built first."""
+class _Rows(dict):
+    """Rows by flat id, read as the sequence of all rows (len, iteration, `in`,
+    == and != against a list or tuple of rows); len(keys()) counts the
+    rows built.  A missing row is built on its first read and kept: at a
+    flat in stops, or one without a tree parent, by scan(flat); elsewhere
+    as the sorted image under via of its tree parent's row, built first,
+    of that row's type.  Without an orbit tree (parent, via) every flat is
+    a root."""
 
-    __slots__ = ("lattice",)
+    __slots__ = ("plan",)
 
-    def __init__(self, lat: FlatLattice):
-        _, parent, via = lat._orbit_tree or ((), [None] * lat.n, None)
-        self.lattice = (lat.flats, lat.ranks, lat.orbit_rep, parent, via)
+    def __init__(self, n: int, tree, stops=(), scan=None, rows=()):
+        super().__init__(rows)
+        self.plan = (n, *(tree or ([None] * n, None)), stops, scan)
 
     def __missing__(self, f):
-        flats, ranks, rep, parent, via = self.lattice
-        chain = []
-        while parent[f] is not None and rep[f] != f and f not in self:
+        n, parent, via, stops, scan = self.plan
+        if not 0 <= f < n:          # as a tuple: from the end, else IndexError
+            return self[range(n)[f]]
+        chain, row = [], None
+        while row is None and parent[f] is not None and f not in stops:
             chain.append(f)
             f = parent[f]
-        row = self.get(f)
+            row = self.get(f)
         if row is None:
-            mask = flats[f]
-            row = self[f] = [g for g in range(bisect_left(ranks, ranks[f] + 1), len(flats))
-                             if flats[g] & mask == mask]
+            row = self[f] = scan(f)
         for y in reversed(chain):
-            row = self[y] = sorted(map(via[y].__getitem__, row))
+            row = self[y] = type(row)(sorted(map(via[y].__getitem__, row)))
         return row
 
     def __len__(self):
-        return len(self.lattice[0])
+        return self.plan[0]
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+    def __contains__(self, row):    # else dict's, which looks up keys
+        return row in list(self)
 
     def __eq__(self, other):
         return list(self) == list(other)
@@ -347,12 +357,13 @@ def _check_permutations(n: int, perms) -> None:
 
 
 def _orbit_representatives(lat: FlatLattice, images):
-    """(orbit_rep, orbit_size, tree) of the lattice, with lat.covers filled
-    in.  By decreasing id, each flat not yet reached whose covers are given
-    starts its orbit's walk, closed under the generators' flat permutations.
-    The tree (order, parent, via) lists the flats in walk order, and each
-    other flat y of the orbit takes the sorted image under the automorphism
-    via[y] of the covers of parent[y]; without symmetry the tree is empty.
+    """(orbit_rep, orbit_size, tree) of the lattice.  By decreasing id, each
+    flat not yet reached whose covers are given starts its orbit's walk,
+    closed under the generators' flat permutations.  In the tree (parent,
+    via) each other flat y of the orbit is reached from parent[y] by the
+    automorphism via[y]; without symmetry the tree is empty.  lat.covers
+    becomes a _Rows that keeps the walk roots' covers and maps them along
+    the tree on first read.
     orbit_rep[y] is the highest id of y's orbit."""
     if not lat.symmetry:
         return range(lat.n), dict.fromkeys(range(lat.n), 1), ()
@@ -361,7 +372,7 @@ def _orbit_representatives(lat: FlatLattice, images):
         images = [flat_permutation(lat, g) for g in lat.symmetry]
     rep, size, top = [None] * lat.n, {}, {}     # rep[y]: where y's walk began, f
     covers = lat.covers
-    order, parent, via = [], [None] * lat.n, [None] * lat.n
+    parent, via = [None] * lat.n, [None] * lat.n
     for f in reversed(range(lat.n)):
         if rep[f] is None and covers[f] is not None:
             rep[f] = f
@@ -373,11 +384,10 @@ def _orbit_representatives(lat: FlatLattice, images):
                         rep[y] = f
                         orbit.append(y)
                         parent[y], via[y] = x, image
-                        covers[y] = tuple(sorted(map(image.__getitem__, covers[x])))
             top[f] = max(orbit)         # the orbit's representative
             size[top[f]] = len(orbit)
-            order += orbit
-    return tuple(map(top.__getitem__, rep)), dict(sorted(size.items())), (order, parent, via)
+    lat.covers = _Rows(lat.n, (parent, via), rows={f: covers[f] for f in top})
+    return tuple(map(top.__getitem__, rep)), dict(sorted(size.items())), (parent, via)
 
 
 def contraction(lat: FlatLattice, fid: int) -> FlatLattice:
@@ -564,7 +574,10 @@ def _graph_symmetry(spec: GraphSpec) -> list:
     slots = {}                  # sorted endpoints -> edge ids in order
     for idx, (u, v) in enumerate(spec.edges):
         slots.setdefault((min(u, v), max(u, v)), []).append(idx)
-    support = [[uv for uv in slots if v in uv] for v in range(spec.vertices)]
+    support = [[] for _ in range(spec.vertices)]
+    for uv in slots:            # in slot order at each endpoint, a loop once
+        for v in {*uv}:
+            support[v].append(uv)
     return _coordinate_symmetry(len(spec.edges), slots, support, lambda sigma: (
         lambda uv: tuple(sorted(map(sigma.__getitem__, uv)))))
 

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import chain_count_naive, graph_rank, z_naive
 from zpoly import (BRAID, TYPE_B, ExplicitFlats, FlatLattice, GraphSpec, IntPolynomial, KlMethod,
                    LinearVectors, UniformSpec, build_tables, conjecture_sweep, contraction,
-                   enumerate_flats, is_palindromic, kl_by_method, kl_coeff_closed, kl_defining,
-                   kl_family, lattice_spec, localization, mobius_from_bottom, qvec_flats,
-                   uniform_family, whitney_multi, z_family, z_polynomial)
+                   enumerate_flats, is_palindromic, kl_by_method, kl_coeff_closed,
+                   kl_coeff_new_recursion, kl_defining, kl_family, kl_via_mobius, lattice_spec,
+                   localization, mobius_from_bottom, qvec_flats, uniform_family, whitney_multi,
+                   z_family, z_polynomial)
 from zpoly.klz import _defining_table, _p_table, _signed_profiles
 from zpoly.matroid import (_bits, _enumerate_by_covers, _graph_oracle, _graph_symmetry,
                            _uniform_oracle, _vectors_oracle, _vectors_symmetry, bareiss_rank)
@@ -161,6 +162,26 @@ def test_defining_route_reads_only_the_representatives_up_sets():
                 changed = True
             assert changed, (spec, f)
             ups[f] = row
+
+
+def test_lattice_routes_read_only_the_walk_roots_covers():
+    # the enumerator gives the covers of one flat per orbit, and no route
+    # reads another flat's: the cover store still holds only those rows
+    # after every route has run; validate() then builds and checks them all
+    for spec in (lattice_spec(BRAID, 7), UniformSpec(2, 5), lattice_spec(TYPE_B, 4)):
+        lat = enumerate_flats(spec)
+        assert len(lat.covers.keys()) == lat.n_orbits < lat.n, spec
+        mobius_from_bottom(lat)
+        kl_defining(lat)
+        z_polynomial(lat)
+        kl_via_mobius(lat)
+        for i in range(1, (lat.rk_total + 1) // 2):
+            assert kl_coeff_new_recursion(lat, i) == kl_coeff_closed(lat, i), (spec, i)
+        # a negative id counts from the end, as in a tuple of rows
+        assert (lat.covers[-1], lat.covers[-lat.n]) == (lat.covers[lat.top_id], lat.covers[0])
+        assert len(lat.covers.keys()) == lat.n_orbits, spec
+        lat.validate()
+        assert len(lat.covers.keys()) == lat.n, spec
 
 
 def test_k10_defining_route_and_z_equal_family():
