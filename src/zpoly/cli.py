@@ -378,7 +378,8 @@ def cmd_bench(args) -> int:
         rows.append({"method": "lattice-defining", "d": d, "millis": slow_ms,
                      "enumeration_millis": enum_ms, "flats": lat.n, "orbits": lat.n_orbits,
                      "up_set_rows": len(lat.uppers().keys()),   # the rows the verifier read
-                     "cover_rows": len(lat.covers.keys() if lat.symmetry else lat.covers),
+                     "cover_rows": len(lat.covers.keys()),
+                     "flat_permutations": len(lat.flat_permutations.keys()),
                      "orbit_pairs": sum(len(lat.uppers()[f]) for f in lat.orbit_size),
                      "checksum": _checksum(slow)})
         report["agree"] = slow == fast

@@ -9,9 +9,10 @@ graphs and vector configurations one finder's permutations of coordinates
 whose transpositions keep the slots of the ground set: a graph's twin
 vertices, which keep the edges keyed by endpoints, and a configuration's
 coordinates, with sign changes (scalings over F_p), that keep its lines.
-The cover oracle runs at one flat per orbit, and one walk of each orbit,
-made by the lattice, gives the other flats the symmetry images of the
-covers and up-sets of the flat they were reached from; each such row is
+The cover oracle runs at one flat per orbit, and the enumerator's walk of
+each orbit, kept as the lattice's tree, gives the other flats the symmetry
+images of the covers and up-sets of the flat they were reached from; each
+such row, and each generator's permutation of the flats that maps it, is
 built only when it is read.  Mobius values from the bottom, plain multichain
 counts and P and Z are constant on orbits, so they read only the orbit
 representatives' up-sets and keep one value per representative; a
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
-from itertools import combinations
-from math import gcd, isqrt
+from itertools import combinations, groupby
+from math import gcd, inf, isqrt
 from operator import index
 from typing import Iterable, Sequence, Union
 
@@ -168,15 +169,21 @@ class FlatLattice:
     """The lattice of flats of a matroid.
 
     flats[i] is a ground-set bitmask; ids are assigned in (rank, mask) order,
-    so id 0 is the bottom flat and id n-1 the top.  Immutable after
-    construction; the private cache only memoizes derived data.
+    so id 0 is the bottom flat and id n-1 the top; they are given with
+    ranks ascending.  Immutable after construction; the private cache only
+    memoizes derived data.
 
     symmetry holds ground-set permutations that preserve flats, so lattice
-    automorphisms.  images, when given, holds their permutations of the
-    given flat ids and is trusted; else an error names a flat one of them
-    maps off the lattice.  covers[f] may be None when another flat of f's
-    orbit has its covers given; with symmetry, covers is a _Rows that maps
-    them to f along one walk of each orbit when f's row is first read.
+    automorphisms.  tree = (parent, via, starts), when given, holds the
+    enumerator's walk of each orbit and is trusted: the k-th orbit is given
+    together from position starts[k] on, and each of its other flats y was
+    reached from parent[y] by generator via[y]; only the first flat of an
+    orbit needs its covers given.  Without a tree every flat's covers are
+    given, the lattice walks the orbits itself (_orbit_walks), and an error
+    names a flat a generator maps off the lattice.  covers is a _Rows: a
+    walk root keeps its given covers, and any other row is the image of
+    its tree parent's, made on first read, as is flat_permutations[j],
+    generator j's permutation of the flat ids, that maps it.
     orbit_rep[f] is the last id in the orbit of flat f under the group
     they generate; the ids of an orbit share a rank, and without symmetry
     orbit_rep is range(n).  orbit_size maps each representative,
@@ -188,25 +195,51 @@ class FlatLattice:
     """
 
     __slots__ = ("flats", "ranks", "covers", "rk_total", "n_ground", "ground_mask", "symmetry",
-                 "orbit_rep", "orbit_size", "_orbit_tree", "_cache")
+                 "orbit_rep", "orbit_size", "flat_permutations", "_orbit_tree", "_cache")
 
     def __init__(self, flats: Sequence[int], ranks: Sequence[int], covers: Sequence[Sequence[int]],
-                 n_ground: int, symmetry: Sequence[Sequence[int]] = (), images=None):
-        order = sorted(range(len(flats)), key=flats.__getitem__)
-        order.sort(key=ranks.__getitem__)   # stable: by (rank, mask)
-        old_to_new = sorted(range(len(order)), key=order.__getitem__)
-        self.flats = tuple(map(flats.__getitem__, order))
+                 n_ground: int, symmetry: Sequence[Sequence[int]] = (), tree=None):
+        self.symmetry = symmetry = tuple(tuple(g) for g in symmetry)
+        _check_permutations(n_ground, symmetry)
+        if symmetry and tree is None:
+            flats, ranks, covers, tree = _orbit_walks(flats, ranks, covers, symmetry)
+        order, last = [], -inf              # new id -> given position
+        for rank, run in groupby(range(len(flats)), ranks.__getitem__):
+            if rank <= last:
+                raise ValueError("flats must be given with ranks ascending")
+            order += sorted(run, key=flats.__getitem__)
+            last = rank
+        n = len(order)
+        old_to_new = [0] * n
+        for new, old in enumerate(order):
+            old_to_new[old] = new
+        self.flats = flats = tuple(map(flats.__getitem__, order))
         self.ranks = tuple(map(ranks.__getitem__, order))
-        self.covers = tuple(None if covers[old] is None else
-                            tuple(sorted(map(old_to_new.__getitem__, covers[old]))) for old in order)
         self.rk_total = self.ranks[-1] if self.ranks else 0
         self.n_ground = n_ground
-        self.ground_mask = self.flats[-1]
-        self._cache = {}
-        self.symmetry = tuple(tuple(g) for g in symmetry)
-        if images is not None:
-            images = [[old_to_new[image[old]] for old in order] for image in images]
-        self.orbit_rep, self.orbit_size, self._orbit_tree = _orbit_representatives(self, images)
+        self.ground_mask = flats[-1]
+        ids = {}                            # mask -> id, filled on first use
+        self._cache = {"ids": ids}
+        self.flat_permutations = _Rows(len(symmetry), None,
+                                       scan=lambda j: _flat_image(flats, ids, symmetry[j]))
+        if symmetry:
+            parent, via, starts = tree
+            self._orbit_tree = ([*map(old_to_new.__getitem__, map(parent.__getitem__, order))],
+                                [*map(via.__getitem__, order)], self.flat_permutations)
+            bounds, rep, size = [*starts, n], [], {}
+            for s, e in zip(bounds, bounds[1:]):    # the orbits are given together
+                top = max(old_to_new[s:e])
+                size[top] = e - s
+                rep += [top] * (e - s)
+            self.orbit_rep = tuple(map(rep.__getitem__, order))
+            self.orbit_size = dict(sorted(size.items()))
+        else:
+            starts = order
+            self._orbit_tree = ()
+            self.orbit_rep, self.orbit_size = range(n), dict.fromkeys(range(n), 1)
+        self.covers = _Rows(n, self._orbit_tree, rows={
+            old_to_new[old]: tuple(sorted(map(old_to_new.__getitem__, covers[old])))
+            for old in starts})
 
     @property
     def n(self) -> int:
@@ -246,7 +279,8 @@ class FlatLattice:
                         if flats[g] & mask == mask]
             ups = self._cache["uppers"] = _Rows(self.n, self._orbit_tree, self.orbit_size, scan)
             if not self.symmetry:
-                for f, cs in zip(reversed(range(self.n)), reversed(self.covers)):
+                for f in reversed(range(self.n)):
+                    cs = self.covers[f]
                     ups[f] = sorted(set(cs).union(*map(ups.__getitem__, cs)))
         return ups
 
@@ -277,30 +311,30 @@ class _Rows(dict):
     """Rows by flat id, read as the sequence of all rows (len, iteration, `in`,
     == and != against a list or tuple of rows); len(keys()) counts the
     rows built.  A missing row is built on its first read and kept: at a
-    flat in stops, or one without a tree parent, by scan(flat); elsewhere
-    as the sorted image under via of its tree parent's row, built first,
-    of that row's type.  Without an orbit tree (parent, via) every flat is
-    a root."""
+    flat in stops, or a walk root (via None), by scan(flat); elsewhere as
+    the sorted image under the permutation perms[via] of its tree parent's
+    row, built first, of that row's type.  Without an orbit tree (parent,
+    via, perms) every flat is a root."""
 
     __slots__ = ("plan",)
 
     def __init__(self, n: int, tree, stops=(), scan=None, rows=()):
         super().__init__(rows)
-        self.plan = (n, *(tree or ([None] * n, None)), stops, scan)
+        self.plan = (n, *(tree or (None, [None] * n, None)), stops, scan)
 
     def __missing__(self, f):
-        n, parent, via, stops, scan = self.plan
+        n, parent, via, perms, stops, scan = self.plan
         if not 0 <= f < n:          # as a tuple: from the end, else IndexError
             return self[range(n)[f]]
         chain, row = [], None
-        while row is None and parent[f] is not None and f not in stops:
+        while row is None and via[f] is not None and f not in stops:
             chain.append(f)
             f = parent[f]
             row = self.get(f)
         if row is None:
             row = self[f] = scan(f)
         for y in reversed(chain):
-            row = self[y] = type(row)(sorted(map(via[y].__getitem__, row)))
+            row = self[y] = type(row)(sorted(map(perms[via[y]].__getitem__, row)))
         return row
 
     def __len__(self):
@@ -335,16 +369,21 @@ def _byte_tables(g) -> list:
 def flat_permutation(lat: FlatLattice, g) -> list:
     """The permutation of flat ids induced by the ground permutation g, or
     ValueError if g maps some flat off the lattice."""
+    return _flat_image(lat.flats, lat._cache["ids"], g)
+
+
+def _flat_image(flats: tuple, ids: dict, g) -> list:
+    if not ids:                     # the lattice's mask -> id index, filled once
+        ids.update(zip(flats, range(len(flats))))
     tables = _byte_tables(g)
-    index = {m: i for i, m in enumerate(lat.flats)}
     image = []
-    for fid, mask in enumerate(lat.flats):
+    for mask in flats:
         new = 0
         for lo, table in tables:
             new |= table[mask >> lo & 255]
-        gid = index.get(new)
+        gid = ids.get(new)
         if gid is None:
-            raise ValueError(f"permutation {tuple(g)} maps flat {lat.flat_elements(fid)} "
+            raise ValueError(f"permutation {tuple(g)} maps flat {sorted(_bits(mask))} "
                              "off the lattice")
         image.append(gid)
     return image
@@ -356,38 +395,55 @@ def _check_permutations(n: int, perms) -> None:
             raise ValueError(f"not a permutation of 0..{n - 1}: {g}")
 
 
-def _orbit_representatives(lat: FlatLattice, images):
-    """(orbit_rep, orbit_size, tree) of the lattice.  By decreasing id, each
-    flat not yet reached whose covers are given starts its orbit's walk,
-    closed under the generators' flat permutations.  In the tree (parent,
-    via) each other flat y of the orbit is reached from parent[y] by the
-    automorphism via[y]; without symmetry the tree is empty.  lat.covers
-    becomes a _Rows that keeps the walk roots' covers and maps them along
-    the tree on first read.
-    orbit_rep[y] is the highest id of y's orbit."""
-    if not lat.symmetry:
-        return range(lat.n), dict.fromkeys(range(lat.n), 1), ()
-    _check_permutations(lat.n_ground, lat.symmetry)
-    if images is None:
-        images = [flat_permutation(lat, g) for g in lat.symmetry]
-    rep, size, top = [None] * lat.n, {}, {}     # rep[y]: where y's walk began, f
-    covers = lat.covers
-    parent, via = [None] * lat.n, [None] * lat.n
-    for f in reversed(range(lat.n)):
-        if rep[f] is None and covers[f] is not None:
-            rep[f] = f
-            orbit = [f]
-            for x in orbit:             # grows while iterated
-                for image in images:
-                    y = image[x]
-                    if rep[y] is None:
-                        rep[y] = f
-                        orbit.append(y)
-                        parent[y], via[y] = x, image
-            top[f] = max(orbit)         # the orbit's representative
-            size[top[f]] = len(orbit)
-    lat.covers = _Rows(lat.n, (parent, via), rows={f: covers[f] for f in top})
-    return tuple(map(top.__getitem__, rep)), dict(sorted(size.items())), (parent, via)
+def _walk_orbit(mask: int, flats: list, index: dict, tree, generators, cap) -> None:
+    """List the flat mask, which index lacks, then the rest of its orbit
+    breadth first: each image under a generator, given as (j, _byte_tables)
+    pairs, that index lacks is listed next, and index maps it to its
+    position.  In tree (parent, via, starts) the walk starts at mask's
+    position, and each other flat y is reached from parent[y] by generator
+    via[y]; mask's parent is itself, its via None.  Stops once over cap
+    flats are listed."""
+    parent, via, starts = tree
+    x = index[mask] = len(flats)
+    starts.append(x)
+    flats.append(mask)
+    parent.append(x)
+    via.append(None)
+    orbit = [x] if x < cap else []  # positions, each the int object index holds
+    for x in orbit:                 # grows while iterated
+        source = flats[x]
+        for j, byte_tables in generators:
+            m = 0
+            for lo, table in byte_tables:
+                m |= table[source >> lo & 255]
+            if m not in index:
+                y = index[m] = len(flats)
+                flats.append(m)
+                parent.append(x)
+                via.append(j)
+                if y >= cap:
+                    return
+                orbit.append(y)
+
+
+def _orbit_walks(flats, ranks, covers, symmetry):
+    """(flats, ranks, covers, tree) relisted as the enumerator lists them, by
+    _walk_orbit: by rank, each flat that no walk has reached starts one, by
+    decreasing mask (so by decreasing id within the rank that holds its
+    orbit).  Every flat's covers are given."""
+    at = {m: i for i, m in enumerate(flats)}
+    generators = [*enumerate(map(_byte_tables, symmetry))]
+    walk, index, tree = [], {}, ([], [], [])
+    for f in sorted(range(len(flats)), key=lambda i: (ranks[i], -flats[i])):
+        if flats[f] not in index:
+            _walk_orbit(flats[f], walk, index, tree, generators, len(flats))
+    parent, via, _ = tree
+    for y, m in enumerate(walk):    # the first off the lattice is reached from a flat
+        if m not in at:
+            raise ValueError(f"permutation {symmetry[via[y]]} maps flat "
+                             f"{sorted(_bits(walk[parent[y]]))} off the lattice")
+    return (walk, [ranks[at[m]] for m in walk],
+            [[index[flats[c]] for c in covers[at[m]]] for m in walk], tree)
 
 
 def contraction(lat: FlatLattice, fid: int) -> FlatLattice:
@@ -459,35 +515,23 @@ def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None,
     per cover, not one per element.
 
     symmetry holds ground permutations that map flats to flats, and the
-    lattice carries it.  Each new flat's orbit is closed under them at
-    once, so the oracle runs only at the first flat of each orbit.  The
-    other flats of the orbit get covers None, and FlatLattice's orbit walk
-    gives them the images of the first flat's covers.
+    lattice carries it.  Each new flat's orbit is walked at once
+    (_walk_orbit), so the oracle runs only at the first flat of each orbit;
+    the other flats get covers None, and the walk's tree becomes the
+    lattice's, which maps the first flat's covers to them when read.
     """
-    tables = [_byte_tables(g) for g in symmetry]
-    images = [[] for _ in symmetry]     # images[j][x]: id of generator j's image of flat x
-    flats, ranks, covers, index = [], [], [], {}
+    generators = [*enumerate(map(_byte_tables, symmetry))]
+    cap = inf if flat_cap is None else flat_cap
+    flats, ranks, covers, index, tree = [], [], [], {}, ([], [], [])
 
     def reach(mask: int, rank: int) -> int:
         """Add a new flat and the rest of its orbit, which take the next
         ids breadth first; the new flat's id."""
-        first = x = len(flats)
-        index[mask] = x
-        flats.append(mask)
-        _check_cap(x + 1, flat_cap, rank)
-        while x < len(flats):           # the orbit grows while it is walked
-            for image, byte_tables in zip(images, tables):
-                m = 0
-                for lo, table in byte_tables:
-                    m |= table[flats[x] >> lo & 255]
-                if m not in index:
-                    index[m] = len(flats)
-                    flats.append(m)
-                    _check_cap(len(flats), flat_cap, rank)
-                image.append(index[m])  # flats are mapped in id order
-            x += 1
-        ranks.extend([rank] * (x - first))
-        covers.extend([[]] + [None] * (x - first - 1))
+        first = len(flats)
+        _walk_orbit(mask, flats, index, tree, generators, cap)
+        _check_cap(len(flats), flat_cap, rank)
+        ranks.extend([rank] * (len(flats) - first))
+        covers.extend([[]] + [None] * (len(flats) - first - 1))
         return first
 
     bmask, bstate = bottom
@@ -502,7 +546,8 @@ def _enumerate_by_covers(n: int, bottom, covers_of, flat_cap: int | None,
                     new_frontier.append((cid, make_state()))
                 covers[fid].append(cid)
         frontier = new_frontier
-    return FlatLattice(flats, ranks, covers, n, symmetry, images)
+    index.clear()                       # not needed by the lattice, which sorts the flats
+    return FlatLattice(flats, ranks, covers, n, symmetry, tree)
 
 
 def symmetric_generators(points: list, n: int) -> list:

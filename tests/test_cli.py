@@ -513,12 +513,14 @@ def test_bench_reports_orbit_pairs(capsys):
 def test_bench_reports_up_set_rows(capsys):
     # the K8 verifier builds the up-set rows of its 22 orbit
     # representatives only, not those of its 4140 flats, and the lattice
-    # holds the covers of its 22 walk roots only
+    # holds the covers of its 22 walk roots only, so it maps no row and
+    # builds no flat permutation
     code, out, _ = run(capsys, "bench", "braid", "--d", "7", "--reps", "1")
     assert code == 0
     row = json.loads(out)["rows"][1]
     assert (row["flats"], row["orbits"], row["up_set_rows"]) == (4140, 22, 22)
     assert row["cover_rows"] == 22
+    assert row["flat_permutations"] == 0
 
 
 def test_bench_typeb_reports_signed_permutation_orbits(capsys):

@@ -17,7 +17,8 @@ from zpoly import (BRAID, TYPE_B, ExplicitFlats, FlatLattice, GraphSpec, IntPoly
                    z_family, z_polynomial)
 from zpoly.klz import _defining_table, _p_table, _signed_profiles
 from zpoly.matroid import (_bits, _enumerate_by_covers, _graph_oracle, _graph_symmetry,
-                           _uniform_oracle, _vectors_oracle, _vectors_symmetry, bareiss_rank)
+                           _uniform_oracle, _vectors_oracle, _vectors_symmetry, bareiss_rank,
+                           flat_permutation)
 
 
 def random_multigraph(draw):
@@ -167,7 +168,9 @@ def test_defining_route_reads_only_the_representatives_up_sets():
 def test_lattice_routes_read_only_the_walk_roots_covers():
     # the enumerator gives the covers of one flat per orbit, and no route
     # reads another flat's: the cover store still holds only those rows
-    # after every route has run; validate() then builds and checks them all
+    # after every route has run, and no generator's permutation of the
+    # flats was built to map one; validate() then builds and checks them
+    # all, through permutations equal to those flat_permutation computes
     for spec in (lattice_spec(BRAID, 7), UniformSpec(2, 5), lattice_spec(TYPE_B, 4)):
         lat = enumerate_flats(spec)
         assert len(lat.covers.keys()) == lat.n_orbits < lat.n, spec
@@ -180,8 +183,12 @@ def test_lattice_routes_read_only_the_walk_roots_covers():
         # a negative id counts from the end, as in a tuple of rows
         assert (lat.covers[-1], lat.covers[-lat.n]) == (lat.covers[lat.top_id], lat.covers[0])
         assert len(lat.covers.keys()) == lat.n_orbits, spec
+        assert len(lat.flat_permutations.keys()) == 0 < len(lat.symmetry), spec
         lat.validate()
         assert len(lat.covers.keys()) == lat.n, spec
+        assert len(lat.flat_permutations.keys()) > 0, spec
+        for j, perm in lat.flat_permutations.items():
+            assert perm == flat_permutation(lat, lat.symmetry[j]), (spec, j)
 
 
 def test_k10_defining_route_and_z_equal_family():

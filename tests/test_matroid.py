@@ -128,6 +128,15 @@ def test_validate_rejects(flats, ranks, covers, ground, message):
         lat.validate()
 
 
+def test_flat_lattice_needs_ranks_ascending():
+    # ids follow (rank, mask) order, sorted one rank at a time
+    with pytest.raises(ValueError, match="ranks ascending"):
+        FlatLattice([0b00, 0b11, 0b01, 0b10], [0, 2, 1, 1], [[2, 3], [], [1], [1]], 2)
+    lat = FlatLattice([0b00, 0b10, 0b01, 0b11], [0, 1, 1, 2], [[1, 2], [3], [3], []], 2)
+    assert lat.flats == (0b00, 0b01, 0b10, 0b11) and list(lat.covers) == [(1, 2), (3,), (3,), ()]
+    lat.validate()
+
+
 @pytest.mark.parametrize("make", [
     lambda: UniformSpec(1.9, 2), lambda: UniformSpec(True, 2), lambda: UniformSpec(1, 2.0),
     lambda: GraphSpec(3.0, [(0, 1)]), lambda: GraphSpec(3, [(0, 1.0)]),
