@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .equivariant import _find
 from .families import BRAID, TYPE_B, lattice_spec, qvec_family
 from .matroid import GraphSpec, UniformSpec
 
@@ -23,16 +24,9 @@ def uniform_specs(max_ground: int = 9):
 
 def _connected(nv: int, edges) -> bool:
     parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(nv)}) <= 1
+        parent[_find(parent, u)] = _find(parent, v)
+    return len({_find(parent, v) for v in range(nv)}) <= 1
 
 
 def connected_graph_specs(max_vertices: int = 5):

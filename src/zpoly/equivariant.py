@@ -249,7 +249,7 @@ def character_value(f: SymFunction, g) -> int:
     out among ordered blocks of sizes lam."""
     if f.basis != "h" or f.degree != len(g):
         raise ValueError("expected an h-basis function of degree len(g)")
-    cycles = _cycle_lengths(g)
+    cycles = [c.bit_count() for c in _cycles(g)]
 
     @lru_cache(maxsize=None)
     def fill(k, room):      # room sorted: the count depends only on its multiset
@@ -307,19 +307,18 @@ def equivariant_c_uniform(m: int, d: int, i: int) -> SymFunction:
 # arbitrary permutation groups: fixed-point counting
 
 
-def _cycle_lengths(g) -> list:
-    seen = [False] * len(g)
-    out = []
+def _cycles(g):
+    """The cycles of the permutation g, fixed points included, as bitmasks
+    of their points, in the order of their least points."""
+    seen = 0
     for start in range(len(g)):
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = g[x]
-            length += 1
-        if length:
-            out.append(length)
-    return out
+        if not seen >> start & 1:
+            c, x = 0, start
+            while not c >> x & 1:
+                c |= 1 << x
+                x = g[x]
+            seen |= c
+            yield c
 
 
 def _smallest_of_cycle_type(lam) -> tuple:
@@ -369,7 +368,7 @@ def _generates_symmetric(n: int, gens) -> bool:
     if n <= 1:
         return True
     for g in gens:
-        lengths = _cycle_lengths(g)
+        lengths = [c.bit_count() for c in _cycles(g)]
         if lengths.count(2) == 1 and all(k % 2 for k in lengths if k != 2):
             break
     else:
@@ -537,12 +536,6 @@ class PermGroup:
         if self._classes is None:
             elements = self.elements
             index = {h: k for k, h in enumerate(elements)}
-            conjugators = []
-            for g in self.generators:
-                inv = [0] * self.n
-                for x, gx in enumerate(g):
-                    inv[gx] = x
-                conjugators.append((g, inv))
             seen = [False] * len(elements)
             classes = []
             starts = (range(len(elements)) if self._labels is None
@@ -553,9 +546,7 @@ class PermGroup:
                 seen[start] = True
                 orbit = [start]
                 for k in orbit:
-                    h = elements[k]
-                    for g, inv in conjugators:
-                        c = index[tuple(g[h[inv[x]]] for x in range(self.n))]
+                    for c in map(index.__getitem__, self._conjugates(elements[k])):
                         if not seen[c]:
                             seen[c] = True
                             orbit.append(c)
@@ -575,15 +566,19 @@ class PermGroup:
     def conjugacy_respects(self, values: dict) -> bool:
         """True iff the table is constant on conjugacy classes (it suffices
         to test conjugation by the generators)."""
-        for g in self.generators:
-            inv = [0] * self.n
-            for x, gx in enumerate(g):
-                inv[gx] = x
-            for h in self.elements:
-                conj = tuple(g[h[inv[x]]] for x in range(self.n))
-                if values[conj] != values[h]:
-                    return False
+        for h in self.elements:
+            if any(values[c] != values[h] for c in self._conjugates(h)):
+                return False
         return True
+
+    @cached_property
+    def _conjugators(self) -> tuple:
+        """(g, g^-1) for each generator g, the inverse as a list."""
+        return tuple((g, sorted(range(self.n), key=g.__getitem__)) for g in self.generators)
+
+    def _conjugates(self, h):
+        """g h g^-1 for each generator g, in generator order."""
+        return [tuple([g[h[x]] for x in inv]) for g, inv in self._conjugators]
 
 
 @dataclass
@@ -632,15 +627,9 @@ def _fixed_flags(lat: FlatLattice, g):
     outside it; each cycle filters the flats left by the previous ones."""
     flats = lat.flats
     anchors = range(lat.n)
-    seen = 0
-    for start in range(len(g)):
-        if g[start] != start and not seen >> start & 1:
-            c, x = 0, start
-            while not c >> x & 1:
-                c |= 1 << x
-                x = g[x]
+    for c in _cycles(g):
+        if c & c - 1:
             anchors = [f for f in anchors if (flats[f] & c) in (0, c)]
-            seen |= c
     slot = [-1] * lat.n
     for k, f in enumerate(anchors):
         slot[f] = k

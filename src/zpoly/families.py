@@ -28,7 +28,7 @@ from operator import index
 
 from .klz import _closed_sum, _pz_solve
 from .matroid import (GraphSpec, LinearVectors, MatroidSpec, UniformSpec, _bits,
-                      _integer, enumerate_flats)
+                      _integer, _least_prime_factor, enumerate_flats)
 from .polyarith import IntPolynomial
 
 
@@ -89,13 +89,10 @@ def narayana(n: int, k: int) -> int:
 def _is_prime_power(q: int) -> bool:
     if q < 2:
         return False
-    for p in range(2, q + 1):
-        if p * p > q:
-            return True  # q itself is prime
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
+    p = _least_prime_factor(q)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 @dataclass(frozen=True)
@@ -372,7 +369,7 @@ def lattice_spec(family: NiceFamily, d: int) -> MatroidSpec:
         return LinearVectors(tuple(vectors))
     if kind == "uniform":
         return UniformSpec(p, d)
-    if any(p % k == 0 for k in range(2, p)):
+    if _least_prime_factor(p) != p:
         raise ValueError("lattice realization needs q prime")
     return LinearVectors(tuple(tuple(code // p ** k % p for k in range(d))
                                for code in range(1, p ** d)), p)

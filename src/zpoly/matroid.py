@@ -58,6 +58,11 @@ def _bits(mask: int):
         e += 1
 
 
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division up to isqrt(n)."""
+    return next((k for k in range(2, isqrt(n) + 1) if n % k == 0), n)
+
+
 def _integer(x) -> int:
     if type(x) is not int:          # int() would truncate 1.9 and read True as 1
         raise TypeError(f"{x!r} is not an integer")
@@ -114,7 +119,7 @@ class LinearVectors:
 
     def __post_init__(self):
         p = _integer(self.p)
-        if p and (p < 2 or any(p % k == 0 for k in range(2, isqrt(p) + 1))):
+        if p and (p < 2 or _least_prime_factor(p) != p):
             raise ValueError(f"vectors need p = 0 (over Q) or a prime p, got p = {self.p}")
         vecs = tuple(tuple(map(_integer, v)) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
@@ -643,12 +648,10 @@ def _vectors_symmetry(vectors, p: int = 0) -> list:
     root = -1
     if p:                       # the least g with g^((p-1)/q) != 1 for each prime q | p - 1
         rest, primes = p - 1, []
-        for k in range(2, isqrt(p) + 1):
-            if rest % k == 0:
-                primes.append(k)
-                while rest % k == 0:
-                    rest //= k
-        primes += [rest] * (rest > 1)
+        while rest > 1:
+            primes.append(_least_prime_factor(rest))
+            while rest % primes[-1] == 0:
+                rest //= primes[-1]
         root = next((g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q in primes)),
                     None)
 

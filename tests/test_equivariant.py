@@ -724,8 +724,21 @@ S3 = list(permutations(range(3)))
     (lambda: localization(enumerate_flats(K4), 1.5), TypeError, "interpreted as an integer"),
     (lambda: kl_coeff_new_recursion(enumerate_flats(K4), 1.5), TypeError,
      "interpreted as an integer"),
+    (lambda: SymFunction("x", 2), ValueError, "basis must be 'h' or 's'"),
+    (lambda: SymFunction("h", 3, {(2,): 1}), ValueError, r"partition \(2,\) is not of size 3"),
+    (lambda: h_product([2]) + SymFunction("s", 2), ValueError, "same basis and degree"),
+    (lambda: h_product([2]) - h_product([3]), ValueError, "same basis and degree"),
+    (lambda: character_value(SymFunction("s", 2, {(2,): 1}), (1, 0)), ValueError,
+     "h-basis function of degree"),
+    (lambda: character_value(h_product([2]), (0, 1, 2)), ValueError,
+     "h-basis function of degree"),
+    (lambda: equivariant_whitney_uniform(-1, 3, [1]), ValueError, "need m >= 0"),
+    (lambda: equivariant_c_character(enumerate_flats(K4), PermGroup.symmetric(5), 1),
+     ValueError, "group degree does not match ground set size"),
 ], ids=["missing-square", "non-permutation", "not-closed", "generators-too-few",
-        "contraction", "localization", "kl_coeff_new_recursion"])
+        "contraction", "localization", "kl_coeff_new_recursion", "basis", "partition-size",
+        "add-across-bases", "subtract-across-degrees", "character-of-s-basis",
+        "character-of-wrong-degree", "whitney-uniform-negative-m", "group-degree"])
 def test_library_inputs_are_checked(call, error, message):
     # an element list must be exactly the closure of the generators (the
     # elements themselves when none are given), and ids and indices are ints

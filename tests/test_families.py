@@ -77,6 +77,23 @@ def test_input_checks_raise(make, message):
         make()
 
 
+def test_qvec_accepts_exactly_the_prime_powers_and_realizes_the_primes():
+    primes = [q for q in range(2, 1001) if all(q % k for k in range(2, q))]
+    powers = {p ** k for p in primes for k in range(1, 10) if p ** k <= 1000}
+    for q in range(-3, 1001):
+        try:
+            family = NiceFamily("qvec", q)
+        except ValueError as err:
+            assert q not in powers and "prime power" in str(err), q
+            continue
+        assert q in powers, q
+        if q in primes:
+            assert lattice_spec(family, 1).p == q
+        else:
+            with pytest.raises(ValueError, match="needs q prime"):
+                lattice_spec(family, 1)
+
+
 def test_build_tables_examples():
     tb = build_tables(BRAID, 5)
     assert tb.W[3][1] == 7 and tb.W[3][2] == 6

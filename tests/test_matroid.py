@@ -196,6 +196,17 @@ def test_linear_vectors_cost_does_not_grow_with_p():
         LinearVectors(((1, 0),), 1_000_003 ** 2)
 
 
+def test_linear_vectors_scale_by_a_primitive_root_for_every_small_prime():
+    # the lines (1, x), x != 0, form one orbit exactly when the scaling of
+    # the second coordinate generates the multiplicative group of F_p
+    for p in range(2, 500):
+        if any(p % k == 0 for k in range(2, p)):
+            continue
+        lat = enumerate_flats(LinearVectors(((1, 0), (0, 1)) + tuple((1, x) for x in range(1, p)),
+                                            p))
+        assert (lat.n, lat.n_orbits) == (p + 3, 4), p
+
+
 @pytest.mark.parametrize("obj, key", [
     ({"type": "uniform", "m": 1, "d": 3, "bogus": 7}, "bogus"),
     ({"type": "vectors", "vectors": [[1, 0], [0, 1], [1, 1]], "p": 2}, "p"),

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -75,3 +76,20 @@ def test_star_import_binds_no_module():
     modules = [name for name in zpoly.__all__
                if isinstance(getattr(zpoly, name), types.ModuleType)]
     assert not modules, f"modules in zpoly.__all__: {modules}"
+
+
+def test_every_private_helper_is_used():
+    # a module-level private function or class that nothing else in the
+    # package names is dead, such as a copy left behind by a shared helper
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    unused = []
+    for name, text in texts.items():
+        lines = text.splitlines()
+        for node in ast.parse(text, name).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+                others = [t for other, t in texts.items() if other != name]
+                if not any(re.search(rf"\b{node.name}\b", t) for t in [rest, *others]):
+                    unused.append(f"{name}:{node.lineno} {node.name}")
+    assert not unused, f"private helpers named nowhere else in src/zpoly: {unused}"
