@@ -5,10 +5,10 @@ preserving flats, the multichain counts refine to permutation characters
 (fixed-point counts), and the closed formula for Kazhdan-Lusztig coefficients
 refines to a virtual character.  Characters are class functions, so the
 fixed chains are counted once per conjugacy class, at its representative,
-by the plain multichain counter and closed-formula sum restricted to the
-flats it fixes: at the identity the value is the plain count by construction.
-The fixed flats of a permutation, and its chain counts at them alone, are
-kept on the lattice, so every character of every group reads one count.
+by the multichain counter over the flats it fixes alone; a permutation that
+fixes every flat, the identity among them, reads the plain counts.  The
+fixed flats of a permutation, and its chain counts at them alone, are kept
+on the lattice, so every character of every group reads one count.
 
 Two actions of a symmetric group are recognised from their generators and
 need no element list, since their classes are the vertex cycle types: the
@@ -31,15 +31,17 @@ through Kostka numbers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations
 from math import factorial, isqrt
-from operator import index
+from operator import and_, index, or_
+from re import finditer
 
 from .klz import _closed_sum
-from .matroid import (FlatLattice, _bits, _check_permutations, _multichain_counts,
-                      flat_permutation, symmetric_generators)
+from .matroid import (FlatLattice, _bits, _check_permutations, _flat_image, _multichain_counts,
+                      _plain_chains, symmetric_generators)
 
 _GROUP_CAP = 10 ** 6
 _SCHUR_DEGREE_CAP = 12
@@ -557,7 +559,11 @@ class PermGroup:
     def class_representatives(self) -> tuple:
         """The first member of each of `classes()`, in the same order (the
         identity first); for a labelled action the sorted images of the
-        first permutation of each cycle type, with no element list."""
+        first permutation of each cycle type, with no element list; computed once."""
+        return self._representatives
+
+    @cached_property
+    def _representatives(self) -> tuple:
         if self._labels is not None:
             return tuple(sorted(self._induced(_smallest_of_cycle_type(lam))
                                 for lam in _partitions_of(self._vertices)))
@@ -609,49 +615,59 @@ class ClassFunctionTable:
 def _check_action(lat: FlatLattice, group: PermGroup):
     """Raise unless the group acts on the ground set by flat-preserving
     permutations.  Checking the generators suffices: flat-preserving
-    permutations are closed under composition.  The lattice remembers the
-    generators that passed."""
+    permutations are closed under composition.  Each flat is the meet of the
+    hyperplanes above it, so a permutation that maps them and the top onto
+    flats preserves every flat.  The lattice remembers the generators that
+    passed."""
     if group.n != lat.n_ground:
         raise ValueError("group degree does not match ground set size")
     checked = lat._cache.setdefault("actions", set())
     for g in map(tuple, group.generators):
         if g not in checked:
-            flat_permutation(lat, g)
+            _flat_image(lat.flats, lat._cache["ids"], g, bisect_left(lat.ranks, lat.rk_total - 1))
             checked.add(g)
 
 
 def _fixed_flags(lat: FlatLattice, g):
-    """(slot, anchors): the sorted ids of the flats g fixes (the bottom first:
-    g preserves flats), and each flat's position among them, -1 for a flat g
-    moves.  g fixes a flat iff each nontrivial cycle of g lies inside it or
-    outside it; each cycle filters the flats left by the previous ones."""
-    flats = lat.flats
-    anchors = range(lat.n)
+    """((ranks, rows, slot), anchors, memo), the space in which the chains g
+    fixes are counted.  g fixes a flat iff each nontrivial cycle of g lies
+    inside it or outside it: with the flats holding each element as a bitset
+    of ids, kept on the lattice, those in the AND over the cycle or not in
+    the OR.  A g that fixes every flat reads the plain counts; any other g's
+    k fixed flats are ids 0..k-1, each row the fixed flats above it."""
+    fixed = full = (1 << lat.n) - 1
     for c in _cycles(g):
         if c & c - 1:
-            anchors = [f for f in anchors if (flats[f] & c) in (0, c)]
-    slot = [-1] * lat.n
-    for k, f in enumerate(anchors):
-        slot[f] = k
-    return slot, anchors
+            if "members" not in lat._cache:     # transposed: one string per element
+                columns = zip(*(format(m, f"0{lat.n_ground}b") for m in reversed(lat.flats)))
+                lat._cache["members"] = [int("".join(col), 2) for col in columns][::-1]
+            held = [*map(lat._cache["members"].__getitem__, _bits(c))]
+            fixed &= reduce(and_, held) | ~reduce(or_, held)
+    if fixed == full:
+        slot, anchors, memo = _plain_chains(lat)
+        return (lat.ranks, lat.uppers(), slot), anchors, memo
+    ids = [bit.start() for bit in finditer("1", bin(fixed)[:1:-1])]
+    local = dict(zip(ids, range(len(ids))))     # the bottom, 0, is above no flat
+    rows = [[*filter(None, map(local.get, row))] for row in map(lat.uppers().__getitem__, ids)]
+    return ([*map(lat.ranks.__getitem__, ids)], rows, None), range(len(ids)), {}
 
 
 def _chain_character(lat: FlatLattice, group: PermGroup,
                      value) -> ClassFunctionTable:
     """The class function g -> value(count), where count(profile) is the
     number of g-fixed multichains with that corank profile, evaluated once
-    per conjugacy class at its representative.  The slots of g's fixed flats
-    and its profile memo, one count per fixed flat, depend only on g and the
-    lattice, so the lattice keeps them for every later character."""
+    per conjugacy class at its representative.  The space of g's fixed
+    chains and its profile memo depend only on g and the lattice, so the
+    lattice keeps them for every later character."""
     _check_action(lat, group)
     chains = lat._cache.setdefault("fixed_chains", {})
     values = {}
     for g in group.class_representatives():
         if g not in chains:
-            chains[g] = (*_fixed_flags(lat, g), {})
-        slot, anchors, memo = chains[g]
+            chains[g] = _fixed_flags(lat, g)
+        space, anchors, memo = chains[g]
         values[g] = value(lambda profile: _multichain_counts(
-            lat, slot, anchors, profile, memo)[0])
+            lat.rk_total, *space, anchors, memo, profile)[0])
     return ClassFunctionTable(group, values)
 
 

@@ -59,7 +59,16 @@ def _bits(mask: int):
 
 
 def _least_prime_factor(n: int) -> int:
-    """The least prime factor of n >= 2, by trial division up to isqrt(n)."""
+    """The least prime factor of n >= 2: n itself if n < 3.3 * 10**24 is a
+    strong probable prime to each prime base a up to 37 (a^d = 1 or
+    a^(d 2^r) = -1 mod n for some r < s, where n - 1 = d 2^s with d odd),
+    which proves it prime (Sorenson and Webster); else by trial division."""
+    if 37 < n < 3317044064679887385961981:
+        s = ((n - 1) & (1 - n)).bit_length() - 1
+        if all(pow(a, n - 1 >> s, n) == 1 or any(pow(a, n - 1 >> s << r, n) == n - 1
+                                                 for r in range(s))
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+            return n
     return next((k for k in range(2, isqrt(n) + 1) if n % k == 0), n)
 
 
@@ -377,12 +386,13 @@ def flat_permutation(lat: FlatLattice, g) -> list:
     return _flat_image(lat.flats, lat._cache["ids"], g)
 
 
-def _flat_image(flats: tuple, ids: dict, g) -> list:
+def _flat_image(flats: tuple, ids: dict, g, start: int = 0) -> list:
+    """The ids of the images under g of flats[start:]."""
     if not ids:                     # the lattice's mask -> id index, filled once
         ids.update(zip(flats, range(len(flats))))
     tables = _byte_tables(g)
     image = []
-    for mask in flats:
+    for mask in flats[start:]:
         new = 0
         for lo, table in tables:
             new |= table[mask >> lo & 255]
@@ -926,34 +936,42 @@ def characteristic_polynomial(lat: FlatLattice) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def _multichain_counts(lat: FlatLattice, slot, anchors, profile: tuple, memo: dict):
-    """counts[k], at each anchor anchors[k] (sorted ids), of the multichains
-    of the given corank profile whose lowest flat contains it, and a trailing
-    0.  Flat h reads entry slot[h]: plain counts are constant on orbits, so
-    the anchors are the orbit representatives and h reads its own's; the
-    chains fixed by g have g's fixed flats as anchors, and a flat g moves
-    reads -1, the trailing 0.  Memoized per profile suffix in `memo`; the
-    Whitney recursion over contractions makes suffixes shareable."""
+def _multichain_counts(rk: int, ranks, rows, slot, anchors, memo: dict, profile: tuple):
+    """counts[k], at each anchor anchors[k], of the multichains of the given
+    corank profile (the top has rank rk) whose lowest flat contains it, and a
+    trailing 0.  Flats are ids in rank order, ranks[h] the rank of h, rows[a]
+    the ids above anchor a, ascending; h reads entry slot[h].  Plain counts,
+    constant on orbits, are kept at the orbit representatives; a permutation's
+    fixed chains are counted on its fixed flats alone, each its own anchor
+    (slot None).  Memoized per profile suffix in `memo`; the Whitney
+    recursion over contractions makes suffixes shareable."""
     vec = memo.get(profile)
     if vec is not None:
         return vec
     if not profile:
         vec = [1] * len(anchors) + [0]
     else:
-        prev = _multichain_counts(lat, slot, anchors, profile[1:], memo)
-        target = lat.rk_total - profile[0]  # rank of flats with corank profile[0]
+        prev = _multichain_counts(rk, ranks, rows, slot, anchors, memo, profile[1:])
+        target = rk - profile[0]            # rank of flats with corank profile[0]
         # ids are in rank order, so the target rank is an id range [lo, hi)
-        # and every up-set meets it in one slice; anchors in it keep their count
-        lo = bisect_left(lat.ranks, target)
-        hi = bisect_left(lat.ranks, target + 1)
-        at = [0] * lo + [*map(prev.__getitem__, slot[lo:hi])]
+        # and every row meets it in one slice; anchors in it keep their count
+        lo = bisect_left(ranks, target)
+        hi = bisect_left(ranks, target + 1)
+        at = prev if slot is None else [0] * lo + [*map(prev.__getitem__, slot[lo:hi])]
         a, b = bisect_left(anchors, lo), bisect_left(anchors, hi)
-        ups = lat.uppers()
-        vec = [sum(map(at.__getitem__, ups_f[bisect_left(ups_f, lo):bisect_left(ups_f, hi)]))
-               for ups_f in map(ups.__getitem__, anchors[:a])]
+        vec = [sum(map(at.__getitem__, row[bisect_left(row, lo):bisect_left(row, hi)]))
+               for row in map(rows.__getitem__, anchors[:a])]
         vec += prev[a:b] + [0] * (len(anchors) - b + 1)
     memo[profile] = vec
     return vec
+
+
+def _plain_chains(lat: FlatLattice) -> tuple:
+    """(slot, anchors, memo) of the plain counts at the orbit representatives."""
+    if "whitney" not in lat._cache:
+        pos = {f: k for k, f in enumerate(lat.orbit_size)}
+        lat._cache["whitney"] = ([*map(pos.__getitem__, lat.orbit_rep)], [*pos], {})
+    return lat._cache["whitney"]
 
 
 def whitney_multi(lat: FlatLattice, profile) -> int:
@@ -962,9 +980,5 @@ def whitney_multi(lat: FlatLattice, profile) -> int:
     The profile is given corank-major, [i_r, ..., i_1]; entries may be any
     integers (impossible coranks yield 0); the empty profile counts 1.
     """
-    profile = tuple(map(index, profile))
-    if "whitney" not in lat._cache:
-        pos = {f: k for k, f in enumerate(lat.orbit_size)}
-        lat._cache["whitney"] = ([*map(pos.__getitem__, lat.orbit_rep)], [*pos], {})
-    slot, anchors, memo = lat._cache["whitney"]
-    return _multichain_counts(lat, slot, anchors, profile, memo)[0]
+    return _multichain_counts(lat.rk_total, lat.ranks, lat.uppers(), *_plain_chains(lat),
+                              tuple(map(index, profile)))[0]

@@ -1,11 +1,11 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 
 from oracles import partitions_of, schur_expand_h_by_pieri, young_character_by_words
-from zpoly import (BRAID, GraphSpec, PermGroup, SymFunction, UniformSpec,
+from zpoly import (BRAID, TYPE_B, ExplicitBases, GraphSpec, PermGroup, SymFunction, UniformSpec,
                    build_tables, character_value, contraction, dimension, enumerate_flats,
                    equivariant_c_character, equivariant_c_uniform,
                    equivariant_whitney_character, equivariant_whitney_uniform,
@@ -679,6 +679,82 @@ def test_cached_counts_hold_one_entry_per_anchor():
     for anchors, memo in cached:
         assert anchors[0] == 0 and memo
         assert all(len(vec) == len(anchors) + 1 and vec[-1] == 0 for vec in memo.values())
+
+
+def k4_spanning_trees():
+    """ExplicitBases of the graphic matroid of K4: the 3-edge sets that are
+    not triangles.  A bases lattice carries no symmetry."""
+    pairs = lattice_spec(BRAID, 3).edges
+    return ExplicitBases(6, [t for t in combinations(range(6), 3)
+                             if len({v for k in t for v in pairs[k]}) == 4])
+
+
+# a 4-cycle with edge 01 doubled: swapping the parallel pair fixes every
+# flat, and the reflection 0 <-> 1, 2 <-> 3 swaps edges 12 and 30
+SQUARE_WITH_PARALLEL = GraphSpec(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+@pytest.mark.parametrize("spec, make_group", [
+    (UniformSpec(2, 4), lambda lat: PermGroup.symmetric(6)),
+    (SQUARE_WITH_PARALLEL,
+     lambda lat: PermGroup.from_generators(5, [(1, 0, 2, 3, 4), (0, 1, 4, 3, 2)])),
+    (lattice_spec(TYPE_B, 3), lambda lat: PermGroup.from_generators(9, lat.symmetry)),
+    (k4_spanning_trees(), lambda lat: edge_action_group(4)),
+], ids=["U(2,4)/S6", "parallel-swap", "typeB3/signed", "K4-bases/S4"])
+def test_fixed_chains_against_brute_force_at_every_element(spec, make_group):
+    # each class is counted on its own fixed flats, or on the plain counts
+    # when it fixes every flat; every element must see its own fixed chains
+    lat = enumerate_flats(spec)
+    group = make_group(lat)
+    assert len(group.class_representatives()) > 1
+    tuples = enumerate_index_tuples(1, lat.rk_total)
+    c1 = equivariant_c_character(lat, group, 1)
+    for g in group.elements:
+        assert c1.values[g] == sum(tup.sign * brute_fixed_chains(lat, g, tup.profile())
+                                   for tup in tuples), g
+    for profile in ([0], [1], [2, 1], [1, 1], [3, 1], [2, 1, 0]):
+        table = equivariant_whitney_character(lat, group, profile)
+        for g in group.elements:
+            assert table.values[g] == brute_fixed_chains(lat, g, profile), (profile, g)
+
+
+@pytest.mark.parametrize("spec", [lattice_spec(BRAID, 5), UniformSpec(2, 5)],
+                         ids=["K6", "U(2,5)"])
+def test_identity_counts_build_only_the_representatives_up_sets(spec):
+    # the identity fixes every flat, so it reads the plain counts, which
+    # live at the orbit representatives
+    lat = enumerate_flats(spec)
+    assert lat.n_orbits < lat.n
+    for i in (1, 2):
+        c = equivariant_c_character(lat, PermGroup.trivial(lat.n_ground), i)
+        assert c.at_identity() == kl_coeff_closed(lat, i)
+    assert set(lat.uppers().keys()) <= set(lat.orbit_size)
+
+
+def test_k8_edge_characters_pinned():
+    # c(1), c(2), c(3) of K8 under S8 on its edges, by the cycle type of the
+    # vertex permutation, as counted over the whole lattice at every class
+    pinned = {
+        (1,) * 8: (99, 1225, 735), (2,) + (1,) * 6: (47, 255, 75),
+        (2, 2, 1, 1, 1, 1): (23, 73, 15), (3, 1, 1, 1, 1, 1): (21, 40, 0),
+        (2, 2, 2, 1, 1): (11, 39, 19), (3, 2, 1, 1, 1): (11, 12, 0),
+        (4, 1, 1, 1, 1): (9, 11, 3), (2, 2, 2, 2): (11, 57, 47), (3, 2, 2, 1): (5, 4, 0),
+        (3, 3, 1, 1): (6, 7, 3), (4, 2, 1, 1): (5, 9, 3), (5, 1, 1, 1): (4, 0, 0),
+        (3, 3, 2): (2, 3, -3), (4, 2, 2): (5, 11, 3), (4, 3, 1): (3, 2, 0),
+        (5, 2, 1): (2, 0, 0), (6, 1, 1): (2, 3, 1), (4, 4): (3, 5, 3), (5, 3): (1, 0, 0),
+        (6, 2): (2, 3, -1), (7, 1): (1, 0, 0), (8,): (1, 1, 1),
+    }
+    spec = lattice_spec(BRAID, 7)
+    lat = enumerate_flats(spec)
+    group = edge_action_group(8)
+    tables = [equivariant_c_character(lat, group, i) for i in (1, 2, 3)]
+    stars = [frozenset(k for k, e in enumerate(spec.edges) if v in e) for v in range(8)]
+    got = {}
+    for g in group.class_representatives():
+        sigma = [stars.index(frozenset(g[k] for k in star)) for star in stars]
+        got[tuple(sorted(cycle_lengths(sigma), reverse=True))] = tuple(
+            table.class_values[g] for table in tables)
+    assert got == pinned
 
 
 @pytest.mark.parametrize("lat, group", [

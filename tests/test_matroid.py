@@ -4,6 +4,7 @@ import re
 import shlex
 import time
 from itertools import combinations, product
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -13,12 +14,12 @@ from oracles import (_ranks_by_chains, bases_by_fractions, chain_count_naive,
                      flats_by_naive_closure, graph_rank, is_flat_family, lattice_as_sets,
                      mobius_naive, rank_by_fractions, rank_mod_p, satisfies_basis_exchange)
 from zpoly import (ExplicitBases, ExplicitFlats, FlatCapExceeded, FlatLattice, GraphSpec,
-                   IntPolynomial, LinearVectors, UniformSpec, bareiss_rank,
+                   IntPolynomial, LinearVectors, NiceFamily, UniformSpec, bareiss_rank,
                    characteristic_polynomial, contraction, enumerate_flats,
                    localization, matroid_spec_from_json, mobius_from_bottom,
                    whitney_multi)
 from zpoly.cli import main
-from zpoly.matroid import _JSON_SPECS, _enumerate_by_covers, _vectors_oracle
+from zpoly.matroid import _JSON_SPECS, _enumerate_by_covers, _least_prime_factor, _vectors_oracle
 
 
 def k_complete(n):
@@ -186,7 +187,7 @@ def test_linear_vectors_field_is_q_or_a_prime(p, error, message):
 
 
 def test_linear_vectors_cost_does_not_grow_with_p():
-    # primality by trial division to isqrt(p), one inverse per line and a
+    # primality by a strong-probable-prime test, one inverse per line and a
     # primitive root from the prime factors of p - 1: no p-entry tables
     t0 = time.perf_counter()
     lat = enumerate_flats(LinearVectors(((1, 0), (0, 1), (1, 1)), 1_000_003))
@@ -194,6 +195,24 @@ def test_linear_vectors_cost_does_not_grow_with_p():
     assert lat.n == 5
     with pytest.raises(ValueError, match="a prime p"):
         LinearVectors(((1, 0),), 1_000_003 ** 2)
+
+
+def test_least_prime_factor_decides_primes_by_strong_probable_prime_tests():
+    # a least-prime-factor sieve is trial division by each prime in turn
+    sieve = list(range(10 ** 5))
+    for k in range(2, isqrt(10 ** 5) + 1):
+        if sieve[k] == k:
+            for j in range(k * k, 10 ** 5, k):
+                sieve[j] = min(sieve[j], k)
+    assert [_least_prime_factor(n) for n in range(2, 10 ** 5)] == sieve[2:]
+    # strong pseudoprimes to base 2 and Carmichael numbers are composite
+    for n, p in ((2047, 23), (3215031751, 151), (3825123056546413051, 149491),
+                 (561, 3), (41041, 7)):
+        assert _least_prime_factor(n) == p, n
+    # a prime near 10^14 is decided without ~10^7 trial divisions
+    p = 10 ** 14 + 31
+    assert _least_prime_factor(p) == p
+    assert LinearVectors(((1, 0),), p).p == p and NiceFamily("qvec", p).param == p
 
 
 def test_linear_vectors_scale_by_a_primitive_root_for_every_small_prime():
