@@ -37,7 +37,6 @@ from functools import cached_property, lru_cache, reduce
 from itertools import permutations
 from math import factorial, isqrt
 from operator import and_, index, or_
-from re import finditer
 
 from .klz import _closed_sum
 from .matroid import (FlatLattice, _bits, _check_permutations, _flat_image, _multichain_counts,
@@ -646,7 +645,7 @@ def _fixed_flags(lat: FlatLattice, g):
     if fixed == full:
         slot, anchors, memo = _plain_chains(lat)
         return (lat.ranks, lat.uppers(), slot), anchors, memo
-    ids = [bit.start() for bit in finditer("1", bin(fixed)[:1:-1])]
+    ids = _bits(fixed)
     local = dict(zip(ids, range(len(ids))))     # the bottom, 0, is above no flat
     rows = [[*filter(None, map(local.get, row))] for row in map(lat.uppers().__getitem__, ids)]
     return ([*map(lat.ranks.__getitem__, ids)], rows, None), range(len(ids)), {}

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields
-from itertools import combinations, groupby
+from itertools import combinations, compress, count, groupby
 from math import gcd, inf, isqrt
 from operator import index
 from typing import Iterable, Sequence, Union
@@ -49,21 +49,22 @@ def _mask(elements: Iterable[int], n: int) -> int:
     return m
 
 
-def _bits(mask: int):
-    e = 0
-    while mask:
-        if mask & 1:
-            yield e
-        mask >>= 1
-        e += 1
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask: int) -> list:
+    """The set bits of mask, ascending: its binary digits, lowest first, as
+    0/1 flags that select from the positions."""
+    return [*compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))]
 
 
 def _least_prime_factor(n: int) -> int:
-    """The least prime factor of n >= 2: n itself if n < 3.3 * 10**24 is a
-    strong probable prime to each prime base a up to 37 (a^d = 1 or
+    """The least prime factor of n >= 2: n itself if n < 318665857834031151167461
+    is a strong probable prime to each prime base a up to 37 (a^d = 1 or
     a^(d 2^r) = -1 mod n for some r < s, where n - 1 = d 2^s with d odd),
-    which proves it prime (Sorenson and Webster); else by trial division."""
-    if 37 < n < 3317044064679887385961981:
+    which proves it prime, as that bound is the least composite that passes
+    (Sorenson and Webster); else by trial division."""
+    if 37 < n < 318665857834031151167461:
         s = ((n - 1) & (1 - n)).bit_length() - 1
         if all(pow(a, n - 1 >> s, n) == 1 or any(pow(a, n - 1 >> s << r, n) == n - 1
                                                  for r in range(s))
@@ -378,12 +379,6 @@ def _byte_tables(g) -> list:
             table += [t | image for t in table]
         tables.append((lo, table))
     return tables
-
-
-def flat_permutation(lat: FlatLattice, g) -> list:
-    """The permutation of flat ids induced by the ground permutation g, or
-    ValueError if g maps some flat off the lattice."""
-    return _flat_image(lat.flats, lat._cache["ids"], g)
 
 
 def _flat_image(flats: tuple, ids: dict, g, start: int = 0) -> list:

@@ -17,8 +17,7 @@ from zpoly import (BRAID, TYPE_B, ExplicitFlats, FlatLattice, GraphSpec, IntPoly
                    z_family, z_polynomial)
 from zpoly.klz import _defining_table, _p_table, _signed_profiles
 from zpoly.matroid import (_bits, _enumerate_by_covers, _graph_oracle, _graph_symmetry,
-                           _uniform_oracle, _vectors_oracle, _vectors_symmetry, bareiss_rank,
-                           flat_permutation)
+                           _uniform_oracle, _vectors_oracle, _vectors_symmetry, bareiss_rank)
 
 
 def random_multigraph(draw):
@@ -170,7 +169,8 @@ def test_lattice_routes_read_only_the_walk_roots_covers():
     # reads another flat's: the cover store still holds only those rows
     # after every route has run, and no generator's permutation of the
     # flats was built to map one; validate() then builds and checks them
-    # all, through permutations equal to those flat_permutation computes
+    # all, through permutations that send each flat to the flat holding the
+    # images of its elements
     for spec in (lattice_spec(BRAID, 7), UniformSpec(2, 5), lattice_spec(TYPE_B, 4)):
         lat = enumerate_flats(spec)
         assert len(lat.covers.keys()) == lat.n_orbits < lat.n, spec
@@ -187,8 +187,11 @@ def test_lattice_routes_read_only_the_walk_roots_covers():
         lat.validate()
         assert len(lat.covers.keys()) == lat.n, spec
         assert len(lat.flat_permutations.keys()) > 0, spec
+        flat_of = {frozenset(lat.flat_elements(f)): f for f in range(lat.n)}
         for j, perm in lat.flat_permutations.items():
-            assert perm == flat_permutation(lat, lat.symmetry[j]), (spec, j)
+            g = lat.symmetry[j]
+            assert perm == [flat_of[frozenset(g[e] for e in lat.flat_elements(f))]
+                            for f in range(lat.n)], (spec, j)
 
 
 def test_k10_defining_route_and_z_equal_family():

@@ -197,7 +197,7 @@ def test_linear_vectors_cost_does_not_grow_with_p():
         LinearVectors(((1, 0),), 1_000_003 ** 2)
 
 
-def test_least_prime_factor_decides_primes_by_strong_probable_prime_tests():
+def test_least_prime_factor_decides_primes_by_strong_probable_prime_tests(monkeypatch):
     # a least-prime-factor sieve is trial division by each prime in turn
     sieve = list(range(10 ** 5))
     for k in range(2, isqrt(10 ** 5) + 1):
@@ -209,6 +209,23 @@ def test_least_prime_factor_decides_primes_by_strong_probable_prime_tests():
     for n, p in ((2047, 23), (3215031751, 151), (3825123056546413051, 149491),
                  (561, 3), (41041, 7)):
         assert _least_prime_factor(n) == p, n
+    # psi_12 = 399165290221 * 798330580441 is the least composite that is a
+    # strong probable prime to every prime base up to 37, so it must go on to
+    # trial division, stopped here before its ~4 * 10^11 steps
+    psi12 = 318665857834031151167461
+    d = (psi12 - 1) >> 2                            # psi12 - 1 = 4d, d odd
+    assert psi12 == 399165290221 * 798330580441 and d & 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        assert pow(a, d, psi12) in (1, psi12 - 1) or pow(a, 2 * d, psi12) == psi12 - 1, a
+
+    class TrialDivision(Exception):
+        pass
+
+    def stop(n):
+        raise TrialDivision(n)
+    monkeypatch.setattr("zpoly.matroid.isqrt", stop)
+    with pytest.raises(TrialDivision):
+        _least_prime_factor(psi12)
     # a prime near 10^14 is decided without ~10^7 trial divisions
     p = 10 ** 14 + 31
     assert _least_prime_factor(p) == p
