@@ -25,7 +25,7 @@ from .families import (BRAID, TYPE_B, build_tables, gaussian_binomial,
                        uniform_family, whitney_multi_family, z_family)
 from .klz import (KlMethod, _defining_table, kl_by_method, kl_coeff_closed,
                   kl_defining, z_polynomial)
-from .matroid import (characteristic_polynomial, enumerate_flats,
+from .matroid import (_check_cap, characteristic_polynomial, enumerate_flats,
                       matroid_spec_from_json, whitney_multi)
 from .polyarith import IntPolynomial, is_palindromic
 from .roots import conjecture_sweep, is_log_concave
@@ -114,8 +114,9 @@ def cmd_compute(args) -> int:
     family = parse_family(args.family) if args.family else None
     ctx = {"profile": _parse_profile(args.profile)} if "profile" in reads else {}
     if on_lattice:
-        spec = lattice_spec(family, args.d) if family else _load_matroid(args)
         cap = DEFAULT_FLAT_CAP if args.flat_cap is None else args.flat_cap
+        spec = (_family_spec(family, args.d, cap, build_tables(family, args.d)) if family
+                else _load_matroid(args))
         lat = enumerate_flats(spec, flat_cap=cap)
         if args.all_methods:
             return _compare_methods(args, lat, family)
@@ -134,6 +135,13 @@ def cmd_compute(args) -> int:
         answer = from_tables(tables, ctx)
     _emit(args, {**ctx, target: getattr(answer, "coeffs", answer)}, [str(answer)])
     return 0
+
+
+def _family_spec(family, d: int, flat_cap: int, tables):
+    """lattice_spec(family, d) once the flat count sum_k W_d(k) is within
+    flat_cap: a spec over the cap can be too large to build."""
+    _check_cap(sum(tables.W[d]), flat_cap, d)
+    return lattice_spec(family, d)
 
 
 def _compare_methods(args, lat, family) -> int:
@@ -358,17 +366,11 @@ def cmd_bench(args) -> int:
              "checksum": _checksum(fast)}]
 
     report = {"family": str(family), "d": d, "rows": rows}
-    baseline_flats = sum(tables.W[d][k] for k in range(d + 1))
-    skip = (baseline_flats > args.flat_cap
-            and f"lattice would have {baseline_flats} flats, cap {args.flat_cap}")
     t0 = time.perf_counter()            # building the spec counts as enumeration
-    if not skip:
-        try:
-            spec = lattice_spec(family, d)
-        except ValueError as exc:       # a family member with no lattice realization
-            skip = str(exc)
-    if skip:
-        report["baseline"] = f"skipped ({skip})"
+    try:
+        spec = _family_spec(family, d, args.flat_cap, tables)
+    except ValueError as exc:           # over the cap, or a member with no lattice realization
+        report["baseline"] = f"skipped ({exc})"
     else:
         lat = enumerate_flats(spec, flat_cap=args.flat_cap)
         enum_ms = (time.perf_counter() - t0) * 1000.0

@@ -628,8 +628,8 @@ def _check_action(lat: FlatLattice, group: PermGroup):
 
 
 def _fixed_flags(lat: FlatLattice, g):
-    """((ranks, rows, slot), anchors, memo), the space in which the chains g
-    fixes are counted.  g fixes a flat iff each nontrivial cycle of g lies
+    """(ranks, rows, memo), the space in which the chains g fixes are
+    counted.  g fixes a flat iff each nontrivial cycle of g lies
     inside it or outside it: with the flats holding each element as a bitset
     of ids, kept on the lattice, those in the AND over the cycle or not in
     the OR.  A g that fixes every flat reads the plain counts; any other g's
@@ -643,12 +643,11 @@ def _fixed_flags(lat: FlatLattice, g):
             held = [*map(lat._cache["members"].__getitem__, _bits(c))]
             fixed &= reduce(and_, held) | ~reduce(or_, held)
     if fixed == full:
-        slot, anchors, memo = _plain_chains(lat)
-        return (lat.ranks, lat.uppers(), slot), anchors, memo
+        return _plain_chains(lat)
     ids = _bits(fixed)
     local = dict(zip(ids, range(len(ids))))     # the bottom, 0, is above no flat
     rows = [[*filter(None, map(local.get, row))] for row in map(lat.uppers().__getitem__, ids)]
-    return ([*map(lat.ranks.__getitem__, ids)], rows, None), range(len(ids)), {}
+    return [*map(lat.ranks.__getitem__, ids)], rows, {}
 
 
 def _chain_character(lat: FlatLattice, group: PermGroup,
@@ -664,9 +663,7 @@ def _chain_character(lat: FlatLattice, group: PermGroup,
     for g in group.class_representatives():
         if g not in chains:
             chains[g] = _fixed_flags(lat, g)
-        space, anchors, memo = chains[g]
-        values[g] = value(lambda profile: _multichain_counts(
-            lat.rk_total, *space, anchors, memo, profile)[0])
+        values[g] = value(lambda profile: _multichain_counts(lat.rk_total, *chains[g], profile)[0])
     return ClassFunctionTable(group, values)
 
 

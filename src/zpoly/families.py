@@ -28,7 +28,7 @@ from operator import index
 
 from .klz import _closed_sum, _pz_solve
 from .matroid import (GraphSpec, LinearVectors, MatroidSpec, UniformSpec, _bits,
-                      _integer, _least_prime_factor, enumerate_flats)
+                      _integer, _is_prime, enumerate_flats)
 from .polyarith import IntPolynomial
 
 
@@ -87,12 +87,18 @@ def narayana(n: int, k: int) -> int:
 
 
 def _is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p and k >= 1, with no search for a
+    factor: p is q's exact integer k-th root, found by Newton's method from
+    above, and _is_prime decides it."""
     if q < 2:
         return False
-    p = _least_prime_factor(q)
-    while q % p == 0:
-        q //= p
-    return q == 1
+    for k in range(q.bit_length() - 1, 0, -1):     # 2^k <= p^k
+        r = 1 << -(-q.bit_length() // k)
+        while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+            r = s
+        if r ** k == q and _is_prime(r):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -369,7 +375,7 @@ def lattice_spec(family: NiceFamily, d: int) -> MatroidSpec:
         return LinearVectors(tuple(vectors))
     if kind == "uniform":
         return UniformSpec(p, d)
-    if _least_prime_factor(p) != p:
+    if not _is_prime(p):
         raise ValueError("lattice realization needs q prime")
     return LinearVectors(tuple(tuple(code // p ** k % p for k in range(d))
                                for code in range(1, p ** d)), p)

@@ -7,13 +7,12 @@ by four routes that must agree:
   * the closed alternating sum of multi-indexed Whitney numbers.
 
 One solver, _pz_solve, turns the sum of t^{rk G} P_G over the flats G
-above a flat into its P and Z by palindromicity.  The cached table runs it
-at each orbit representative (FlatLattice.orbit_rep) over the orbits above
-it, and the family recursion (families.py) over Whitney rows; z_polynomial,
-kl_via_mobius and kl_coeff_new_recursion read the table.  kl_defining never
-does: it solves the functional equation with its own P and Z, one flat per
-orbit, and checks it in full, with the mu(F, .) row of each representative
-summed over orbits.  The bottom rows of both tables and kl_via_mobius add
+above a flat into its P and Z by palindromicity.  It runs over Whitney rows
+in the family recursion (families.py), and on a lattice in the cached
+table, at the orbit positions of matroid._orbit_rows.  z_polynomial,
+kl_via_mobius and kl_coeff_new_recursion read the table; kl_defining never
+does: it solves and checks the functional equation at the same positions
+with its own P and Z.  The bottom rows of both, and kl_via_mobius, add
 each orbit once, weighted by its size.
 
 The closed formula is one sum, _closed_sum, over any Whitney source: lattice
@@ -31,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations, repeat
 from operator import index
 
-from .matroid import FlatLattice, _orbit_mobius, mobius_from_bottom, whitney_multi
+from .matroid import FlatLattice, _orbit_mobius, _orbit_rows, mobius_from_bottom, whitney_multi
 from .polyarith import IntPolynomial
 
 
@@ -137,26 +136,22 @@ def _p_table(lat: FlatLattice):
     """(P, Z) of every upper interval [F, top], keyed by flat id, cached.
 
     _pz_solve runs the recursion of kl_coeff_new_recursion at the orbit
-    representatives by decreasing id; every flat reads its representative's.
-    The bottom's rows are the other orbits with their sizes; a row above it is
-    the up-set, counted by orbit when the lattice has symmetry.
-    z_polynomial, kl_via_mobius and kl_coeff_new_recursion read it;
-    kl_defining does not.
+    positions of _orbit_rows, top first; each flat reads its orbit's answer
+    through slot.  The bottom's rows are the other orbits with their sizes;
+    a row above it is the representative's up-set, counted by orbit.
     """
     table = lat._cache.get("pz")
     if table is not None:
         return table
-    rep = lat.orbit_rep
-    bottom = lat.bottom_id
-    ups = lat.uppers()
-    orbits = [(g, k) for g, k in lat.orbit_size.items() if g != bottom]
+    ranks, ups, slot = _orbit_rows(lat)
+    orbits = [*enumerate(lat.orbit_size.values())][1:]     # the bottom's orbit is first
     if lat.symmetry:
-        rows = lambda f: orbits if f == bottom else Counter(map(rep.__getitem__, ups[f])).items()
+        rows = lambda f: Counter(ups[f]).items() if f else orbits
     else:
-        rows = lambda f: orbits if f == bottom else zip(ups[f], repeat(1))
-    P, Z = [None] * lat.n, [None] * lat.n
-    _pz_solve(reversed(lat.orbit_size), [lat.rk_total - r for r in lat.ranks], rows, P, Z)
-    table = (tuple(map(P.__getitem__, rep)), tuple(map(Z.__getitem__, rep)))
+        rows = lambda f: zip(ups[f], repeat(1)) if f else orbits
+    P, Z = [None] * len(ranks), [None] * len(ranks)
+    _pz_solve(reversed(range(len(ranks))), [lat.rk_total - r for r in ranks], rows, P, Z)
+    table = (tuple(map(P.__getitem__, slot)), tuple(map(Z.__getitem__, slot)))
     lat._cache["pz"] = table
     return table
 
@@ -173,11 +168,8 @@ def kl_via_mobius(lat: FlatLattice) -> IntPolynomial:
     mu = mobius_from_bottom(lat)
     out = [0] * (lat.rk_total + 1)
     for f, k in lat.orbit_size.items():     # Z and mu are constant on orbits
-        m = k * mu[f]
-        if m:
-            base = lat.ranks[f]
-            for j, c in enumerate(Z[f]):
-                out[base + j] += m * c
+        for j, c in enumerate(Z[f], lat.ranks[f]):
+            out[j] += k * mu[f] * c
     return IntPolynomial(out)
 
 
@@ -204,33 +196,25 @@ def _defining_table(lat: FlatLattice):
         R_F = sum over G >= F of chi_{[F,G]} P_G = sum over H >= F of mu(F,H) Z_H
     must equal t^{crk} P_F(1/t).  Its tail gives
         P_F[i] = S_F[crk - i] + sum over H > F of mu(F,H) Z_H[crk - i],
-    and its low half (degrees <= crk/2) must vanish.  Only orbit
-    representatives are solved and checked; the other flats copy theirs
-    from the representative, the orbit's highest id.  Without symmetry,
-    mu(F, .) comes from a scalar sweep over chains F <= H <= G.  With it,
-    automorphisms keep N[H][O], the number of flats of orbit O above H, so
-    F's row reads only its own up-set, as N[F], and sums over orbits: S of
-    N[F][O] P_O, and T of M[O] Z_O, where M[O] sums mu(F, H) over the H of
-    O above F.  Since mu(F, .) sums to 0 on every [F, G], M[O'] = -N[F][O']
-    - sum over O of M[O] N[O][O'], pushed by rank.  At the bottom,
-    mu(bottom, .) is constant on orbits, so its row adds each orbit once,
-    by its size, with mu from the mobius_from_bottom cache when a route has
-    filled it, else from _orbit_mobius.  Shares nothing with _p_table;
-    caches nothing.
+    and its low half (degrees <= crk/2) must vanish.  It is solved and
+    checked at the orbit positions of _orbit_rows; each flat reads its
+    orbit's answer through slot.  Without symmetry, mu(F, .) comes from a
+    scalar sweep over chains F <= H <= G.  With it, automorphisms keep
+    N[H][O], the number of flats of orbit O above H, so F's row is N[F], a
+    Counter of its own up-set, and sums over orbits: S of N[F][O] P_O, and
+    T of M[O] Z_O, where M[O] sums mu(F, H) over the H of O above F.  Since
+    mu(F, .) sums to 0 on every [F, G], M[O'] = -N[F][O'] - sum over O of
+    M[O] N[O][O'], pushed by rank.  The bottom's row adds each other orbit
+    once, by its size, as mu(bottom, .) is constant on orbits: mu from the
+    mobius_from_bottom cache when a route has filled it, else from
+    _orbit_mobius.  Shares nothing with _p_table; caches nothing.
     """
-    n = lat.n
-    ranks = lat.ranks
+    ranks, ups, slot = _orbit_rows(lat)
     rk_total = lat.rk_total
-    rep = lat.orbit_rep
-    ups = lat.uppers()
-    P, Z = [None] * n, [None] * n
-    N = {}                          # N[F][O] at the representatives F solved so far
-    acc = [0] * n
-    for f in reversed(range(n)):
-        r = rep[f]
-        if r != f:
-            P[f], Z[f] = P[r], Z[r]
-            continue
+    P, Z = [None] * len(ranks), [None] * len(ranks)
+    N = {}                          # N[F][O] at the orbits F solved so far
+    acc = [0] * len(ranks)
+    for f in reversed(range(len(ranks))):
         rank_f = ranks[f]
         crk = rk_total - rank_f
         if crk == 0:
@@ -239,19 +223,19 @@ def _defining_table(lat: FlatLattice):
             continue
         S = [0] * (crk + 1)         # sum over G > F of t^{rk G - rk F} P_G
         T = [0] * (crk + 1)         # sum over H > F of mu(F, H) Z_H
-        if f == lat.bottom_id:
+        if f == 0:                  # the bottom's orbit is first
             mu = lat._cache.get("mobius") or _orbit_mobius(lat)    # leaves no cache entry
-            for h, k in list(lat.orbit_size.items())[1:]:   # the bottom's orbit is first
+            for h, (g, k) in enumerate([*lat.orbit_size.items()][1:], 1):
                 for j, c in enumerate(P[h]):
                     S[ranks[h] + j] += k * c
                 for j, c in enumerate(Z[h]):
-                    T[j] += k * mu[h] * c
+                    T[j] += k * mu[g] * c
         elif lat.symmetry:
-            above = N[f] = Counter(map(rep.__getitem__, ups[f]))
+            above = N[f] = Counter(ups[f])
             for h, k in above.items():  # by rank: acc[h] is complete
                 for j, c in enumerate(P[h], ranks[h] - rank_f):
                     S[j] += k * c
-                m = -k - acc[h]         # sum of mu(F, H) over the H > F of h's orbit
+                m = -k - acc[h]         # sum of mu(F, H) over the H > F of orbit h
                 acc[h] = 0
                 if m:
                     for g, kg in N[h].items():
@@ -284,7 +268,7 @@ def _defining_table(lat: FlatLattice):
             raise RuntimeError("functional equation fails in low degrees")
         P[f] = tuple(p)
         Z[f] = tuple(S)
-    return P, Z
+    return [*map(P.__getitem__, slot)], [*map(Z.__getitem__, slot)]
 
 
 def kl_defining(lat: FlatLattice) -> IntPolynomial:
@@ -329,11 +313,5 @@ def kl_by_method(lat: FlatLattice, method: KlMethod) -> IntPolynomial:
         return kl_defining(lat)
     if method is KlMethod.MOBIUS_INVERSION:
         return kl_via_mobius(lat)
-    rk = lat.rk_total
-    coeffs = [1]
-    for i in range(1, (rk + 1) // 2):
-        if method is KlMethod.NEW_RECURSION:
-            coeffs.append(kl_coeff_new_recursion(lat, i))
-        else:
-            coeffs.append(kl_coeff_closed(lat, i))
-    return IntPolynomial(coeffs)
+    coeff = kl_coeff_new_recursion if method is KlMethod.NEW_RECURSION else kl_coeff_closed
+    return IntPolynomial([1] + [coeff(lat, i) for i in range(1, (lat.rk_total + 1) // 2)])

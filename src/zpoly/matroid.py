@@ -14,8 +14,8 @@ each orbit, kept as the lattice's tree, gives the other flats the symmetry
 images of the covers and up-sets of the flat they were reached from; each
 such row, and each generator's permutation of the flats that maps it, is
 built only when it is read.  Mobius values from the bottom, plain multichain
-counts and P and Z are constant on orbits, so they read only the orbit
-representatives' up-sets and keep one value per representative; a
+counts and P and Z are constant on orbits, so they solve at the orbit
+positions of _orbit_rows, from the representatives' up-sets alone; a
 permutation's fixed-chain counts keep one per flat it fixes.
 
 Flats are ground-set bitmasks (Python ints), ordered by inclusion.  Closure
@@ -58,19 +58,28 @@ def _bits(mask: int) -> list:
     return [*compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS))]
 
 
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, with no search for a factor.  A prime base a <= 41
+    that n does not divide and that fails (a^d != 1 and a^(d 2^r) != -1 mod
+    n for every r < s, where n - 1 = d 2^s, d odd) proves n composite; a
+    composite below 42 fails at a prime factor.  Passing every base proves n
+    prime below psi_13 (Sorenson and Webster); above it, raises ValueError."""
+    if n < 2:
+        return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    if not all(pow(a, n - 1 >> s, n) == 1 or any(pow(a, n - 1 >> s << r, n) == n - 1
+                                                  for r in range(s))
+               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41) if a % n):
+        return False
+    if n >= 3317044064679887385961981:
+        raise ValueError(f"cannot decide whether {n} is prime: passing every prime base up "
+                         "to 41 proves primality only below 3317044064679887385961981")
+    return True
+
+
 def _least_prime_factor(n: int) -> int:
-    """The least prime factor of n >= 2: n itself if n < 318665857834031151167461
-    is a strong probable prime to each prime base a up to 37 (a^d = 1 or
-    a^(d 2^r) = -1 mod n for some r < s, where n - 1 = d 2^s with d odd),
-    which proves it prime, as that bound is the least composite that passes
-    (Sorenson and Webster); else by trial division."""
-    if 37 < n < 318665857834031151167461:
-        s = ((n - 1) & (1 - n)).bit_length() - 1
-        if all(pow(a, n - 1 >> s, n) == 1 or any(pow(a, n - 1 >> s << r, n) == n - 1
-                                                 for r in range(s))
-               for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
-            return n
-    return next((k for k in range(2, isqrt(n) + 1) if n % k == 0), n)
+    """The least prime factor of n >= 2: n if _is_prime(n), else by trial division."""
+    return n if _is_prime(n) else next(k for k in range(2, isqrt(n) + 1) if n % k == 0)
 
 
 def _integer(x) -> int:
@@ -129,7 +138,7 @@ class LinearVectors:
 
     def __post_init__(self):
         p = _integer(self.p)
-        if p and (p < 2 or _least_prime_factor(p) != p):
+        if p and not _is_prime(p):
             raise ValueError(f"vectors need p = 0 (over Q) or a prime p, got p = {self.p}")
         vecs = tuple(tuple(map(_integer, v)) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
@@ -202,11 +211,10 @@ class FlatLattice:
     orbit_rep[f] is the last id in the orbit of flat f under the group
     they generate; the ids of an orbit share a rank, and without symmetry
     orbit_rep is range(n).  orbit_size maps each representative,
-    ascending, to its orbit's size.  P and Z of an upper interval depend
-    only on the contraction, and mu(bottom, F) and the multichain counts
-    above F only on F's orbit.  The up-set of g(F) is g's image of the
-    up-set of F, and uppers() builds each row of a symmetric lattice on its
-    first read, so routes that read the representatives build no other.
+    ascending, to its orbit's size.  uppers() builds each row of a
+    symmetric lattice on its first read, the up-set of g(F) as g's image
+    of F's, so the orbit routes (_orbit_rows), which read only the
+    representatives' rows, build no other.
     """
 
     __slots__ = ("flats", "ranks", "covers", "rk_total", "n_ground", "ground_mask", "symmetry",
@@ -892,27 +900,41 @@ def _lattice_from_explicit_flats(spec: ExplicitFlats, flat_cap: int | None) -> F
 # poset computations
 
 
+def _orbit_rows(lat: FlatLattice) -> tuple:
+    """(ranks, rows, slot): the orbits by position in orbit_size order, so
+    by rank, with their ranks; rows[k], built on first read, the k-th
+    representative's up-set as the positions of its flats' orbits, one per
+    flat; slot[f] the position of flat f's orbit.  Without symmetry,
+    lat.ranks, lat.uppers() and range(n).  Each call reads uppers() afresh."""
+    ups = lat.uppers()
+    if not lat.symmetry:
+        return lat.ranks, ups, range(lat.n)
+    reps = [*lat.orbit_size]
+    slot = [*map(dict(zip(reps, count())).__getitem__, lat.orbit_rep)]
+    rows = _Rows(len(reps), None, scan=lambda k: [*map(slot.__getitem__, ups[reps[k]])])
+    return [*map(lat.ranks.__getitem__, reps)], rows, slot
+
+
 def _orbit_mobius(lat: FlatLattice) -> tuple:
     """mu(bottom, F) for every flat, constant on orbits as every symmetry
-    fixes the bottom: one sweep over the orbit representatives H by
-    increasing rank.  Each G adds |O_G| mu(bottom, G) at rep[H'] for every
-    H' > G; as |O_G| #{H' in O_H : G < H'} = |O_H| #{G' in O_G : G' < H},
-    that leaves -|O_H| mu(bottom, H) at H, which |O_H| must divide."""
-    ups = lat.uppers()
-    rep = lat.orbit_rep if lat.symmetry else None
-    acc = [0] * lat.n
-    acc[lat.bottom_id] = -1
-    at = {}
-    for h, k in lat.orbit_size.items():
-        w = -acc[h]                 # complete: ids are in rank order
+    fixes the bottom: one sweep over the orbit positions H by increasing
+    rank.  Each G adds |O_G| mu(bottom, G) at the orbit of every H' > G;
+    as |O_G| #{H' in O_H : G < H'} = |O_H| #{G' in O_G : G' < H}, that
+    leaves -|O_H| mu(bottom, H) at H, which |O_H| must divide."""
+    _, rows, slot = _orbit_rows(lat)
+    acc = [0] * len(rows)
+    acc[0] = -1                     # the bottom's orbit is first
+    at = []
+    for h, (f, k) in enumerate(lat.orbit_size.items()):
+        w = -acc[h]                 # complete: positions are in rank order
         if w % k:
-            raise RuntimeError(f"mobius value {w}/{k} on the orbit of flat {h} is not "
+            raise RuntimeError(f"mobius value {w}/{k} on the orbit of flat {f} is not "
                                "an integer: the orbits are not those of the symmetry")
-        at[h] = w // k
+        at.append(w // k)
         if w:
-            for g in ups[h] if rep is None else map(rep.__getitem__, ups[h]):
+            for g in rows[h]:
                 acc[g] += w
-    return tuple(map(at.__getitem__, lat.orbit_rep))
+    return tuple(map(at.__getitem__, slot))
 
 
 def mobius_from_bottom(lat: FlatLattice) -> tuple:
@@ -931,41 +953,36 @@ def characteristic_polynomial(lat: FlatLattice) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def _multichain_counts(rk: int, ranks, rows, slot, anchors, memo: dict, profile: tuple):
-    """counts[k], at each anchor anchors[k], of the multichains of the given
-    corank profile (the top has rank rk) whose lowest flat contains it, and a
-    trailing 0.  Flats are ids in rank order, ranks[h] the rank of h, rows[a]
-    the ids above anchor a, ascending; h reads entry slot[h].  Plain counts,
-    constant on orbits, are kept at the orbit representatives; a permutation's
-    fixed chains are counted on its fixed flats alone, each its own anchor
-    (slot None).  Memoized per profile suffix in `memo`; the Whitney
-    recursion over contractions makes suffixes shareable."""
+def _multichain_counts(rk: int, ranks, rows, memo: dict, profile: tuple):
+    """counts[a] of the multichains of the given corank profile (the top
+    has rank rk) whose lowest flat contains entry a of a space: the orbit
+    positions of _orbit_rows for plain counts, a permutation's fixed flats
+    for its fixed chains.  Entries are in rank order, ranks[a] the rank of
+    a, rows[a] the entries above it.  Memoized per profile suffix in
+    `memo`; the Whitney recursion over contractions shares suffixes."""
     vec = memo.get(profile)
     if vec is not None:
         return vec
     if not profile:
-        vec = [1] * len(anchors) + [0]
+        vec = [1] * len(ranks)
     else:
-        prev = _multichain_counts(rk, ranks, rows, slot, anchors, memo, profile[1:])
+        prev = _multichain_counts(rk, ranks, rows, memo, profile[1:])
         target = rk - profile[0]            # rank of flats with corank profile[0]
-        # ids are in rank order, so the target rank is an id range [lo, hi)
-        # and every row meets it in one slice; anchors in it keep their count
+        # entries are in rank order, so the target rank is a range [lo, hi)
+        # and every row meets it in one slice; entries in it keep their count
         lo = bisect_left(ranks, target)
         hi = bisect_left(ranks, target + 1)
-        at = prev if slot is None else [0] * lo + [*map(prev.__getitem__, slot[lo:hi])]
-        a, b = bisect_left(anchors, lo), bisect_left(anchors, hi)
-        vec = [sum(map(at.__getitem__, row[bisect_left(row, lo):bisect_left(row, hi)]))
-               for row in map(rows.__getitem__, anchors[:a])]
-        vec += prev[a:b] + [0] * (len(anchors) - b + 1)
+        vec = [sum(map(prev.__getitem__, row[bisect_left(row, lo):bisect_left(row, hi)]))
+               for row in map(rows.__getitem__, range(lo))]
+        vec += prev[lo:hi] + [0] * (len(ranks) - hi)
     memo[profile] = vec
     return vec
 
 
 def _plain_chains(lat: FlatLattice) -> tuple:
-    """(slot, anchors, memo) of the plain counts at the orbit representatives."""
+    """(ranks, rows, memo) of the plain counts, at the orbit positions."""
     if "whitney" not in lat._cache:
-        pos = {f: k for k, f in enumerate(lat.orbit_size)}
-        lat._cache["whitney"] = ([*map(pos.__getitem__, lat.orbit_rep)], [*pos], {})
+        lat._cache["whitney"] = (*_orbit_rows(lat)[:2], {})
     return lat._cache["whitney"]
 
 
@@ -975,5 +992,4 @@ def whitney_multi(lat: FlatLattice, profile) -> int:
     The profile is given corank-major, [i_r, ..., i_1]; entries may be any
     integers (impossible coranks yield 0); the empty profile counts 1.
     """
-    return _multichain_counts(lat.rk_total, lat.ranks, lat.uppers(), *_plain_chains(lat),
-                              tuple(map(index, profile)))[0]
+    return _multichain_counts(lat.rk_total, *_plain_chains(lat), tuple(map(index, profile)))[0]

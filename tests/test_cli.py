@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -413,6 +414,31 @@ def test_compute_rejects_flags_the_route_does_not_read(capsys, monkeypatch, argv
     code, out, err = run(capsys, "compute", *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+def test_compute_checks_the_flat_cap_before_it_builds_a_family_spec(capsys, monkeypatch):
+    # F_101^5 has 101^5 - 1 vectors and 2,144,691,108,032 subspaces: the
+    # family tables count the flats, and no spec is built over the cap
+    import zpoly.cli as cli
+
+    monkeypatch.setattr(cli, "lattice_spec", nothing_built)
+    code, out, err = run(capsys, "compute", "kl", "--family", "qvec:101", "--d", "5",
+                         "--method", "defining", "--flat-cap", "100")
+    assert code == 2 and out == ""
+    assert "exceeds cap 100: 2144691108032 flats" in err
+
+
+@pytest.mark.parametrize("q, code, message", [
+    (318665857834031151167461, 2, "needs a prime power"),       # psi_12, composite
+    (2 ** 89 - 1, 2, "cannot decide whether"),                   # a prime above psi_13
+    ((10 ** 12 + 39) ** 2, 0, ""),                               # the square of a prime
+])
+def test_qvec_primality_is_decided_without_trial_division(capsys, q, code, message):
+    t0 = time.perf_counter()
+    got, out, err = run(capsys, "compute", "kl", "--family", f"qvec:{q}", "--d", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert got == code and message in err
+    assert out.strip() == ("1" if code == 0 else "")
 
 
 def test_flat_cap_is_read_on_every_lattice_route(capsys):

@@ -663,8 +663,8 @@ def test_fixed_chains_counted_once_per_lattice(monkeypatch):
 
 
 def test_cached_counts_hold_one_entry_per_anchor():
-    # plain counts live at the orbit representatives, fixed-chain counts at
-    # the flats the class representative fixes, each with a trailing 0
+    # plain counts live at the orbit positions, one entry per orbit;
+    # every other class's fixed-chain counts at the flats it fixes
     k6 = enumerate_flats(lattice_spec(BRAID, 5))
     group = edge_action_group(6)
     for i in (1, 2, 3):
@@ -672,13 +672,18 @@ def test_cached_counts_hold_one_entry_per_anchor():
     k8 = enumerate_flats(lattice_spec(BRAID, 7))
     for i in (1, 2, 3):
         kl_coeff_closed(k8, i)
-    slot, anchors, memo = k8._cache["whitney"]
-    assert list(anchors) == list(k8.orbit_size) and len(anchors) < k8.n == len(slot)
-    cached = [(anchors, memo)] + [(a, m) for _, a, m in k6._cache["fixed_chains"].values()]
-    assert len(cached) == 1 + len(group.class_representatives())
-    for anchors, memo in cached:
-        assert anchors[0] == 0 and memo
-        assert all(len(vec) == len(anchors) + 1 and vec[-1] == 0 for vec in memo.values())
+    assert k8.n_orbits < k8.n and k6.n_orbits < k6.n
+    cached = [(k8.n_orbits, k8._cache["whitney"])]
+    spaces = k6._cache["fixed_chains"]
+    assert len(spaces) == len(group.class_representatives())
+    for g, space in spaces.items():
+        fixed = sum(sum(1 << g[e] for e in range(k6.n_ground) if m >> e & 1) == m
+                    for m in k6.flats)
+        assert (space is k6._cache["whitney"]) == (g == group.identity) == (fixed == k6.n)
+        cached.append((k6.n_orbits if fixed == k6.n else fixed, space))
+    for entries, (ranks, rows, memo) in cached:
+        assert len(ranks) == len(rows) == entries and ranks[0] == 0 and memo
+        assert all(len(vec) == entries for vec in memo.values())
 
 
 def k4_spanning_trees():

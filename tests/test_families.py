@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -92,6 +93,27 @@ def test_qvec_accepts_exactly_the_prime_powers_and_realizes_the_primes():
         else:
             with pytest.raises(ValueError, match="needs q prime"):
                 lattice_spec(family, 1)
+
+
+def test_qvec_prime_powers_are_decided_without_trial_division():
+    # psi_12 passes every prime base up to 37 and its least factor is
+    # 399165290221; 2^89 - 1 is a prime above psi_13, where passing the
+    # bases up to 41 proves nothing; (10^12 + 39)^2 is an exact square
+    p = 10 ** 12 + 39
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="needs a prime power"):
+        NiceFamily("qvec", 318665857834031151167461)
+    with pytest.raises(ValueError, match="cannot decide whether"):
+        NiceFamily("qvec", 2 ** 89 - 1)
+    with pytest.raises(ValueError, match="cannot decide whether"):
+        LinearVectors(((1, 0),), 2 ** 89 - 1)
+    assert NiceFamily("qvec", p * p).param == p * p
+    with pytest.raises(ValueError, match="needs q prime"):
+        lattice_spec(qvec_family(p * p), 1)
+    with pytest.raises(ValueError, match="a prime p"):
+        LinearVectors(((1, 0),), p * p)
+    assert LinearVectors(((1, 0),), p).p == p
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_build_tables_examples():

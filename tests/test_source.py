@@ -57,6 +57,16 @@ def test_one_lattice_builder():
     assert not found, f"FlatLattice built outside _enumerate_by_covers: {found}"
 
 
+def test_one_owner_of_the_orbit_numbering():
+    # matroid._orbit_rows numbers the orbits for every orbit route; a module
+    # that reads orbit_rep itself keeps a second numbering beside it
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "matroid.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "orbit_rep"]
+    assert not found, f"orbit_rep read outside matroid.py: {found}"
+
+
 def test_one_caller_of_the_enumerator():
     # every spec reaches the cover enumerator through enumerate_flats, which
     # applies the flat cap; a module that drives it directly bypasses both
