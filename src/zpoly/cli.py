@@ -19,14 +19,14 @@ from . import corpus as corpus_mod
 from .equivariant import (PermGroup, character_value, dimension,
                           equivariant_c_character, equivariant_c_uniform,
                           h_to_schur, is_schur_positive)
-from .families import (BRAID, TYPE_B, build_tables, gaussian_binomial,
+from .families import (BRAID, TYPE_B, _spec_elements, build_tables, gaussian_binomial,
                        kl_family, lattice_spec, narayana, parse_family,
                        q_shift_check, qvec_family, series_identity_check,
                        uniform_family, whitney_multi_family, z_family)
 from .klz import (KlMethod, _defining_table, kl_by_method, kl_coeff_closed,
                   kl_defining, z_polynomial)
-from .matroid import (_check_cap, characteristic_polynomial, enumerate_flats,
-                      matroid_spec_from_json, whitney_multi)
+from .matroid import (FlatCapExceeded, _check_cap, characteristic_polynomial,
+                      enumerate_flats, matroid_spec_from_json, whitney_multi)
 from .polyarith import IntPolynomial, is_palindromic
 from .roots import conjecture_sweep, is_log_concave
 
@@ -138,32 +138,26 @@ def cmd_compute(args) -> int:
 
 
 def _family_spec(family, d: int, flat_cap: int, tables):
-    """lattice_spec(family, d) once the flat count sum_k W_d(k) is within
-    flat_cap: a spec over the cap can be too large to build."""
+    """lattice_spec(family, d) once its flat count sum_k W_d(k) and the
+    elements it lists are within flat_cap: a spec over the cap can be too
+    large to build (F_q^2 has q + 3 subspaces but q^2 - 1 vectors)."""
     _check_cap(sum(tables.W[d]), flat_cap, d)
+    size = _spec_elements(family, d)
+    if size > flat_cap:
+        raise FlatCapExceeded(f"element count exceeds cap {flat_cap}: {size} elements at rank {d}")
     return lattice_spec(family, d)
 
 
 def _compare_methods(args, lat, family) -> int:
     """kl by every lattice method, and by the family recursion with --family;
     exit 1 if they disagree."""
-    results = {m.value: p for m, p in _kl_all_methods(lat).items()}
+    results = {m.value: kl_by_method(lat, m) for m in KlMethod}
     if family is not None:
         results["family"] = kl_family(build_tables(family, args.d), args.d)
     agree = len(set(results.values())) == 1
     lines = [f"{k}: {p}" for k, p in results.items()] + ["AGREE" if agree else "DISAGREE"]
     _emit(args, {"methods": {k: p.coeffs for k, p in results.items()}, "agree": agree}, lines)
     return 0 if agree else 1
-
-
-def _kl_all_methods(lat) -> dict:
-    """P(t) by every route, keyed in KlMethod order.  The Mobius route runs
-    first: it caches mu(bottom, .), which the defining route then reads
-    instead of sweeping it again."""
-    first = KlMethod.MOBIUS_INVERSION
-    polys = {first: kl_by_method(lat, first)}
-    polys.update((m, kl_by_method(lat, m)) for m in KlMethod if m is not first)
-    return {m: polys[m] for m in KlMethod}
 
 
 def _parse_profile(text):
@@ -204,8 +198,7 @@ def _suite_crossmethod(args):
     checks = []
     for label, spec in _corpus(args):
         lat = enumerate_flats(spec)
-        polys = _kl_all_methods(lat)
-        ok = len({tuple(p.coeffs) for p in polys.values()}) == 1
+        ok = len({kl_by_method(lat, m) for m in KlMethod}) == 1
         checks.append({"name": f"crossmethod:{label}", "pass": ok})
     return checks
 

@@ -623,7 +623,7 @@ def _check_action(lat: FlatLattice, group: PermGroup):
     checked = lat._cache.setdefault("actions", set())
     for g in map(tuple, group.generators):
         if g not in checked:
-            _flat_image(lat.flats, lat._cache["ids"], g, bisect_left(lat.ranks, lat.rk_total - 1))
+            _flat_image(lat, g, bisect_left(lat.ranks, lat.rk_total - 1))
             checked.add(g)
 
 

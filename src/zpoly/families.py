@@ -381,6 +381,16 @@ def lattice_spec(family: NiceFamily, d: int) -> MatroidSpec:
                                for code in range(1, p ** d)), p)
 
 
+def _spec_elements(family: NiceFamily, d: int) -> int:
+    """The number of elements lattice_spec(family, d) lists, without listing them."""
+    kind, q = family.kind, family.param
+    if kind == "braid":
+        return d * (d + 1) // 2
+    if kind == "typeb":
+        return d * d
+    return q + d if kind == "uniform" else q ** d - 1
+
+
 def qvec_flats(q: int, d: int):
     """(ground size, flats) of the matroid of all nonzero vectors of F_q^d,
     with flats the subspaces: the lattice of lattice_spec(qvec_family(q), d),

@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations, repeat
 from operator import index
 
-from .matroid import FlatLattice, _orbit_mobius, _orbit_rows, mobius_from_bottom, whitney_multi
+from .matroid import FlatLattice, _orbit_rows, mobius_from_bottom, whitney_multi
 from .polyarith import IntPolynomial
 
 
@@ -205,9 +205,9 @@ def _defining_table(lat: FlatLattice):
     T of M[O] Z_O, where M[O] sums mu(F, H) over the H of O above F.  Since
     mu(F, .) sums to 0 on every [F, G], M[O'] = -N[F][O'] - sum over O of
     M[O] N[O][O'], pushed by rank.  The bottom's row adds each other orbit
-    once, by its size, as mu(bottom, .) is constant on orbits: mu from the
-    mobius_from_bottom cache when a route has filled it, else from
-    _orbit_mobius.  Shares nothing with _p_table; caches nothing.
+    once, by its size, as mu(bottom, .) is constant on orbits; mu comes
+    from mobius_from_bottom, a lattice input shared with kl_via_mobius.
+    Shares nothing with _p_table; keeps no P or Z.
     """
     ranks, ups, slot = _orbit_rows(lat)
     rk_total = lat.rk_total
@@ -224,7 +224,7 @@ def _defining_table(lat: FlatLattice):
         S = [0] * (crk + 1)         # sum over G > F of t^{rk G - rk F} P_G
         T = [0] * (crk + 1)         # sum over H > F of mu(F, H) Z_H
         if f == 0:                  # the bottom's orbit is first
-            mu = lat._cache.get("mobius") or _orbit_mobius(lat)    # leaves no cache entry
+            mu = mobius_from_bottom(lat)
             for h, (g, k) in enumerate([*lat.orbit_size.items()][1:], 1):
                 for j, c in enumerate(P[h]):
                     S[ranks[h] + j] += k * c

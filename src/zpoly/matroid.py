@@ -242,9 +242,9 @@ class FlatLattice:
         self.n_ground = n_ground
         self.ground_mask = flats[-1]
         ids = {}                            # mask -> id, filled on first use
-        self._cache = {"ids": ids}
+        self._cache = {"ids": ids}          # the store below closes over ids, not self (a cycle)
         self.flat_permutations = _Rows(len(symmetry), None,
-                                       scan=lambda j: _flat_image(flats, ids, symmetry[j]))
+                                       scan=lambda j: _mask_image(flats, ids, symmetry[j]))
         if symmetry:
             parent, via, starts = tree
             self._orbit_tree = ([*map(old_to_new.__getitem__, map(parent.__getitem__, order))],
@@ -389,7 +389,12 @@ def _byte_tables(g) -> list:
     return tables
 
 
-def _flat_image(flats: tuple, ids: dict, g, start: int = 0) -> list:
+def _flat_image(lat: FlatLattice, g, start: int = 0) -> list:
+    """The ids of the images under g of the lattice's flats from id start on."""
+    return _mask_image(lat.flats, lat._cache.setdefault("ids", {}), g, start)
+
+
+def _mask_image(flats: tuple, ids: dict, g, start: int = 0) -> list:
     """The ids of the images under g of flats[start:]."""
     if not ids:                     # the lattice's mask -> id index, filled once
         ids.update(zip(flats, range(len(flats))))
@@ -905,22 +910,28 @@ def _orbit_rows(lat: FlatLattice) -> tuple:
     by rank, with their ranks; rows[k], built on first read, the k-th
     representative's up-set as the positions of its flats' orbits, one per
     flat; slot[f] the position of flat f's orbit.  Without symmetry,
-    lat.ranks, lat.uppers() and range(n).  Each call reads uppers() afresh."""
+    lat.ranks, lat.uppers() and range(n).  The numbering is built once per
+    lattice, the rows afresh from uppers() on each call."""
     ups = lat.uppers()
     if not lat.symmetry:
         return lat.ranks, ups, range(lat.n)
-    reps = [*lat.orbit_size]
-    slot = [*map(dict(zip(reps, count())).__getitem__, lat.orbit_rep)]
+    if "orbits" not in lat._cache:
+        reps = [*lat.orbit_size]
+        slot = [*map(dict(zip(reps, count())).__getitem__, lat.orbit_rep)]
+        lat._cache["orbits"] = reps, [*map(lat.ranks.__getitem__, reps)], slot
+    reps, ranks, slot = lat._cache["orbits"]
     rows = _Rows(len(reps), None, scan=lambda k: [*map(slot.__getitem__, ups[reps[k]])])
-    return [*map(lat.ranks.__getitem__, reps)], rows, slot
+    return ranks, rows, slot
 
 
-def _orbit_mobius(lat: FlatLattice) -> tuple:
-    """mu(bottom, F) for every flat, constant on orbits as every symmetry
-    fixes the bottom: one sweep over the orbit positions H by increasing
-    rank.  Each G adds |O_G| mu(bottom, G) at the orbit of every H' > G;
-    as |O_G| #{H' in O_H : G < H'} = |O_H| #{G' in O_G : G' < H}, that
-    leaves -|O_H| mu(bottom, H) at H, which |O_H| must divide."""
+def mobius_from_bottom(lat: FlatLattice) -> tuple:
+    """mu(bottom, F) for every flat, cached: constant on orbits as every
+    symmetry fixes the bottom, so one sweep over the orbit positions H by
+    increasing rank.  Each G adds |O_G| mu(bottom, G) at the orbit of every
+    H' > G; as |O_G| #{H' in O_H : G < H'} = |O_H| #{G' in O_G : G' < H},
+    that leaves -|O_H| mu(bottom, H) at H, which |O_H| must divide."""
+    if "mobius" in lat._cache:
+        return lat._cache["mobius"]
     _, rows, slot = _orbit_rows(lat)
     acc = [0] * len(rows)
     acc[0] = -1                     # the bottom's orbit is first
@@ -934,14 +945,7 @@ def _orbit_mobius(lat: FlatLattice) -> tuple:
         if w:
             for g in rows[h]:
                 acc[g] += w
-    return tuple(map(at.__getitem__, slot))
-
-
-def mobius_from_bottom(lat: FlatLattice) -> tuple:
-    """mu(bottom, F) for every flat, swept once by _orbit_mobius and cached."""
-    if "mobius" not in lat._cache:
-        lat._cache["mobius"] = _orbit_mobius(lat)
-    return lat._cache["mobius"]
+    return lat._cache.setdefault("mobius", tuple(map(at.__getitem__, slot)))
 
 
 def characteristic_polynomial(lat: FlatLattice) -> IntPolynomial:

@@ -380,13 +380,6 @@ def isolate_roots(p: IntPolynomial) -> list:
     return list(certify_roots(p).isolating)
 
 
-def _horner_sign(cs, x) -> int:
-    value = 0
-    for c in reversed(cs):
-        value = value * x + c
-    return (value > 0) - (value < 0)
-
-
 def _divides(d, p) -> bool:
     """Whether the nonzero polynomial d divides p, by rational long division."""
     r = [Fraction(c) for c in p]
@@ -402,8 +395,9 @@ def _divides(d, p) -> bool:
 
 
 def check_certificate(p: IntPolynomial, cert: SturmCertificate) -> bool:
-    """Check a certify_roots certificate for p with code of its own: sign
-    evaluation by Horner at the dyadic endpoints and rational division.
+    """Check a certify_roots certificate for p with code of its own: the
+    square-free part and its derivative evaluated at the dyadic endpoints
+    (IntPolynomial's Horner), and rational division.
 
     True iff p(0) != 0; the intervals (lo, hi] are sorted, disjoint and
     inside (-inf, 0]; the square-free part s changes sign on each one: s(hi)
@@ -413,24 +407,22 @@ def check_certificate(p: IntPolynomial, cert: SturmCertificate) -> bool:
     one root of s, and the roots of p are exactly those of s, all negative
     reals.
     """
-    s = cert.squarefree.coeffs
-    cs = p.coeffs
-    if not s or not cs or cs[0] == 0 or len(cert.isolating) != len(s) - 1:
+    s, ds, cs = cert.squarefree, cert.squarefree.derivative(), p.coeffs
+    if s.is_zero() or not cs or cs[0] == 0 or len(cert.isolating) != s.degree:
         return False
-    ds = [i * c for i, c in enumerate(s)][1:]
     prev_hi = None
     for lo, hi in cert.isolating:
         if not lo < hi <= 0 or (prev_hi is not None and lo < prev_hi):
             return False
-        sign_lo = _horner_sign(s, lo) or _horner_sign(ds, lo)
-        if sign_lo == 0 or _horner_sign(s, hi) == sign_lo:
+        right_of_lo = s(lo) or ds(lo)       # has the sign of s just right of lo
+        if right_of_lo == 0 or s(hi) * right_of_lo > 0:
             return False
         prev_hi = hi
-    if not _divides(s, cs):
+    if not _divides(s.coeffs, cs):
         return False
     power = IntPolynomial([1])
-    for _ in range(len(cs) - len(s) + 1):
-        power = power * cert.squarefree
+    for _ in range(p.degree - s.degree + 1):
+        power = power * s
     return _divides(cs, power.coeffs)
 
 

@@ -78,18 +78,20 @@ def test_compute_all_methods_lists_the_family_route(capsys):
 
 
 def test_all_methods_sweep_mobius_once(capsys, monkeypatch):
-    # the Mobius route runs first and caches mu(bottom, .), which the
-    # defining route reads: one sweep per lattice, output in KlMethod order
+    # the defining and Mobius routes share mu(bottom, .), which
+    # mobius_from_bottom caches: one sweep per lattice, output in KlMethod
+    # order
     from zpoly import klz, matroid
     sizes = []
-    real = matroid._orbit_mobius
+    real = matroid.mobius_from_bottom
 
     def counted(lat):
-        sizes.append(lat.n)
+        if "mobius" not in lat._cache:
+            sizes.append(lat.n)
         return real(lat)
 
-    monkeypatch.setattr(matroid, "_orbit_mobius", counted)
-    monkeypatch.setattr(klz, "_orbit_mobius", counted)
+    monkeypatch.setattr(matroid, "mobius_from_bottom", counted)
+    monkeypatch.setattr(klz, "mobius_from_bottom", counted)
     code, out, _ = run(capsys, "compute", "kl", "--family", "braid", "--d", "7",
                        "--all-methods")
     assert code == 0 and sizes == [4140]        # K8
@@ -426,6 +428,25 @@ def test_compute_checks_the_flat_cap_before_it_builds_a_family_spec(capsys, monk
                          "--method", "defining", "--flat-cap", "100")
     assert code == 2 and out == ""
     assert "exceeds cap 100: 2144691108032 flats" in err
+
+
+def test_a_family_spec_that_lists_more_elements_than_the_cap_is_never_built(capsys,
+                                                                            monkeypatch):
+    # F_1000003^2 has 1,000,006 subspaces, under the default cap, but its
+    # spec would list all 1000003^2 - 1 nonzero vectors
+    import zpoly.cli as cli
+
+    monkeypatch.setattr(cli, "lattice_spec", nothing_built)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compute", "kl", "--family", "qvec:1000003", "--d", "2",
+                         "--method", "defining")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "element count exceeds cap 2000000" in err and "1000006000008 elements" in err
+    code, out, _ = run(capsys, "bench", "qvec:1000003", "--d", "2")
+    report = json.loads(out)
+    assert code == 0 and [row["method"] for row in report["rows"]] == ["family-recursion"]
+    assert report["baseline"].startswith("skipped (element count exceeds cap 2000000")
 
 
 @pytest.mark.parametrize("q, code, message", [

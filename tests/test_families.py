@@ -148,6 +148,15 @@ def test_tables_match_lattice_counts():
                 assert tb.w[d][k] == chi.coefficient(k), (family, d, k)
 
 
+def test_spec_elements_count_what_lattice_spec_lists():
+    # the CLI bounds a spec by this count before lattice_spec lists it
+    from zpoly.families import _spec_elements
+    for family in (BRAID, TYPE_B, uniform_family(3), qvec_family(2), qvec_family(3)):
+        for d in range(4):
+            lat = enumerate_flats(lattice_spec(family, d))
+            assert _spec_elements(family, d) == lat.n_ground, (family, d)
+
+
 def test_dowling_tables_braid_equal_stirling_numbers():
     tb = build_tables(BRAID, 60)
     for d in range(61):

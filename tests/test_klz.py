@@ -170,10 +170,12 @@ def test_closed_formula_terms_recorded():
 
 def test_defining_route_never_reads_the_table():
     # a poisoned P/Z table changes the table routes but not kl_defining,
-    # and kl_defining leaves no per-flat table behind
+    # and kl_defining leaves no per-flat table behind; the up-sets, mu and
+    # the orbit numbering are inputs it shares with the other routes
     for spec in SMALL_SPECS:
         lat = enumerate_flats(spec)
         lat.uppers()
+        mobius_from_bottom(lat)
         before = set(lat._cache)
         p = kl_defining(lat)
         assert set(lat._cache) == before, spec

@@ -103,3 +103,31 @@ def test_every_private_helper_is_used():
                 if not any(re.search(rf"\b{node.name}\b", t) for t in [rest, *others]):
                     unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, f"private helpers named nowhere else in src/zpoly: {unused}"
+
+
+def test_each_lattice_cache_key_has_one_owner():
+    # a key of a lattice's private cache holds data one module builds; a
+    # second module that reads or writes it has to know when it is filled.
+    # Keys are read or written by subscript, get, setdefault, pop, `in`,
+    # or in a dict assigned to the cache
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Subscript):
+                cache, keys = node.value, [node.slice]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("get", "setdefault", "pop")):
+                cache, keys = node.func.value, node.args[:1]
+            elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+                cache, keys = node.comparators[0], [node.left]
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+                cache, keys = node.targets[0], node.value.keys
+            else:
+                continue
+            if isinstance(cache, ast.Attribute) and cache.attr == "_cache":
+                for key in keys:
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        owners.setdefault(key.value, set()).add(path.name)
+    assert owners, f"no lattice cache keys found under {SRC}"
+    shared = {key: sorted(names) for key, names in owners.items() if len(names) > 1}
+    assert not shared, f"lattice cache keys touched by more than one module: {shared}"
