@@ -9,11 +9,13 @@ by four routes that must agree:
 One solver, _pz_solve, turns the sum of t^{rk G} P_G over the flats G
 above a flat into its P and Z by palindromicity.  It runs over Whitney rows
 in the family recursion (families.py), and on a lattice in the cached
-table, at the orbit positions of matroid._orbit_rows.  z_polynomial,
+table, at the orbit positions of matroid._orbit_rows, whose rows count each
+representative's up-set by orbit once per lattice.  z_polynomial,
 kl_via_mobius and kl_coeff_new_recursion read the table; kl_defining never
 does: it solves and checks the functional equation at the same positions
-with its own P and Z.  The bottom rows of both, and kl_via_mobius, add
-each orbit once, weighted by its size.
+with its own P and Z.  Each sums once per (orbit, count) pair; the
+verifier's bottom row and kl_via_mobius add each orbit once, weighted by
+its size.
 
 The closed formula is one sum, _closed_sum, over any Whitney source: lattice
 multichains, family tables, h-products, or one class's fixed chains.
@@ -23,7 +25,6 @@ All arithmetic is exact big-integer.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -137,18 +138,19 @@ def _p_table(lat: FlatLattice):
 
     _pz_solve runs the recursion of kl_coeff_new_recursion at the orbit
     positions of _orbit_rows, top first; each flat reads its orbit's answer
-    through slot.  The bottom's rows are the other orbits with their sizes;
-    a row above it is the representative's up-set, counted by orbit.
+    through slot.  A row is the numbering's: with symmetry the
+    representative's up-set as (position, count) pairs, the bottom's
+    holding the other orbits with their sizes; without, flat ids, each
+    counted once.
     """
     table = lat._cache.get("pz")
     if table is not None:
         return table
     ranks, ups, slot = _orbit_rows(lat)
-    orbits = [*enumerate(lat.orbit_size.values())][1:]     # the bottom's orbit is first
     if lat.symmetry:
-        rows = lambda f: Counter(ups[f]).items() if f else orbits
+        rows = ups.__getitem__
     else:
-        rows = lambda f: zip(ups[f], repeat(1)) if f else orbits
+        rows = lambda f: zip(ups[f], repeat(1))
     P, Z = [None] * len(ranks), [None] * len(ranks)
     _pz_solve(reversed(range(len(ranks))), [lat.rk_total - r for r in ranks], rows, P, Z)
     table = (tuple(map(P.__getitem__, slot)), tuple(map(Z.__getitem__, slot)))
@@ -163,13 +165,19 @@ def z_polynomial(lat: FlatLattice) -> IntPolynomial:
 
 def kl_via_mobius(lat: FlatLattice) -> IntPolynomial:
     """P(t) assembled as sum_F mu(bottom,F) t^{rk F} Z_{M^F}(t); exact
-    inverse of the Z-polynomial definition."""
+    inverse of the Z-polynomial definition.  A nonzero coefficient at a
+    degree j >= 1 with 2j >= rk breaks the degree bound: an error."""
     Z = _p_table(lat)[1]
     mu = mobius_from_bottom(lat)
-    out = [0] * (lat.rk_total + 1)
+    rk = lat.rk_total
+    out = [0] * (rk + 1)
     for f, k in lat.orbit_size.items():     # Z and mu are constant on orbits
         for j, c in enumerate(Z[f], lat.ranks[f]):
             out[j] += k * mu[f] * c
+    for j in range(max(1, (rk + 1) // 2), rk + 1):
+        if out[j]:
+            raise RuntimeError(f"Mobius inversion leaves {out[j]} at degree {j}, "
+                               f"above the degree bound of rank {rk}")
     return IntPolynomial(out)
 
 
@@ -200,9 +208,10 @@ def _defining_table(lat: FlatLattice):
     checked at the orbit positions of _orbit_rows; each flat reads its
     orbit's answer through slot.  Without symmetry, mu(F, .) comes from a
     scalar sweep over chains F <= H <= G.  With it, automorphisms keep
-    N[H][O], the number of flats of orbit O above H, so F's row is N[F], a
-    Counter of its own up-set, and sums over orbits: S of N[F][O] P_O, and
-    T of M[O] Z_O, where M[O] sums mu(F, H) over the H of O above F.  Since
+    N[H][O], the number of flats of orbit O above H, so F's row is N[F],
+    the (O, N[F][O]) pairs of its count row in _orbit_rows, and sums over
+    orbits: S of N[F][O] P_O, and T of M[O] Z_O, where M[O] sums mu(F, H)
+    over the H of O above F.  Since
     mu(F, .) sums to 0 on every [F, G], M[O'] = -N[F][O'] - sum over O of
     M[O] N[O][O'], pushed by rank.  The bottom's row adds each other orbit
     once, by its size, as mu(bottom, .) is constant on orbits; mu comes
@@ -212,14 +221,12 @@ def _defining_table(lat: FlatLattice):
     ranks, ups, slot = _orbit_rows(lat)
     rk_total = lat.rk_total
     P, Z = [None] * len(ranks), [None] * len(ranks)
-    N = {}                          # N[F][O] at the orbits F solved so far
     acc = [0] * len(ranks)
     for f in reversed(range(len(ranks))):
         rank_f = ranks[f]
         crk = rk_total - rank_f
         if crk == 0:
             P[f] = Z[f] = (1,)
-            N[f] = {}
             continue
         S = [0] * (crk + 1)         # sum over G > F of t^{rk G - rk F} P_G
         T = [0] * (crk + 1)         # sum over H > F of mu(F, H) Z_H
@@ -231,14 +238,13 @@ def _defining_table(lat: FlatLattice):
                 for j, c in enumerate(Z[h]):
                     T[j] += k * mu[g] * c
         elif lat.symmetry:
-            above = N[f] = Counter(ups[f])
-            for h, k in above.items():  # by rank: acc[h] is complete
+            for h, k in ups[f]:         # by rank: acc[h] is complete
                 for j, c in enumerate(P[h], ranks[h] - rank_f):
                     S[j] += k * c
                 m = -k - acc[h]         # sum of mu(F, H) over the H > F of orbit h
                 acc[h] = 0
                 if m:
-                    for g, kg in N[h].items():
+                    for g, kg in ups[h]:
                         acc[g] += m * kg
                     for j, c in enumerate(Z[h]):
                         T[j] += m * c

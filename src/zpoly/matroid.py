@@ -15,8 +15,9 @@ images of the covers and up-sets of the flat they were reached from; each
 such row, and each generator's permutation of the flats that maps it, is
 built only when it is read.  Mobius values from the bottom, plain multichain
 counts and P and Z are constant on orbits, so they solve at the orbit
-positions of _orbit_rows, from the representatives' up-sets alone; a
-permutation's fixed-chain counts keep one per flat it fixes.
+positions of _orbit_rows, from the representatives' up-sets alone, each
+counted by orbit once per lattice; a permutation's fixed-chain counts keep
+one per flat it fixes.
 
 Flats are ground-set bitmasks (Python ints), ordered by inclusion.  Closure
 based enumeration always yields the geometric lattice of the simplification,
@@ -27,10 +28,11 @@ elements need no special handling.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from itertools import combinations, compress, count, groupby
 from math import gcd, inf, isqrt
-from operator import index
+from operator import index, itemgetter, mul
 from typing import Iterable, Sequence, Union
 
 from .polyarith import IntPolynomial
@@ -908,28 +910,30 @@ def _lattice_from_explicit_flats(spec: ExplicitFlats, flat_cap: int | None) -> F
 def _orbit_rows(lat: FlatLattice) -> tuple:
     """(ranks, rows, slot): the orbits by position in orbit_size order, so
     by rank, with their ranks; rows[k], built on first read, the k-th
-    representative's up-set as the positions of its flats' orbits, one per
-    flat; slot[f] the position of flat f's orbit.  Without symmetry,
-    lat.ranks, lat.uppers() and range(n).  The numbering is built once per
-    lattice, the rows afresh from uppers() on each call."""
-    ups = lat.uppers()
+    representative's up-set counted by orbit, as (position, count) pairs
+    by ascending position, the bottom's row included; slot[f] the position
+    of flat f's orbit.  Without symmetry, lat.ranks, lat.uppers() (rows of
+    flat ids) and range(n).  The numbering and its rows are built once per
+    lattice, from uppers() through slot."""
     if not lat.symmetry:
-        return lat.ranks, ups, range(lat.n)
-    if "orbits" not in lat._cache:
-        reps = [*lat.orbit_size]
+        return lat.ranks, lat.uppers(), range(lat.n)
+    numbering = lat._cache.get("orbits")
+    if numbering is None:
+        reps, ups = [*lat.orbit_size], lat.uppers()
         slot = [*map(dict(zip(reps, count())).__getitem__, lat.orbit_rep)]
-        lat._cache["orbits"] = reps, [*map(lat.ranks.__getitem__, reps)], slot
-    reps, ranks, slot = lat._cache["orbits"]
-    rows = _Rows(len(reps), None, scan=lambda k: [*map(slot.__getitem__, ups[reps[k]])])
-    return ranks, rows, slot
+        rows = _Rows(len(reps), None, scan=lambda k: sorted(
+            Counter(map(slot.__getitem__, ups[reps[k]])).items()))
+        numbering = lat._cache["orbits"] = [*map(lat.ranks.__getitem__, reps)], rows, slot
+    return numbering
 
 
 def mobius_from_bottom(lat: FlatLattice) -> tuple:
     """mu(bottom, F) for every flat, cached: constant on orbits as every
     symmetry fixes the bottom, so one sweep over the orbit positions H by
     increasing rank.  Each G adds |O_G| mu(bottom, G) at the orbit of every
-    H' > G; as |O_G| #{H' in O_H : G < H'} = |O_H| #{G' in O_G : G' < H},
-    that leaves -|O_H| mu(bottom, H) at H, which |O_H| must divide."""
+    H' > G, once per orbit of its count row; as |O_G| #{H' in O_H : G < H'}
+    = |O_H| #{G' in O_G : G' < H}, that leaves -|O_H| mu(bottom, H) at H,
+    which |O_H| must divide."""
     if "mobius" in lat._cache:
         return lat._cache["mobius"]
     _, rows, slot = _orbit_rows(lat)
@@ -942,7 +946,10 @@ def mobius_from_bottom(lat: FlatLattice) -> tuple:
             raise RuntimeError(f"mobius value {w}/{k} on the orbit of flat {f} is not "
                                "an integer: the orbits are not those of the symmetry")
         at.append(w // k)
-        if w:
+        if w and lat.symmetry:
+            for g, c in rows[h]:
+                acc[g] += w * c
+        elif w:
             for g in rows[h]:
                 acc[g] += w
     return lat._cache.setdefault("mobius", tuple(map(at.__getitem__, slot)))
@@ -957,34 +964,47 @@ def characteristic_polynomial(lat: FlatLattice) -> IntPolynomial:
     return IntPolynomial(out)
 
 
+_first, _second = itemgetter(0), itemgetter(1)
+
+
 def _multichain_counts(rk: int, ranks, rows, memo: dict, profile: tuple):
     """counts[a] of the multichains of the given corank profile (the top
     has rank rk) whose lowest flat contains entry a of a space: the orbit
     positions of _orbit_rows for plain counts, a permutation's fixed flats
     for its fixed chains.  Entries are in rank order, ranks[a] the rank of
-    a, rows[a] the entries above it.  Memoized per profile suffix in
-    `memo`; the Whitney recursion over contractions shares suffixes."""
+    a, rows[a] the entries above it: ascending ids, or, in the count rows
+    of a symmetric lattice, (position, count) pairs by ascending position;
+    the bottom's row tells which, once per profile counted.  Memoized per
+    profile suffix in `memo`; the Whitney recursion over contractions
+    shares suffixes."""
     vec = memo.get(profile)
     if vec is not None:
         return vec
     if not profile:
         vec = [1] * len(ranks)
     else:
-        prev = _multichain_counts(rk, ranks, rows, memo, profile[1:])
+        # a memoized suffix, the usual case, needs no call
+        prev = memo.get(profile[1:]) or _multichain_counts(rk, ranks, rows, memo, profile[1:])
         target = rk - profile[0]            # rank of flats with corank profile[0]
         # entries are in rank order, so the target rank is a range [lo, hi)
         # and every row meets it in one slice; entries in it keep their count
         lo = bisect_left(ranks, target)
         hi = bisect_left(ranks, target + 1)
-        vec = [sum(map(prev.__getitem__, row[bisect_left(row, lo):bisect_left(row, hi)]))
-               for row in map(rows.__getitem__, range(lo))]
+        if (head := rows[0]) and type(head[0]) is tuple:
+            vec = [sum(map(mul, map(prev.__getitem__, map(_first, cut)), map(_second, cut)))
+                   for row in map(rows.__getitem__, range(lo))
+                   for cut in [row[bisect_left(row, (lo,)):bisect_left(row, (hi,))]]]
+        else:
+            vec = [sum(map(prev.__getitem__, row[bisect_left(row, lo):bisect_left(row, hi)]))
+                   for row in map(rows.__getitem__, range(lo))]
         vec += prev[lo:hi] + [0] * (len(ranks) - hi)
     memo[profile] = vec
     return vec
 
 
 def _plain_chains(lat: FlatLattice) -> tuple:
-    """(ranks, rows, memo) of the plain counts, at the orbit positions."""
+    """(ranks, rows, memo) of the plain counts, at the orbit positions: the
+    numbering's ranks and rows, so the count rows of a symmetric lattice."""
     if "whitney" not in lat._cache:
         lat._cache["whitney"] = (*_orbit_rows(lat)[:2], {})
     return lat._cache["whitney"]

@@ -128,11 +128,11 @@ def test_pz_table_reads_only_the_representatives_up_sets():
         for f in range(lat.n):
             if lat.orbit_rep[f] != f:
                 ups[f] = []
-        del lat._cache["pz"]
+        del lat._cache["pz"], lat._cache["orbits"]
         assert _p_table(lat) == want, spec
         f = next(f for f in lat.orbit_size if f != lat.bottom_id and ups[f])
         ups[f] = ups[f][:-1]
-        del lat._cache["pz"]
+        del lat._cache["pz"], lat._cache["orbits"]
         assert _p_table(lat) != want, spec
 
 
@@ -157,6 +157,7 @@ def test_defining_route_reads_only_the_representatives_up_sets():
                 continue
             ups[f] = row[:-1]
             lat._cache.pop("mobius", None)
+            lat._cache.pop("orbits", None)
             try:
                 changed = _defining_table(lat)[0] != want[0]
             except RuntimeError:

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 
 from oracles import kl_naive, z_naive
+from test_mutations import pz_adds_t
 from zpoly import (GraphSpec, IndexTuple, IntPolynomial, KlMethod, UniformSpec,
                    closed_formula_terms, contraction, enumerate_flats,
                    enumerate_index_tuples, is_palindromic, kl_by_method,
@@ -221,3 +224,13 @@ def test_defining_route_checks_tail_and_low_half():
                 messages.add(str(exc))
     assert any("leading tail" in m for m in messages), messages
     assert any("low degrees" in m for m in messages), messages
+
+
+def test_mobius_route_refuses_a_sum_above_the_degree_bound():
+    # a solve that adds t to every P_F of corank >= 3 leaves nonzero
+    # coefficients from degree 3 on, at or above half the rank, on K6
+    # (1 + 16t + 80t^2 - 85t^3) and on K7: an error, not a P
+    for d, degree in ((5, 3), (6, 3)):
+        with mock.patch("zpoly.klz._pz_solve", pz_adds_t):
+            with pytest.raises(RuntimeError, match=f"at degree {degree}, above the degree bound"):
+                kl_via_mobius(braid(d))

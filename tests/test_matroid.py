@@ -3,6 +3,7 @@ import json
 import re
 import shlex
 import time
+from collections import Counter
 from itertools import combinations, product
 from math import isqrt
 from pathlib import Path
@@ -13,13 +14,14 @@ from hypothesis import given, settings, strategies as st
 from oracles import (_ranks_by_chains, bases_by_fractions, chain_count_naive,
                      flats_by_naive_closure, graph_rank, is_flat_family, lattice_as_sets,
                      mobius_naive, rank_by_fractions, rank_mod_p, satisfies_basis_exchange)
-from zpoly import (ExplicitBases, ExplicitFlats, FlatCapExceeded, FlatLattice, GraphSpec,
-                   IntPolynomial, LinearVectors, NiceFamily, UniformSpec, bareiss_rank,
-                   characteristic_polynomial, contraction, enumerate_flats,
+from zpoly import (BRAID, TYPE_B, ExplicitBases, ExplicitFlats, FlatCapExceeded, FlatLattice,
+                   GraphSpec, IntPolynomial, LinearVectors, NiceFamily, UniformSpec, bareiss_rank,
+                   characteristic_polynomial, contraction, enumerate_flats, lattice_spec,
                    localization, matroid_spec_from_json, mobius_from_bottom,
                    whitney_multi)
 from zpoly.cli import main
-from zpoly.matroid import _JSON_SPECS, _enumerate_by_covers, _least_prime_factor, _vectors_oracle
+from zpoly.matroid import (_JSON_SPECS, _enumerate_by_covers, _least_prime_factor, _orbit_rows,
+                           _vectors_oracle)
 
 
 def k_complete(n):
@@ -42,6 +44,26 @@ def test_symmetric_up_sets_are_built_on_first_read():
     assert len(ups.keys()) < lat.n
     assert ups == want and not ups != [list(row) for row in want]
     assert list(ups) == list(want) and len(ups.keys()) == lat.n
+
+
+def test_orbit_count_rows_count_each_up_set_by_orbit():
+    # each representative's row counts the flats of its up-set by the
+    # position of their orbit in orbit_size order, in strictly ascending
+    # positions, at most one pair per orbit; the bottom's row included
+    twins = GraphSpec(4, [(0, 1), (1, 0), (1, 2), (1, 3), (2, 3), (0, 2), (0, 3)])
+    for spec in (k_complete(6), k_complete(7), k_complete(8), UniformSpec(2, 5),
+                 lattice_spec(TYPE_B, 4), twins):
+        lat = enumerate_flats(spec)
+        assert lat.symmetry and lat.n_orbits < lat.n, spec
+        position = {rep: k for k, rep in enumerate(lat.orbit_size)}
+        ranks, rows, slot = _orbit_rows(lat)
+        assert len(rows) == len(ranks) == lat.n_orbits, spec
+        for k, rep in enumerate(lat.orbit_size):
+            want = Counter(position[lat.orbit_rep[g]] for g in lat.uppers()[rep])
+            row = rows[k]
+            assert dict(row) == want, (spec, rep)
+            assert all(a < b for (a, _), (b, _) in zip(row, row[1:])), (spec, rep)
+            assert len(row) <= lat.n_orbits, (spec, rep)
 
 
 def test_uniform_u12():

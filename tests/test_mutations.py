@@ -52,6 +52,16 @@ def slot_shifted(lat):
     return ranks, rows, [*slot[1:], slot[0]]
 
 
+def count_raised(lat):
+    # the atom orbit's row counts one flat more in its first orbit above;
+    # every other row, the bottom's included, is as it is
+    ranks, rows, slot = ORBIT_ROWS(lat)
+    rows = [*rows]
+    (g, k), *rest = rows[1]
+    rows[1] = [(g, k + 1), *rest]
+    return ranks, rows, slot
+
+
 # fault -> (patches, the routes whose answer changes or that raise)
 FAULTS = {
     "none": ((), set()),
@@ -61,6 +71,8 @@ FAULTS = {
     "multichains": ((("zpoly.matroid._multichain_counts", multichains_cut),), {"closed"}),
     "slot": ((("zpoly.klz._orbit_rows", slot_shifted), ("zpoly.matroid._orbit_rows", slot_shifted)),
              {"defining", "mobius", "recursion"}),
+    "counts": ((("zpoly.klz._orbit_rows", count_raised), ("zpoly.matroid._orbit_rows", count_raised)),
+               {"defining", "mobius", "recursion", "closed"}),
 }
 
 

@@ -67,6 +67,17 @@ def test_one_owner_of_the_orbit_numbering():
     assert not found, f"orbit_rep read outside matroid.py: {found}"
 
 
+def test_one_owner_of_orbit_counting():
+    # matroid._orbit_rows counts each representative's up-set by orbit once
+    # per lattice; a module that calls Counter itself counts them again
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "matroid.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).rpartition(".")[2] == "Counter"]
+    assert not found, f"Counter called outside matroid.py: {found}"
+
+
 def test_one_caller_of_the_enumerator():
     # every spec reaches the cover enumerator through enumerate_flats, which
     # applies the flat cap; a module that drives it directly bypasses both
